@@ -97,17 +97,10 @@ type Config struct {
 	// sifts; after each reorder the trigger doubles from the surviving
 	// live count. 0 selects DefaultReorderThreshold.
 	ReorderThreshold int
-	// Pool, when non-nil, makes NewWith draw a Reset manager from the
-	// shared warm pool instead of allocating fresh storage. Every layer
-	// that threads a Config (prob, decomp, verify) then reuses pooled
-	// node stores transparently; managers return to the pool via Recycle
-	// (prob.Model.Release and friends). A fresh manager is still
-	// allocated when the pool is empty.
-	Pool *Pool
 }
 
 // withDefaults resolves the zero-value Config fields to the package
-// defaults, exactly as NewWith and Reset apply them.
+// defaults, exactly as NewWith applies them.
 func (cfg Config) withDefaults() Config {
 	if cfg.NodeLimit == 0 {
 		cfg.NodeLimit = DefaultNodeLimit
@@ -181,11 +174,6 @@ type Manager struct {
 	reorderThreshold int
 	reorderAt        int
 
-	// pool is the warm pool this manager was drawn from (nil when it was
-	// allocated directly); pooled flags a manager currently parked in it.
-	pool   *Pool
-	pooled bool
-
 	stats Stats
 }
 
@@ -193,13 +181,8 @@ type Manager struct {
 // configuration.
 func New(numVars int) *Manager { return NewWith(numVars, Config{}) }
 
-// NewWith returns a manager over numVars variables tuned by cfg. With
-// cfg.Pool set the manager is drawn from the pool (Reset for numVars and
-// cfg) rather than allocated, so repeated computations reuse node storage.
+// NewWith returns a manager over numVars variables tuned by cfg.
 func NewWith(numVars int, cfg Config) *Manager {
-	if cfg.Pool != nil {
-		return cfg.Pool.Get(numVars, cfg)
-	}
 	cfg = cfg.withDefaults()
 	m := &Manager{
 		computed:         make(map[cacheKey]Ref),

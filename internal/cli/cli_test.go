@@ -80,6 +80,28 @@ func TestPmapWriteAndDot(t *testing.T) {
 	}
 }
 
+// TestPmapVerifyModes runs pmap's default -verify (the internal/verify
+// oracle over the optimized network, subject graph and mapped netlist)
+// across the accounting, mapper and activity modes that change what gets
+// mapped or how it is priced.
+func TestPmapVerifyModes(t *testing.T) {
+	for _, mode := range [][]string{
+		{"-method2"},
+		{"-mapper", "tree"},
+		{"-mapper", "cuts"},
+		{"-mapper", "cuts", "-lut", "4"},
+		{"-activity", "sample"},
+	} {
+		var out, errOut bytes.Buffer
+		args := append([]string{"-circuit", "cm42a"}, mode...)
+		if err := Pmap(args, &out, &errOut); err != nil {
+			t.Errorf("pmap %v: %v\n%s", mode, err, errOut.String())
+		} else if !strings.Contains(out.String(), "mapped:") {
+			t.Errorf("pmap %v: no mapped report:\n%s", mode, out.String())
+		}
+	}
+}
+
 func TestPmapErrors(t *testing.T) {
 	cases := [][]string{
 		{},                                      // no input

@@ -21,6 +21,7 @@ import (
 	"powermap/internal/journal"
 	"powermap/internal/network"
 	"powermap/internal/power"
+	"powermap/internal/verify"
 )
 
 // Pmap runs the pmap command: the full synthesis flow plus reporting.
@@ -42,7 +43,7 @@ func Pmap(args []string, out, errOut io.Writer) error {
 		tree     = fs.Bool("tree", false, "strict tree partitioning in the mapper")
 		piProb   = fs.Float64("prob", 0.5, "uniform P(pi=1) for all primary inputs")
 		gates    = fs.Bool("gates", false, "print the mapped gate list")
-		verify   = fs.Bool("verify", true, "verify result equivalence against the source")
+		prove    = fs.Bool("verify", true, "prove the optimized, decomposed and mapped circuits equivalent to the source")
 		write    = fs.String("write", "", "write the mapped netlist as mapped BLIF to this file")
 		dot      = fs.String("dot", "", "write the mapped netlist as Graphviz DOT to this file")
 		glitch   = fs.Int("glitch", 0, "simulate N vector pairs under the unit-delay model")
@@ -149,9 +150,9 @@ func Pmap(args []string, out, errOut io.Writer) error {
 	if err != nil {
 		return timeoutError(*timeout, err)
 	}
-	if *verify {
+	if *prove {
 		span := sc.StartCtx(ctx, "verify-source")
-		err := core.VerifyAgainstSourceWith(ctx, src, res, bddf.config())
+		err := verify.CheckResultWith(ctx, src, res, bddf.config())
 		span.End()
 		if err != nil {
 			return timeoutError(*timeout, err)

@@ -11,7 +11,6 @@ import (
 	"syscall"
 	"time"
 
-	"powermap/internal/bdd"
 	"powermap/internal/journal"
 	"powermap/internal/obs"
 	"powermap/internal/serve"
@@ -28,7 +27,6 @@ func Pserve(args []string, out, errOut io.Writer) error {
 		inflight   = fs.Int("inflight", 0, "max concurrently synthesizing requests (0 = one per CPU)")
 		queue      = fs.Int("queue", 0, "max requests waiting for a slot before 429 (0 = 2x -inflight, negative = no waiting room)")
 		cacheSize  = fs.Int("cache", 0, "result cache entries (0 = default 128)")
-		poolSize   = fs.Int("pool", 0, "warm BDD-manager pool size (0 = -inflight)")
 		workers    = fs.Int("workers", 1, "per-request pipeline workers (the daemon parallelizes across requests)")
 		defTimeout = fs.Duration("default-timeout", time.Minute, "budget for requests without timeout_ms")
 		maxTimeout = fs.Duration("max-timeout", 5*time.Minute, "ceiling clamped onto requested timeouts")
@@ -59,16 +57,12 @@ func Pserve(args []string, out, errOut io.Writer) error {
 		MaxInflight:    *inflight,
 		QueueDepth:     *queue,
 		CacheSize:      *cacheSize,
-		PoolSize:       *poolSize,
 		Workers:        *workers,
 		DefaultTimeout: *defTimeout,
 		MaxTimeout:     *maxTimeout,
 		BDDLimit:       *bddLimit,
 		Scope:          sc,
 	})
-	// Pre-warm the pool so the first wave of requests reuses storage; 16
-	// variables covers the bundled suite's PI counts.
-	srv.Pool().Warm(srv.Pool().Cap(), 16, bdd.Config{NodeLimit: *bddLimit})
 
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
@@ -85,8 +79,6 @@ func Pserve(args []string, out, errOut io.Writer) error {
 			srv.Drain()
 		},
 	})
-	ps := srv.Pool().Stats()
-	fmt.Fprintf(out, "pserve: stopped; pool reuses %d, allocs %d, recycles %d, discards %d\n",
-		ps.Reuses, ps.Allocs, ps.Puts, ps.Discards)
+	fmt.Fprintln(out, "pserve: stopped")
 	return err
 }

@@ -201,18 +201,6 @@ type Result struct {
 	OptStats opt.Stats
 }
 
-// Release returns the result's BDD resources (the decomposition's
-// probability model) to their warm pool, if Options.BDD.Pool was set.
-// Call it once the report, netlist and verification verdict have been
-// extracted; the Decomp model must not be used afterwards. Safe on nil
-// and idempotent.
-func (r *Result) Release() {
-	if r == nil || r.Decomp == nil {
-		return
-	}
-	r.Decomp.Model.Release()
-}
-
 // Synthesize runs the full flow on a copy of the input network. The input
 // is never modified.
 func Synthesize(nw *network.Network, o Options) (*Result, error) {
@@ -340,31 +328,4 @@ func SynthesizeContext(ctx context.Context, nw *network.Network, o Options) (_ *
 	sc.Gauge("core.delay_ns").Set(nl.Report.Delay)
 	sc.Gauge("core.power_uw").Set(nl.Report.PowerUW)
 	return res, nil
-}
-
-// VerifyAgainstSource checks that the synthesized result still computes the
-// original network's outputs (BDD equivalence of the optimized network vs
-// the source; the mapped netlist is verified gate-by-gate in Synthesize).
-func VerifyAgainstSource(ctx context.Context, src *network.Network, res *Result) error {
-	return VerifyAgainstSourceWith(ctx, src, res, bdd.Config{})
-}
-
-// VerifyAgainstSourceWith is VerifyAgainstSource with an explicit BDD
-// kernel configuration for the equivalence managers.
-func VerifyAgainstSourceWith(ctx context.Context, src *network.Network, res *Result, cfg bdd.Config) error {
-	ok, err := prob.EquivalentOutputsWith(ctx, src, res.Optimized, cfg)
-	if err != nil {
-		return err
-	}
-	if !ok {
-		return fmt.Errorf("core: optimized network is not equivalent to the source")
-	}
-	ok, err = prob.EquivalentOutputsWith(ctx, src, res.Decomp.Network, cfg)
-	if err != nil {
-		return err
-	}
-	if !ok {
-		return fmt.Errorf("core: subject graph is not equivalent to the source")
-	}
-	return nil
 }

@@ -415,10 +415,6 @@ func Decompose(ctx context.Context, nw *network.Network, opt Options) (*Result, 
 	})
 	flushBDDStats(sc, model.Manager())
 	flushBDDStats(sc, final.Manager())
-	// The planning model is done; its manager can go back to a warm pool.
-	// The final model stays live inside res — mapping and verification read
-	// it — and is the caller's to release (core.Result.Release).
-	model.Release()
 	return res, nil
 }
 
@@ -445,7 +441,6 @@ func andOrActivity(ctx context.Context, cp *network.Network, opt Options) (float
 	}
 	if ares.Model != nil {
 		flushBDDStats(opt.Obs, ares.Model.Manager())
-		ares.Model.Release()
 	}
 	total := 0.0
 	for _, n := range cp.TopoOrder() {

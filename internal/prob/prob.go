@@ -66,10 +66,8 @@ func ComputeContext(ctx context.Context, nw *network.Network, piProb map[string]
 }
 
 // ComputeWith is ComputeContext with an explicit BDD kernel configuration
-// (node limit, GC thresholds, dynamic reordering). When cfg.Pool is set the
-// manager is drawn warm from that pool and every failure path recycles it,
-// so an over-budget or cancelled request never leaks pool capacity.
-func ComputeWith(ctx context.Context, nw *network.Network, piProb map[string]float64, style huffman.Style, cfg bdd.Config) (model *Model, err error) {
+// (node limit, GC thresholds, dynamic reordering).
+func ComputeWith(ctx context.Context, nw *network.Network, piProb map[string]float64, style huffman.Style, cfg bdd.Config) (*Model, error) {
 	m := &Model{
 		Style:   style,
 		mgr:     bdd.NewWith(len(nw.PIs), cfg),
@@ -78,11 +76,6 @@ func ComputeWith(ctx context.Context, nw *network.Network, piProb map[string]flo
 		piIndex: make(map[*network.Node]int),
 		piProb:  make([]float64, len(nw.PIs)),
 	}
-	defer func() {
-		if err != nil {
-			m.Release()
-		}
-	}()
 	for pi, level := range dfsVariableOrder(nw) {
 		m.piIndex[pi] = level
 		p, ok := piProb[pi.Name]
@@ -195,19 +188,6 @@ func (m *Model) activityOf(p1 float64) float64 {
 // Manager exposes the underlying BDD manager (for equivalence checks).
 func (m *Model) Manager() *bdd.Manager { return m.mgr }
 
-// Release hands the model's BDD manager back to its warm pool (a no-op for
-// managers allocated outside a pool) and poisons the model: every Ref it
-// produced is invalid afterwards. Safe on nil and idempotent, so callers on
-// error paths can release unconditionally.
-func (m *Model) Release() {
-	if m == nil || m.mgr == nil {
-		return
-	}
-	m.mgr.Recycle()
-	m.mgr = nil
-	m.global = nil
-}
-
 // Global returns the global BDD of a node, or false when the node was not
 // reachable when the model was computed.
 func (m *Model) Global(n *network.Node) (bdd.Ref, bool) {
@@ -306,15 +286,9 @@ func (m *Model) Register(n *network.Node) (bdd.Ref, error) {
 // EquivalentOutputs checks that two networks over the same PIs compute
 // identical output functions, by comparing global BDDs in one shared
 // manager. Outputs are matched by name. The ctx is checked between nodes,
-// so a deadline aborts the check mid-build.
+// so a deadline aborts the check mid-build; an over-wide pair of networks
+// yields a wrapped bdd.ErrNodeLimit instead of a panic.
 func EquivalentOutputs(ctx context.Context, a, b *network.Network) (bool, error) {
-	return EquivalentOutputsWith(ctx, a, b, bdd.Config{})
-}
-
-// EquivalentOutputsWith is EquivalentOutputs with an explicit BDD kernel
-// configuration; an over-wide pair of networks yields a wrapped
-// bdd.ErrNodeLimit instead of a panic.
-func EquivalentOutputsWith(ctx context.Context, a, b *network.Network, cfg bdd.Config) (bool, error) {
 	if len(a.PIs) != len(b.PIs) {
 		return false, fmt.Errorf("prob: PI count mismatch %d vs %d", len(a.PIs), len(b.PIs))
 	}
@@ -322,8 +296,7 @@ func EquivalentOutputsWith(ctx context.Context, a, b *network.Network, cfg bdd.C
 	for i, pi := range a.PIs {
 		index[pi.Name] = i
 	}
-	mgr := bdd.NewWith(len(a.PIs), cfg)
-	defer mgr.Recycle()
+	mgr := bdd.New(len(a.PIs))
 	build := func(nw *network.Network) (map[string]bdd.Ref, error) {
 		global := make(map[*network.Node]bdd.Ref)
 		for _, n := range nw.TopoOrder() {

@@ -1,9 +1,11 @@
 // Package serve implements synthesis-as-a-service: an HTTP/JSON daemon
 // (cmd/pserve) that runs the paper's decomposition+mapping pipeline per
-// request, with the production concerns the CLI tools don't need — a warm
-// pool of Reset-able BDD managers, content-addressed result caching,
-// admission control with honest status codes, and graceful drain. See
-// DESIGN.md §16 for the architecture and the status-code contract.
+// request, with the production concerns the CLI tools don't need —
+// content-addressed result caching, admission control with honest status
+// codes, and graceful drain. A "verified" response carries the
+// internal/verify proof (verify.CheckResultWith) of the optimized network,
+// the subject graph and the mapped netlist. See DESIGN.md §16 for the
+// architecture and the status-code contract.
 package serve
 
 import (
@@ -56,7 +58,8 @@ type Options struct {
 	// TimeoutMS bounds the request's wall time; expiry returns 408.
 	// 0 takes the server default; the server's -max-timeout clamps it.
 	TimeoutMS int `json:"timeout_ms,omitempty"`
-	// Verify additionally proves the result equivalent to the source.
+	// Verify additionally proves the optimized network, the subject graph
+	// and the mapped netlist equivalent to the source (verify.CheckResult).
 	Verify bool `json:"verify,omitempty"`
 	// Netlist returns the mapped netlist as BLIF in the response.
 	Netlist bool `json:"netlist,omitempty"`

@@ -18,6 +18,7 @@ import (
 	"powermap/internal/exec"
 	"powermap/internal/network"
 	"powermap/internal/obs"
+	"powermap/internal/verify"
 )
 
 // maxBodyBytes bounds a POST /synth payload; BLIF for the paper-scale
@@ -34,8 +35,6 @@ type Config struct {
 	QueueDepth int
 	// CacheSize bounds the result cache entries (default 128).
 	CacheSize int
-	// PoolSize bounds the warm BDD-manager pool (default MaxInflight).
-	PoolSize int
 	// Workers is the per-request pipeline worker count (default 1: the
 	// service parallelizes across requests, not inside them).
 	Workers int
@@ -64,9 +63,6 @@ func (c Config) withDefaults() Config {
 	if c.CacheSize <= 0 {
 		c.CacheSize = 128
 	}
-	if c.PoolSize <= 0 {
-		c.PoolSize = c.MaxInflight
-	}
 	if c.Workers <= 0 {
 		c.Workers = 1
 	}
@@ -83,7 +79,6 @@ func (c Config) withDefaults() Config {
 // its graceful stop. Create with New.
 type Server struct {
 	cfg   Config
-	pool  *bdd.Pool
 	cache *cache
 
 	sem      chan struct{}
@@ -105,7 +100,6 @@ func New(cfg Config) *Server {
 	cfg = cfg.withDefaults()
 	s := &Server{
 		cfg:     cfg,
-		pool:    bdd.NewPool(cfg.PoolSize),
 		cache:   newCache(cfg.CacheSize),
 		sem:     make(chan struct{}, cfg.MaxInflight),
 		drainCh: make(chan struct{}),
@@ -113,9 +107,6 @@ func New(cfg Config) *Server {
 	s.run = s.synthesize
 	return s
 }
-
-// Pool exposes the warm manager pool (for pre-warming and stats).
-func (s *Server) Pool() *bdd.Pool { return s.pool }
 
 // Draining reports whether Drain has started.
 func (s *Server) Draining() bool { return s.draining.Load() }
@@ -217,8 +208,6 @@ func (s *Server) observeGauges() {
 	}
 	sc.Gauge("serve.inflight").Set(float64(len(s.sem)))
 	sc.Gauge("serve.queued").Set(float64(s.queued.Load()))
-	idle := s.pool.Idle()
-	sc.Gauge("serve.pool_idle").Set(float64(idle))
 }
 
 // handleSynth is POST /synth: parse → cache probe → admission →
@@ -338,15 +327,15 @@ func (s *Server) runRecovered(ctx context.Context, nw *network.Network, req Requ
 	return s.run(ctx, nw, req, rv)
 }
 
-// synthesize is the production run function: the full pipeline with the
-// warm pool threaded through every BDD allocation, then verification and
-// netlist rendering per the request.
+// synthesize is the production run function: the full pipeline, then
+// verification by the internal/verify oracle and netlist rendering per the
+// request.
 func (s *Server) synthesize(ctx context.Context, nw *network.Network, req Request, rv resolved) (*Response, error) {
 	probs := make(map[string]float64, len(nw.PIs))
 	for _, name := range nw.PINames() {
 		probs[name] = rv.piProb
 	}
-	bddCfg := bdd.Config{Pool: s.pool, NodeLimit: s.bddLimit(rv), Reorder: rv.reorder}
+	bddCfg := bdd.Config{NodeLimit: s.bddLimit(rv), Reorder: rv.reorder}
 	res, err := core.SynthesizeContext(ctx, nw, core.Options{
 		Method:          rv.method,
 		Style:           rv.style,
@@ -363,7 +352,6 @@ func (s *Server) synthesize(ctx context.Context, nw *network.Network, req Reques
 	if err != nil {
 		return nil, err
 	}
-	defer res.Release()
 	out := &Response{
 		Circuit: req.Circuit,
 		Method:  rv.method.String(),
@@ -380,7 +368,7 @@ func (s *Server) synthesize(ctx context.Context, nw *network.Network, req Reques
 		out.Circuit = nw.Name
 	}
 	if rv.verify {
-		if err := core.VerifyAgainstSourceWith(ctx, nw, res, bddCfg); err != nil {
+		if err := verify.CheckResultWith(ctx, nw, res, bddCfg); err != nil {
 			return nil, err
 		}
 		ok := true

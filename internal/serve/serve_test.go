@@ -65,8 +65,15 @@ func TestSynthesizeAndCacheHit(t *testing.T) {
 	if hits != 1 || misses != 1 {
 		t.Errorf("cache counters = %d hits / %d misses, want 1/1", hits, misses)
 	}
-	if st := s.pool.Stats(); st.Puts == 0 {
-		t.Errorf("no manager was recycled into the warm pool: %+v", st)
+
+	// Generic-LUT mapping goes through the same oracle, mapped netlist
+	// included.
+	code, out = postSynth(t, h, `{"circuit": "cm42a", "options": {"mapper": "cuts", "lut": 4, "verify": true}}`)
+	if code != 200 {
+		t.Fatalf("cuts -lut 4 = %d: %v", code, out)
+	}
+	if v, _ := out["verified"].(bool); !v {
+		t.Errorf("cuts -lut 4 verified = %v, want true", out["verified"])
 	}
 }
 

@@ -71,7 +71,6 @@ func EquivalentWith(ctx context.Context, ref, impl *network.Network, cfg bdd.Con
 		index[name] = i
 	}
 	mgr := bdd.NewWith(len(piNames), cfg)
-	defer mgr.Recycle()
 	build := func(nw *network.Network) (map[string]bdd.Ref, error) {
 		global := make(map[*network.Node]bdd.Ref)
 		for _, n := range nw.TopoOrder() {

@@ -170,15 +170,15 @@ func SynthesizeContext(ctx context.Context, nw *Network, o Options) (*Result, er
 // Float64 returns a pointer to v, for optional fields like Options.Relax.
 func Float64(v float64) *float64 { return core.Float64(v) }
 
-// Verify checks a synthesis result against its source network with exact
-// BDD equivalence.
+// Verify proves a synthesis result against its source network with the
+// formal-verification oracle (see VerifyResult).
 func Verify(src *Network, res *Result) error {
-	return core.VerifyAgainstSource(context.Background(), src, res)
+	return verify.CheckResult(context.Background(), src, res)
 }
 
 // VerifyContext is Verify with cancellation.
 func VerifyContext(ctx context.Context, src *Network, res *Result) error {
-	return core.VerifyAgainstSource(ctx, src, res)
+	return verify.CheckResult(ctx, src, res)
 }
 
 // Formal-verification re-exports (see internal/verify and cmd/pcheck).
