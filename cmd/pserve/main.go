@@ -11,7 +11,7 @@
 //
 //	pserve -addr :8080
 //	pserve -addr :8080 -inflight 8 -queue 16 -cache 256 -bdd-limit 2000000
-//	pbench -load http://localhost:8080   # replay the suite against it
+//	bash benchmark/run.sh --workload serve-unique   # measure it (repo root)
 package main
 
 import (

@@ -27,13 +27,13 @@ func (b *tb) ok(r Ref, err error) Ref {
 	return r
 }
 
-func (b *tb) Var(v int) Ref           { return b.ok(b.m.Var(v)) }
-func (b *tb) NVar(v int) Ref          { return b.ok(b.m.NVar(v)) }
-func (b *tb) Not(f Ref) Ref           { return b.ok(b.m.Not(f)) }
-func (b *tb) And(f, g Ref) Ref        { return b.ok(b.m.And(f, g)) }
-func (b *tb) Or(f, g Ref) Ref         { return b.ok(b.m.Or(f, g)) }
-func (b *tb) Xor(f, g Ref) Ref        { return b.ok(b.m.Xor(f, g)) }
-func (b *tb) Ite(f, g, h Ref) Ref     { return b.ok(b.m.Ite(f, g, h)) }
+func (b *tb) Var(v int) Ref       { return b.ok(b.m.Var(v)) }
+func (b *tb) NVar(v int) Ref      { return b.ok(b.m.NVar(v)) }
+func (b *tb) Not(f Ref) Ref       { return b.ok(b.m.Not(f)) }
+func (b *tb) And(f, g Ref) Ref    { return b.ok(b.m.And(f, g)) }
+func (b *tb) Or(f, g Ref) Ref     { return b.ok(b.m.Or(f, g)) }
+func (b *tb) Xor(f, g Ref) Ref    { return b.ok(b.m.Xor(f, g)) }
+func (b *tb) Ite(f, g, h Ref) Ref { return b.ok(b.m.Ite(f, g, h)) }
 func (b *tb) Restrict(f Ref, v int, val bool) Ref {
 	return b.ok(b.m.Restrict(f, v, val))
 }

@@ -31,7 +31,6 @@ import (
 	"powermap/internal/mapper"
 	"powermap/internal/obs"
 	"powermap/internal/prob"
-	"powermap/internal/sim"
 )
 
 // SchemaVersion identifies the manifest layout; bump it on any
@@ -87,12 +86,6 @@ type Options struct {
 	// The manifest's workload identity fields (Circuits, Methods, Workers)
 	// are untouched, so baselines without the cuts leg stay comparable.
 	Cuts bool
-	// Sampling additionally runs the sampling workload — the scalar and
-	// bit-parallel activity engines over the same circuits at the same
-	// vector budget — and records both wall times plus their ratio as
-	// manifest metrics. The speedup metric is the harness's standing proof
-	// that the 64-lane engine keeps its advantage over the scalar sampler.
-	Sampling bool
 	// JournalDir, when set, captures decision-provenance journals for the
 	// final repetition only (journaling the timed repetitions would perturb
 	// the phases being measured) and cross-checks the fingerprint counters
@@ -157,63 +150,6 @@ func wideWorkload(ctx context.Context) (map[string]float64, error) {
 		"bdd.wide_gc_runs_reorder":         float64(sifted.GCRuns),
 		"bdd.wide_reorder_runs":            float64(sifted.ReorderRuns),
 		"bdd.wide_reorder_swaps":           float64(sifted.ReorderSwaps),
-	}, nil
-}
-
-// SamplingCircuits is the sampling workload: the two -quick circuits plus
-// the widest benchmark, so the scalar-vs-bitwise ratio is measured on both
-// shallow and deep netlists.
-var SamplingCircuits = []string{"cm42a", "x2", WideCircuit}
-
-// SamplingVectors is the per-circuit vector budget of the sampling
-// workload: large enough that both engines are dominated by evaluation
-// rather than setup, small enough to finish in seconds on a 1-CPU host.
-const SamplingVectors = 1 << 16
-
-// samplingWorkload times the scalar Monte-Carlo sampler and the
-// bit-parallel engine over the same circuits and vector budget and returns
-// the aggregate wall times, their ratio, and the widest activity CI the
-// bitwise engine reported.
-func samplingWorkload(ctx context.Context) (map[string]float64, error) {
-	var scalarNs, bitwiseNs int64
-	maxCI := 0.0
-	for _, name := range SamplingCircuits {
-		b, err := circuits.ByName(name)
-		if err != nil {
-			return nil, fmt.Errorf("bench: sampling workload: %w", err)
-		}
-		nw := b.Build()
-		probs := map[string]float64{}
-		for _, pi := range nw.PINames() {
-			probs[pi] = 0.5
-		}
-		start := time.Now()
-		if _, err := sim.Activities(nw, probs, SamplingVectors, 1); err != nil {
-			return nil, fmt.Errorf("bench: sampling workload (%s, scalar): %w", name, err)
-		}
-		scalarNs += time.Since(start).Nanoseconds()
-		start = time.Now()
-		res, err := sim.ActivitiesBitwise(ctx, nw, probs, sim.BitwiseOptions{
-			Vectors: SamplingVectors, Seed: 1, Workers: 1,
-		})
-		if err != nil {
-			return nil, fmt.Errorf("bench: sampling workload (%s, bitwise): %w", name, err)
-		}
-		bitwiseNs += time.Since(start).Nanoseconds()
-		if res.MaxActivityCI > maxCI {
-			maxCI = res.MaxActivityCI
-		}
-	}
-	speedup := 0.0
-	if bitwiseNs > 0 {
-		speedup = float64(scalarNs) / float64(bitwiseNs)
-	}
-	return map[string]float64{
-		"sim.sampling_vectors":          float64(SamplingVectors),
-		"sim.sampling_scalar_ns":        float64(scalarNs),
-		"sim.sampling_bitwise_ns":       float64(bitwiseNs),
-		"sim.sampling_speedup":          speedup,
-		"sim.sampling_ci_halfwidth_max": maxCI,
 	}, nil
 }
 
@@ -378,20 +314,6 @@ func Run(ctx context.Context, opts Options) (*Manifest, error) {
 	if opts.Cuts {
 		if err := cutsWorkload(ctx, m, methods, circuitNames, opts.Workers); err != nil {
 			return nil, err
-		}
-	}
-	if opts.Sampling {
-		start := time.Now()
-		sampling, err := samplingWorkload(ctx)
-		if err != nil {
-			return nil, err
-		}
-		m.Phases["bench.sampling"] = PhaseStat{Spans: 1, WallNs: time.Since(start).Nanoseconds()}
-		if m.Metrics == nil {
-			m.Metrics = map[string]float64{}
-		}
-		for k, v := range sampling {
-			m.Metrics[k] = v
 		}
 	}
 	if opts.JournalDir != "" {

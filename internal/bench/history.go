@@ -15,12 +15,11 @@ import (
 const HistorySchemaVersion = 1
 
 // TrendMetrics are the manifest metrics the trend ledger carries forward:
-// the ordering-quality watermarks (ROADMAP item 4) and the sampling-engine
-// speedup, each copied from the manifest when present.
+// the wide-BDD peak-live-node watermarks without and with sifting, each
+// copied from the manifest when present.
 var TrendMetrics = []string{
 	"bdd.wide_peak_live_nodes",
 	"bdd.wide_peak_live_nodes_reorder",
-	"sim.sampling_speedup",
 }
 
 // HistoryEntry is one appended line of the BENCH_history.jsonl ledger: a
@@ -128,8 +127,8 @@ func FormatTrend(entries []HistoryEntry, last int) string {
 		entries = entries[len(entries)-last:]
 	}
 	var b strings.Builder
-	b.WriteString("| date | rev | wall (ms) | Δ wall | peak live nodes | peak live (reorder) | sampling speedup |\n")
-	b.WriteString("|------|-----|----------:|-------:|----------------:|--------------------:|-----------------:|\n")
+	b.WriteString("| date | rev | wall (ms) | Δ wall | peak live nodes | peak live (reorder) |\n")
+	b.WriteString("|------|-----|----------:|-------:|----------------:|--------------------:|\n")
 	for i, e := range entries {
 		delta := "—"
 		if i > 0 && entries[i-1].WallNs > 0 {
@@ -142,11 +141,10 @@ func FormatTrend(entries []HistoryEntry, last int) string {
 		if rev == "" {
 			rev = "—"
 		}
-		fmt.Fprintf(&b, "| %s | %s | %.1f | %s | %s | %s | %s |\n",
+		fmt.Fprintf(&b, "| %s | %s | %.1f | %s | %s | %s |\n",
 			orDash(e.Date), rev, float64(e.WallNs)/1e6, delta,
 			metricCell(e, "bdd.wide_peak_live_nodes", "%.0f"),
-			metricCell(e, "bdd.wide_peak_live_nodes_reorder", "%.0f"),
-			metricCell(e, "sim.sampling_speedup", "%.1fx"))
+			metricCell(e, "bdd.wide_peak_live_nodes_reorder", "%.0f"))
 	}
 	// Name the slowest phases of the newest entry so a wall-time jump in
 	// the table is immediately attributable without opening the manifest.

@@ -18,9 +18,9 @@ func TestHistoryFromManifest(t *testing.T) {
 			"map":       {Spans: 3, WallNs: 70_000_000},
 		},
 		Metrics: map[string]float64{
-			"bdd.wide_peak_live_nodes": 4200,
-			"sim.sampling_speedup":     3.5,
-			"decomp.nodes_planned":     99, // not a trend metric: dropped
+			"bdd.wide_peak_live_nodes":         4200,
+			"bdd.wide_peak_live_nodes_reorder": 3500,
+			"decomp.nodes_planned":             99, // not a trend metric: dropped
 		},
 	}
 	e := HistoryFromManifest(m)
@@ -30,7 +30,7 @@ func TestHistoryFromManifest(t *testing.T) {
 	if e.Phases["map"] != 70_000_000 || e.Phases["decompose"] != 50_000_000 {
 		t.Errorf("phase wall times not flattened: %+v", e.Phases)
 	}
-	if e.Metrics["bdd.wide_peak_live_nodes"] != 4200 || e.Metrics["sim.sampling_speedup"] != 3.5 {
+	if e.Metrics["bdd.wide_peak_live_nodes"] != 4200 || e.Metrics["bdd.wide_peak_live_nodes_reorder"] != 3500 {
 		t.Errorf("trend metrics not copied: %+v", e.Metrics)
 	}
 	if _, ok := e.Metrics["decomp.nodes_planned"]; ok {
@@ -43,7 +43,7 @@ func TestHistoryLedgerRoundTrip(t *testing.T) {
 	entries := []HistoryEntry{
 		{Schema: HistorySchemaVersion, RunID: "a", WallNs: 100, Phases: map[string]int64{"map": 60}},
 		{Schema: HistorySchemaVersion, RunID: "b", WallNs: 110,
-			Metrics: map[string]float64{"sim.sampling_speedup": 2.0}},
+			Metrics: map[string]float64{"bdd.wide_peak_live_nodes_reorder": 2.0}},
 	}
 	for _, e := range entries {
 		if err := AppendHistoryFile(path, e); err != nil {
@@ -57,7 +57,7 @@ func TestHistoryLedgerRoundTrip(t *testing.T) {
 	if len(got) != 2 || got[0].RunID != "a" || got[1].RunID != "b" {
 		t.Fatalf("round trip = %+v", got)
 	}
-	if got[1].Metrics["sim.sampling_speedup"] != 2.0 {
+	if got[1].Metrics["bdd.wide_peak_live_nodes_reorder"] != 2.0 {
 		t.Errorf("metrics lost in round trip: %+v", got[1])
 	}
 
@@ -96,7 +96,7 @@ func TestFormatTrend(t *testing.T) {
 		{Date: "2026-08-01", GitRev: "1111111111111111", WallNs: 100_000_000,
 			Metrics: map[string]float64{"bdd.wide_peak_live_nodes": 4000}},
 		{Date: "2026-08-02", GitRev: "2222222", WallNs: 150_000_000,
-			Metrics: map[string]float64{"sim.sampling_speedup": 3.0},
+			Metrics: map[string]float64{"bdd.wide_peak_live_nodes_reorder": 3000},
 			Phases:  map[string]int64{"map": 90_000_000, "decompose": 40_000_000, "eval": 10_000_000}},
 	}
 	out := FormatTrend(entries, 5)
@@ -105,7 +105,7 @@ func TestFormatTrend(t *testing.T) {
 		"| 2026-08-01 | 111111111 |", // rev truncated to 9 chars
 		"+50.0%",                     // delta vs previous run
 		"4000",
-		"3.0x",
+		"3000",
 		"slowest phases (latest run): map 90.0ms, decompose 40.0ms, eval 10.0ms",
 	} {
 		if !strings.Contains(out, want) {

@@ -2,8 +2,6 @@ package cli
 
 import (
 	"flag"
-	"fmt"
-	"strings"
 
 	"powermap/internal/prob"
 	"powermap/internal/sim"
@@ -45,18 +43,8 @@ func addActivityFlags(fs *flag.FlagSet, detail bool) *activityFlags {
 
 // policy resolves the -activity/-auto-threshold pair.
 func (a *activityFlags) policy() (prob.Policy, error) {
-	p := prob.Policy{AutoThreshold: *a.autoThreshold}
-	switch strings.ToLower(*a.engine) {
-	case "exact":
-		p.Engine = prob.Exact
-	case "sample", "sampling":
-		p.Engine = prob.Sampling
-	case "auto":
-		p.Engine = prob.Auto
-	default:
-		return p, fmt.Errorf("unknown -activity %q (want exact, sample or auto)", *a.engine)
-	}
-	return p, nil
+	engine, err := prob.ParseEngine(*a.engine)
+	return prob.Policy{Engine: engine, AutoThreshold: *a.autoThreshold}, err
 }
 
 // sampling resolves the sampling-engine options for the given seed and

@@ -3,11 +3,15 @@ package cli
 import (
 	"bytes"
 	"encoding/json"
+	"flag"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
+	"powermap/internal/core"
+	"powermap/internal/huffman"
+	"powermap/internal/mapper"
 	"powermap/internal/obs"
 )
 
@@ -332,11 +336,32 @@ func TestTablesUnknownCircuit(t *testing.T) {
 }
 
 func TestParseHelpers(t *testing.T) {
-	if _, err := ParseMethod("iii"); err != nil {
+	if _, err := core.ParseMethod("iii"); err != nil {
 		t.Error("case-insensitive method rejected")
 	}
-	if _, err := ParseStyle("DOMINO-P"); err != nil {
+	if _, err := huffman.ParseStyle("DOMINO-P"); err != nil {
 		t.Error("case-insensitive style rejected")
+	}
+	// The shared -mapper/-lut bundle: -tree applies only without -mapper
+	// and -lut, and the LUT arity is range-checked before any synthesis.
+	resolve := func(args ...string) (mapper.Backend, bool, int, error) {
+		fs := flag.NewFlagSet("t", flag.ContinueOnError)
+		m := addMapFlags(fs)
+		if err := fs.Parse(args); err != nil {
+			t.Fatal(err)
+		}
+		return m.resolve(true)
+	}
+	if b, tree, _, err := resolve(); err != nil || b != mapper.BackendStructural || !tree {
+		t.Errorf("-tree default: backend %v tree %v err %v", b, tree, err)
+	}
+	if b, tree, lut, err := resolve("-lut", "4"); err != nil || b != mapper.BackendCuts || tree || lut != 4 {
+		t.Errorf("-lut 4: backend %v tree %v lut %d err %v", b, tree, lut, err)
+	}
+	for _, bad := range [][]string{{"-lut", "7"}, {"-lut", "1"}, {"-lut", "-1"}, {"-mapper", "dag", "-lut", "4"}} {
+		if _, _, _, err := resolve(bad...); err == nil {
+			t.Errorf("%v accepted", bad)
+		}
 	}
 }
 

@@ -2,7 +2,6 @@ package cli
 
 import (
 	"flag"
-	"fmt"
 
 	"powermap/internal/mapper"
 )
@@ -27,25 +26,10 @@ func addMapFlags(fs *flag.FlagSet) *mapFlags {
 // resolve materializes the flags as (backend, treeMode, lut). The treeDefault
 // carries a tool's own -tree flag so `-tree` keeps working without -mapper.
 func (m *mapFlags) resolve(treeDefault bool) (mapper.Backend, bool, int, error) {
-	lut := *m.lut
-	switch *m.backend {
-	case "":
-		if lut > 0 {
-			return mapper.BackendCuts, false, lut, nil
-		}
-		return mapper.BackendStructural, treeDefault, 0, nil
-	case "tree":
-		if lut > 0 {
-			return 0, false, 0, fmt.Errorf("-lut requires -mapper cuts")
-		}
-		return mapper.BackendStructural, true, 0, nil
-	case "dag":
-		if lut > 0 {
-			return 0, false, 0, fmt.Errorf("-lut requires -mapper cuts")
-		}
-		return mapper.BackendStructural, false, 0, nil
-	case "cuts":
-		return mapper.BackendCuts, false, lut, nil
+	name := *m.backend
+	if name == "" && *m.lut == 0 && treeDefault {
+		name = "tree"
 	}
-	return 0, false, 0, fmt.Errorf("unknown -mapper %q (want tree, dag or cuts)", *m.backend)
+	backend, treeMode, err := mapper.ParseBackend(name, *m.lut)
+	return backend, treeMode, *m.lut, err
 }

@@ -7,7 +7,6 @@ import (
 	"io"
 	"os"
 	"strings"
-	"time"
 
 	"powermap/internal/bench"
 	"powermap/internal/core"
@@ -36,17 +35,10 @@ func Pbench(args []string, out, errOut io.Writer) error {
 		note      = fs.String("note", "", "free-form note to record in the manifest")
 		wide      = fs.Bool("wide", true, "also run the wide-BDD workload and record peak-node/GC/reorder metrics")
 		cuts      = fs.Bool("cuts", false, "also run the suite once with the cut-based NPN mapper backend, recording cuts.-prefixed phases and metrics")
-		sampling  = fs.Bool("sampling", true, "also time the scalar vs bit-parallel activity engines and record the speedup as a metric")
 		jdir      = fs.String("journal-dir", "", "directory receiving the final run's decision journals, cross-checked against the fingerprint counters")
 		runID     = fs.String("run-id", "", "run identifier stamped into the manifest and journal headers (default: generated when -journal-dir is set)")
 		trend     = fs.String("trend", "", "append this run to the JSONL trend ledger at this path (e.g. BENCH_history.jsonl) and print the last-5-runs delta table")
 		timeout   = fs.Duration("timeout", 0, "abort the run after this duration (0 = none)")
-
-		loadURL    = fs.String("load", "", "load-test a live pserve at this base URL (e.g. http://localhost:8080) instead of benchmarking the pipeline in-process")
-		loadConc   = fs.Int("load-concurrency", 8, "concurrent in-flight requests for -load")
-		loadPasses = fs.Int("load-passes", 2, "suite replay count for -load (pass 2 onward measures the daemon's result cache)")
-		loadMethod = fs.String("load-method", "VI", "method every -load request asks for")
-		loadOut    = fs.String("load-out", "BENCH_serve.json", "write the -load result manifest to this file")
 	)
 	// pbench predates the shared telemetry bundle and defines its own
 	// -run-id, so it registers the obs flag set directly instead of
@@ -56,15 +48,6 @@ func Pbench(args []string, out, errOut io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if *loadURL != "" {
-		return pbenchLoad(out, errOut, bench.LoadOptions{
-			URL:         *loadURL,
-			Concurrency: *loadConc,
-			Passes:      *loadPasses,
-			Circuits:    splitList(*circuits),
-			Method:      *loadMethod,
-		}, *loadOut, *timeout, *failFlag)
-	}
 	opts := bench.Options{
 		Runs:           *runs,
 		Workers:        *workers,
@@ -72,7 +55,6 @@ func Pbench(args []string, out, errOut io.Writer) error {
 		Note:           *note,
 		Wide:           *wide,
 		Cuts:           *cuts,
-		Sampling:       *sampling,
 		JournalDir:     *jdir,
 		RunID:          *runID,
 		Command:        "pbench " + strings.Join(args, " "),
@@ -93,7 +75,7 @@ func Pbench(args []string, out, errOut io.Writer) error {
 	}
 	if *methodsF != "" {
 		for _, name := range splitList(*methodsF) {
-			m, err := ParseMethod(name)
+			m, err := core.ParseMethod(name)
 			if err != nil {
 				return err
 			}
@@ -120,7 +102,7 @@ func Pbench(args []string, out, errOut io.Writer) error {
 	ctx, cancel := timeoutContext(*timeout)
 	defer cancel()
 	fmt.Fprintf(errOut, "pbench: %d run(s) of %s × %s, workers=%d\n",
-		maxInt(*runs, 1), describeList(opts.Circuits, bench.DefaultCircuits),
+		max(*runs, 1), describeList(opts.Circuits, bench.DefaultCircuits),
 		describeList(methodNames(opts.Methods), []string{"I..VI"}), *workers)
 	m, err := bench.Run(ctx, opts)
 	if err != nil {
@@ -143,7 +125,7 @@ func Pbench(args []string, out, errOut io.Writer) error {
 			return err
 		}
 		fmt.Fprintf(out, "\nbench trend (%s, last %d of %d):\n%s",
-			*trend, minInt(5, len(entries)), len(entries), bench.FormatTrend(entries, 5))
+			*trend, min(5, len(entries)), len(entries), bench.FormatTrend(entries, 5))
 	}
 
 	if baseline == nil {
@@ -161,35 +143,6 @@ func Pbench(args []string, out, errOut io.Writer) error {
 	if regs := cmp.Regressions(); len(regs) > 0 && *failFlag {
 		return fmt.Errorf("%d phase(s) regressed beyond %.0f%% (worst: %s %+.1f%%)",
 			len(regs), cmp.ThresholdPct, regs[0].Phase, regs[0].Pct)
-	}
-	return nil
-}
-
-// pbenchLoad is the -load mode: replay the suite against a live pserve,
-// write BENCH_serve.json, and (under -fail) turn 5xx responses or
-// transport failures into a non-zero exit.
-func pbenchLoad(out, errOut io.Writer, opts bench.LoadOptions, outPath string, timeout time.Duration, failFlag bool) error {
-	ctx, cancel := timeoutContext(timeout)
-	defer cancel()
-	fmt.Fprintf(errOut, "pbench: load %s × %d pass(es) at concurrency %d against %s\n",
-		describeList(opts.Circuits, []string{"full suite"}), maxInt(opts.Passes, 1), maxInt(opts.Concurrency, 1), opts.URL)
-	m, err := bench.RunLoad(ctx, opts)
-	if err != nil {
-		return timeoutError(timeout, err)
-	}
-	if err := bench.WriteServeManifestFile(outPath, m); err != nil {
-		return err
-	}
-	fmt.Fprintf(out, "load: %d requests in %.1f s (%.1f req/s), %d cache hit(s), %d backpressure retry(ies), %d failure(s), %d server 5xx\n",
-		m.Requests, float64(m.WallNs)/1e9, m.Throughput, m.CacheHits, m.Retries429, m.Failures, m.Server5xx)
-	fmt.Fprintf(out, "latency: mean %.1f ms, p50 %.1f ms, p99 %.1f ms, max %.1f ms — manifest written to %s\n",
-		m.LatMeanMs, m.LatP50Ms, m.LatP99Ms, m.LatMaxMs, outPath)
-	for _, ps := range m.PassStats {
-		fmt.Fprintf(out, "  pass %d: %d requests, %d cached, p50 %.1f ms, p99 %.1f ms\n",
-			ps.Pass, ps.Requests, ps.CacheHits, ps.LatP50Ms, ps.LatP99Ms)
-	}
-	if failFlag && (m.Server5xx > 0 || m.Failures > 0) {
-		return fmt.Errorf("load run unhealthy: %d server 5xx, %d transport failure(s)", m.Server5xx, m.Failures)
 	}
 	return nil
 }
@@ -239,18 +192,4 @@ func describeList(items, fallback []string) string {
 		items = fallback
 	}
 	return "{" + strings.Join(items, ",") + "}"
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

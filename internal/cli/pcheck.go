@@ -69,7 +69,7 @@ func Pcheck(args []string, out, errOut io.Writer) error {
 	if err != nil {
 		return err
 	}
-	st, err := ParseStyle(*styleF)
+	st, err := huffman.ParseStyle(*styleF)
 	if err != nil {
 		return err
 	}
@@ -177,7 +177,7 @@ func parseMethods(s string) ([]core.Method, error) {
 		if part == "" {
 			continue
 		}
-		m, err := ParseMethod(part)
+		m, err := core.ParseMethod(part)
 		if err != nil {
 			return nil, err
 		}

@@ -70,12 +70,12 @@ func TestPcheckInjectExitsNonzero(t *testing.T) {
 
 func TestPcheckErrors(t *testing.T) {
 	cases := [][]string{
-		{},                                        // nothing to check
-		{"-circuit", "bogus"},                     // unknown benchmark
-		{"-circuit", "cm42a", "-methods", "VII"},  // bad method
-		{"-circuit", "cm42a", "-methods", ","},    // empty method list
-		{"-circuit", "cm42a", "-style", "ecl"},    // bad style
-		{"-inject"},                               // inject without a circuit
+		{},                                       // nothing to check
+		{"-circuit", "bogus"},                    // unknown benchmark
+		{"-circuit", "cm42a", "-methods", "VII"}, // bad method
+		{"-circuit", "cm42a", "-methods", ","},   // empty method list
+		{"-circuit", "cm42a", "-style", "ecl"},   // bad style
+		{"-inject"},                              // inject without a circuit
 		{"-blif", "/nonexistent", "-circuit", "cm42a"}, // both inputs
 	}
 	for _, args := range cases {

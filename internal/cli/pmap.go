@@ -81,11 +81,11 @@ func Pmap(args []string, out, errOut io.Writer) error {
 	if err != nil {
 		return err
 	}
-	m, err := ParseMethod(*method)
+	m, err := core.ParseMethod(*method)
 	if err != nil {
 		return err
 	}
-	st, err := ParseStyle(*style)
+	st, err := huffman.ParseStyle(*style)
 	if err != nil {
 		return err
 	}
@@ -292,27 +292,4 @@ func LoadNetwork(blifPath, circuit string) (*network.Network, error) {
 	default:
 		return nil, fmt.Errorf("need -blif FILE or -circuit NAME (try -list)")
 	}
-}
-
-// ParseMethod resolves a Roman-numeral method name.
-func ParseMethod(s string) (core.Method, error) {
-	for _, m := range core.Methods() {
-		if strings.EqualFold(m.String(), s) {
-			return m, nil
-		}
-	}
-	return 0, fmt.Errorf("unknown method %q (want I..VI)", s)
-}
-
-// ParseStyle resolves a design-style name.
-func ParseStyle(s string) (huffman.Style, error) {
-	switch strings.ToLower(s) {
-	case "static":
-		return huffman.Static, nil
-	case "domino-p", "dominop", "p":
-		return huffman.DominoP, nil
-	case "domino-n", "dominon", "n":
-		return huffman.DominoN, nil
-	}
-	return 0, fmt.Errorf("unknown style %q", s)
 }

@@ -48,10 +48,9 @@ func Powerest(args []string, out, errOut io.Writer) error {
 		perNode  = fs.Bool("nodes", false, "print per-node probabilities and activities")
 		top      = fs.Int("top", 10, "print the N most active nodes")
 		mc       = fs.Int("mc", 0, "cross-check against N Monte-Carlo vectors")
-		approx   = fs.Int("approx", 0, "on a BDD node-limit failure, fall back to approximate activities from N Monte-Carlo vectors (0 = fail instead)")
-		seed     = fs.Int64("seed", 0, "Monte-Carlo seed for -mc and the -approx fallback (0 = random; the chosen seed is echoed)")
+		seed     = fs.Int64("seed", 0, "Monte-Carlo seed for -mc and the sampling engine (0 = random; the chosen seed is echoed)")
 		jpath    = fs.String("journal", "", "write a decision-provenance journal (JSONL) to this file; query it with pexplain")
-		workers  = fs.Int("workers", 1, "Monte-Carlo worker pool size; >1 switches to the chunked parallel stream (0 = all CPUs)")
+		workers  = fs.Int("workers", 1, "Monte-Carlo worker pool size (0 = all CPUs); estimates are identical for every value")
 		timeout  = fs.Duration("timeout", 0, "abort the estimation after this duration (0 = none)")
 		cpuProf  = fs.String("cpuprofile", "", "write a CPU profile to this file")
 		memProf  = fs.String("memprofile", "", "write a heap profile to this file")
@@ -72,12 +71,6 @@ func Powerest(args []string, out, errOut io.Writer) error {
 	if err != nil {
 		return err
 	}
-	// -approx N is the historical spelling of "auto with an N-vector
-	// budget": kept as an alias so existing invocations behave unchanged.
-	if *approx > 0 && policy.Engine == prob.Exact {
-		policy.Engine = prob.Auto
-		*actf.vectors = *approx
-	}
 	stopProf, err := startProfiles(*cpuProf, *memProf)
 	if err != nil {
 		return err
@@ -91,7 +84,7 @@ func Powerest(args []string, out, errOut io.Writer) error {
 	if err != nil {
 		return err
 	}
-	st, err := ParseStyle(*style)
+	st, err := huffman.ParseStyle(*style)
 	if err != nil {
 		return err
 	}
@@ -186,21 +179,16 @@ func Powerest(args []string, out, errOut io.Writer) error {
 	}
 
 	if *mc > 0 {
-		// -workers 1 (the default) keeps the historical single-stream
-		// sampler; any other value selects the chunked stream, whose
-		// estimate is identical for every pool size.
+		// One chunked stream per seed: the estimate is identical for every
+		// -workers value.
 		span := sc.StartCtx(ctx, "powerest.montecarlo")
 		span.SetAttr("vectors", *mc).SetAttr("workers", *workers).SetAttr("seed", *seed)
-		var est map[*network.Node]sim.Estimate
-		if *workers == 1 {
-			est, err = sim.Activities(nw, probs, *mc, *seed)
-		} else {
-			est, err = sim.ActivitiesParallel(ctx, nw, probs, *mc, *seed, *workers)
-		}
+		mcRes, err := sim.ActivitiesBitwise(ctx, nw, probs, sim.BitwiseOptions{Vectors: *mc, Seed: *seed, Workers: *workers})
 		span.End()
 		if err != nil {
 			return timeoutError(*timeout, err)
 		}
+		est := mcRes.Estimates
 		worst, mcTotal := 0.0, 0.0
 		for _, n := range internals {
 			mcTotal += est[n].Activity

@@ -67,16 +67,17 @@ func TestPcheckTooWideFailsCleanly(t *testing.T) {
 	}
 }
 
-// TestPowerestApproxFallback checks both halves of the -approx contract:
-// without it a too-wide network is a clean node-limit error; with it the
-// command succeeds and labels its activities as Monte-Carlo approximations.
+// TestPowerestApproxFallback checks both halves of the approximate-activity
+// fallback contract: with exact activities a too-wide network is a clean
+// node-limit error; with -activity auto the command succeeds and labels its
+// activities as Monte-Carlo approximations.
 func TestPowerestApproxFallback(t *testing.T) {
 	path := writeWideBlif(t)
 
 	var out, errOut bytes.Buffer
 	err := Powerest([]string{"-blif", path, "-bdd-limit", "128"}, &out, &errOut)
 	if err == nil {
-		t.Fatal("powerest without -approx accepted a too-wide network")
+		t.Fatal("exact powerest accepted a too-wide network")
 	}
 	if !bdd.IsNodeLimit(err) {
 		t.Fatalf("error does not carry bdd.ErrNodeLimit: %v", err)
@@ -84,9 +85,9 @@ func TestPowerestApproxFallback(t *testing.T) {
 
 	out.Reset()
 	errOut.Reset()
-	err = Powerest([]string{"-blif", path, "-bdd-limit", "128", "-approx", "512"}, &out, &errOut)
+	err = Powerest([]string{"-blif", path, "-bdd-limit", "128", "-activity", "auto", "-vectors", "512"}, &out, &errOut)
 	if err != nil {
-		t.Fatalf("-approx fallback failed: %v", err)
+		t.Fatalf("approximate fallback failed: %v", err)
 	}
 	if !strings.Contains(out.String(), "activities are approximate") {
 		t.Errorf("fallback output not labeled approximate:\n%s", out.String())

@@ -15,6 +15,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"strings"
 
 	"powermap/internal/bdd"
 	"powermap/internal/decomp"
@@ -84,6 +85,20 @@ func (m Method) Mapping() mapper.Objective {
 // Methods lists all six in table order.
 func Methods() []Method {
 	return []Method{MethodI, MethodII, MethodIII, MethodIV, MethodV, MethodVI}
+}
+
+// ParseMethod resolves a Roman-numeral method name, case-insensitively;
+// "" selects MethodVI, the default of the CLIs and of pserve.
+func ParseMethod(s string) (Method, error) {
+	if s == "" {
+		return MethodVI, nil
+	}
+	for _, m := range Methods() {
+		if strings.EqualFold(m.String(), s) {
+			return m, nil
+		}
+	}
+	return 0, fmt.Errorf("unknown method %q (want I..VI)", s)
 }
 
 // Options configures Synthesize.

@@ -85,7 +85,7 @@ func Correlated(pairs int, rho float64, vectors int, seed int64) (CorrelatedResu
 	measure := func(shape treeShape) (float64, error) {
 		nw, names := andTreeNetwork(shape, n)
 		src := pairSource(names, base, rho, seed)
-		est, err := sim.ActivitiesFrom(nw, src, vectors)
+		est, err := sim.ActivitiesBitwiseFrom(nw, sim.PackVectors(nw, src), vectors)
 		if err != nil {
 			return 0, err
 		}

@@ -1,6 +1,9 @@
 package huffman
 
-import "fmt"
+import (
+	"fmt"
+	"strings"
+)
 
 // Gate selects the logic operation realized by every internal node of a
 // decomposition tree.
@@ -42,6 +45,20 @@ func (s Style) String() string {
 	default:
 		return "domino-n"
 	}
+}
+
+// ParseStyle resolves a design-style name, case-insensitively: static
+// (or ""), domino-p (dominop, p) or domino-n (dominon, n).
+func ParseStyle(s string) (Style, error) {
+	switch strings.ToLower(s) {
+	case "", "static":
+		return Static, nil
+	case "domino-p", "dominop", "p":
+		return DominoP, nil
+	case "domino-n", "dominon", "n":
+		return DominoN, nil
+	}
+	return 0, fmt.Errorf("unknown style %q (want static, domino-p or domino-n)", s)
 }
 
 // Signal is the probabilistic state of a subtree root: the joint

@@ -189,7 +189,7 @@ type Report struct {
 }
 
 // Generic is a free-form event (e.g. the Monte-Carlo seed stamp of
-// powerest -approx).
+// powerest).
 type Generic struct {
 	Name  string         `json:"name"`
 	Attrs map[string]any `json:"attrs,omitempty"`

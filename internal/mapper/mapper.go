@@ -58,6 +58,32 @@ func (b Backend) String() string {
 	return "structural"
 }
 
+// ParseBackend resolves a match-enumerator name and a generic-LUT arity
+// into a backend and its tree mode: "tree" and "dag" are the structural
+// backend with and without strict tree partitioning, "cuts" the Boolean
+// matcher, and "" selects dag, or cuts when lut is set. lut is 0 (library
+// matching) or an arity in 2..6, which requires the cuts backend.
+func ParseBackend(name string, lut int) (b Backend, treeMode bool, err error) {
+	if lut != 0 && (lut < 2 || lut > maxCutInputs) {
+		return 0, false, fmt.Errorf("lut arity %d out of range 2..%d", lut, maxCutInputs)
+	}
+	switch name {
+	case "":
+		if lut > 0 {
+			return BackendCuts, false, nil
+		}
+		return BackendStructural, false, nil
+	case "tree", "dag":
+		if lut > 0 {
+			return 0, false, fmt.Errorf("lut requires the cuts mapper")
+		}
+		return BackendStructural, name == "tree", nil
+	case "cuts":
+		return BackendCuts, false, nil
+	}
+	return 0, false, fmt.Errorf("unknown mapper %q (want tree, dag or cuts)", name)
+}
+
 // Options configures Map.
 type Options struct {
 	Objective Objective

@@ -2,6 +2,7 @@ package prob
 
 import (
 	"fmt"
+	"strings"
 
 	"powermap/internal/network"
 )
@@ -35,6 +36,20 @@ func (e Engine) String() string {
 		return "auto"
 	}
 	return fmt.Sprintf("Engine(%d)", int(e))
+}
+
+// ParseEngine resolves an activity-engine name, case-insensitively:
+// exact (or ""), sample (or sampling) or auto.
+func ParseEngine(s string) (Engine, error) {
+	switch strings.ToLower(s) {
+	case "", "exact":
+		return Exact, nil
+	case "sample", "sampling":
+		return Sampling, nil
+	case "auto":
+		return Auto, nil
+	}
+	return 0, fmt.Errorf("unknown activity engine %q (want exact, sample or auto)", s)
 }
 
 // DefaultAutoThreshold is the Auto node-count threshold when

@@ -11,9 +11,7 @@ package serve
 import (
 	"crypto/sha256"
 	"encoding/hex"
-	"encoding/json"
 	"fmt"
-	"strings"
 	"time"
 
 	"powermap/internal/core"
@@ -96,7 +94,8 @@ type ErrorResponse struct {
 	Error string `json:"error"`
 }
 
-// resolved is an Options value parsed into pipeline types.
+// resolved is an Options value parsed into pipeline types. It holds only
+// plain values, because cacheKey hashes its printed form.
 type resolved struct {
 	method   core.Method
 	style    huffman.Style
@@ -104,6 +103,7 @@ type resolved struct {
 	treeMode bool
 	lut      int
 	activity prob.Policy
+	vectors  int
 	piProb   float64
 	bddLimit int
 	reorder  bool
@@ -112,75 +112,38 @@ type resolved struct {
 	netlist  bool
 }
 
-// resolve validates o and fills defaults. The string enums are parsed
-// here rather than through internal/cli (which imports this package for
-// the shared graceful listener); the accepted spellings match the flags.
+// resolve validates o and fills defaults through the parsers the CLI
+// flags use, so the accepted spellings and ranges match pmap's.
 func (o Options) resolve() (resolved, error) {
 	r := resolved{
 		lut:      o.LUT,
+		vectors:  o.Vectors,
 		piProb:   o.PIProb,
 		bddLimit: o.BDDLimit,
 		reorder:  o.Reorder,
+		timeout:  time.Duration(o.TimeoutMS) * time.Millisecond,
 		verify:   o.Verify,
 		netlist:  o.Netlist,
 	}
-	method := o.Method
-	if method == "" {
-		method = "VI"
+	var err error
+	if r.method, err = core.ParseMethod(o.Method); err != nil {
+		return r, err
 	}
-	found := false
-	for _, m := range core.Methods() {
-		if strings.EqualFold(m.String(), method) {
-			r.method, found = m, true
-			break
-		}
+	if r.style, err = huffman.ParseStyle(o.Style); err != nil {
+		return r, err
 	}
-	if !found {
-		return r, fmt.Errorf("unknown method %q (want I..VI)", o.Method)
+	if r.backend, r.treeMode, err = mapper.ParseBackend(o.Mapper, o.LUT); err != nil {
+		return r, err
 	}
-	switch strings.ToLower(o.Style) {
-	case "", "static":
-		r.style = huffman.Static
-	case "domino-p":
-		r.style = huffman.DominoP
-	case "domino-n":
-		r.style = huffman.DominoN
-	default:
-		return r, fmt.Errorf("unknown style %q (want static, domino-p or domino-n)", o.Style)
-	}
-	switch o.Mapper {
-	case "", "dag":
-		if o.LUT > 0 {
-			if o.Mapper == "" {
-				r.backend = mapper.BackendCuts
-			} else {
-				return r, fmt.Errorf("lut requires the cuts mapper")
-			}
-		} else {
-			r.backend = mapper.BackendStructural
-		}
-	case "tree":
-		if o.LUT > 0 {
-			return r, fmt.Errorf("lut requires the cuts mapper")
-		}
-		r.backend, r.treeMode = mapper.BackendStructural, true
-	case "cuts":
-		r.backend = mapper.BackendCuts
-	default:
-		return r, fmt.Errorf("unknown mapper %q (want tree, dag or cuts)", o.Mapper)
-	}
-	switch strings.ToLower(o.Activity) {
-	case "", "exact":
-		r.activity.Engine = prob.Exact
-	case "sample", "sampling":
-		r.activity.Engine = prob.Sampling
-	case "auto":
-		r.activity.Engine = prob.Auto
-	default:
-		return r, fmt.Errorf("unknown activity %q (want exact, sample or auto)", o.Activity)
+	if r.activity.Engine, err = prob.ParseEngine(o.Activity); err != nil {
+		return r, err
 	}
 	if o.Vectors < 0 {
 		return r, fmt.Errorf("vectors must be >= 0")
+	}
+	if r.activity.Engine == prob.Exact {
+		// The sampling budget is inert under the exact engine.
+		r.vectors = 0
 	}
 	if o.PIProb == 0 {
 		r.piProb = 0.5
@@ -193,64 +156,20 @@ func (o Options) resolve() (resolved, error) {
 	if o.TimeoutMS < 0 {
 		return r, fmt.Errorf("timeout_ms must be >= 0")
 	}
-	r.timeout = time.Duration(o.TimeoutMS) * time.Millisecond
 	return r, nil
-}
-
-// canonical returns the options with defaults applied and the cache-
-// irrelevant fields zeroed, so two requests for the same computation hash
-// identically however sparsely they were spelled. TimeoutMS is excluded:
-// a budget changes whether a result arrives, never which result.
-func (o Options) canonical() Options {
-	if o.Method == "" {
-		o.Method = "VI"
-	} else {
-		o.Method = strings.ToUpper(o.Method)
-	}
-	if o.Style == "" {
-		o.Style = "static"
-	} else {
-		o.Style = strings.ToLower(o.Style)
-	}
-	if o.Mapper == "" {
-		o.Mapper = "dag"
-		if o.LUT > 0 {
-			o.Mapper = "cuts"
-		}
-	}
-	switch a := strings.ToLower(o.Activity); a {
-	case "", "exact":
-		o.Activity = "exact"
-	case "sampling":
-		o.Activity = "sample"
-	default:
-		o.Activity = a
-	}
-	if o.Activity == "exact" {
-		// The sampling budget is inert under the exact engine.
-		o.Vectors = 0
-	}
-	if o.PIProb == 0 {
-		o.PIProb = 0.5
-	}
-	o.TimeoutMS = 0
-	return o
 }
 
 // cacheKey content-addresses one computation: the circuit bytes (or the
 // bundled-benchmark name, versioned implicitly by the binary) hashed with
-// the canonicalized options.
-func cacheKey(circuit, blifText string, o Options) string {
+// the resolved options, so two requests for the same computation hash
+// identically however sparsely they were spelled. The timeout is left out:
+// a budget changes whether a result arrives, never which result.
+func cacheKey(circuit, blifText string, r resolved) string {
 	h := sha256.New()
 	fmt.Fprintf(h, "circuit=%s\n", circuit)
 	fmt.Fprintf(h, "blif=%d:", len(blifText))
 	h.Write([]byte(blifText))
-	opts, err := json.Marshal(o.canonical())
-	if err != nil {
-		// Options is a flat struct of scalars; Marshal cannot fail.
-		panic(err)
-	}
-	h.Write([]byte("\nopts="))
-	h.Write(opts)
+	r.timeout = 0
+	fmt.Fprintf(h, "\nopts=%+v", r)
 	return hex.EncodeToString(h.Sum(nil))
 }

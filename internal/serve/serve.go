@@ -262,7 +262,7 @@ func (s *Server) serveSynth(r *http.Request) (status int, body any) {
 		return http.StatusBadRequest, ErrorResponse{Error: "need circuit or blif"}
 	}
 
-	key := cacheKey(req.Circuit, req.BLIF, req.Options)
+	key := cacheKey(req.Circuit, req.BLIF, rv)
 	if resp, ok := s.cache.get(key); ok {
 		hit := *resp
 		hit.Cached = true
@@ -347,7 +347,7 @@ func (s *Server) synthesize(ctx context.Context, nw *network.Network, req Reques
 		Obs:             s.cfg.Scope,
 		BDD:             bddCfg,
 		Activity:        rv.activity,
-		ActivityVectors: req.Options.Vectors,
+		ActivityVectors: rv.vectors,
 	})
 	if err != nil {
 		return nil, err

@@ -3,11 +3,13 @@ package serve
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"net"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -77,6 +79,61 @@ func TestSynthesizeAndCacheHit(t *testing.T) {
 	}
 }
 
+// TestConcurrentSynthesisThroughAdmission sends concurrent requests
+// through admission into the real pipeline. Eight distinct (circuit,
+// method) keys fill both synthesis slots and the six-deep waiting room, so
+// every one must synthesize without a refusal; the concurrent repeat must
+// then be served entirely from the cache with the same reports. Under
+// -race this also exercises the admission semaphore and the cache.
+func TestConcurrentSynthesisThroughAdmission(t *testing.T) {
+	s := New(Config{MaxInflight: 2, QueueDepth: 6})
+	h := s.Handler()
+	var bodies []string
+	for _, c := range []string{"cm42a", "x2"} {
+		for _, m := range []string{"I", "II", "III", "IV"} {
+			bodies = append(bodies, fmt.Sprintf(`{"circuit": %q, "options": {"method": %q}}`, c, m))
+		}
+	}
+	pass := func(n int, wantCached bool) []Response {
+		t.Helper()
+		recs := make([]*httptest.ResponseRecorder, len(bodies))
+		var wg sync.WaitGroup
+		for i, body := range bodies {
+			recs[i] = httptest.NewRecorder()
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				h.ServeHTTP(recs[i], httptest.NewRequest("POST", "/synth", strings.NewReader(body)))
+			}()
+		}
+		wg.Wait()
+		out := make([]Response, len(bodies))
+		for i, rec := range recs {
+			if rec.Code != 200 {
+				t.Fatalf("pass %d %s = %d: %s", n, bodies[i], rec.Code, rec.Body.String())
+			}
+			if err := json.Unmarshal(rec.Body.Bytes(), &out[i]); err != nil {
+				t.Fatalf("pass %d %s: %v", n, bodies[i], err)
+			}
+			if out[i].Cached != wantCached {
+				t.Errorf("pass %d %s: cached = %v, want %v", n, bodies[i], out[i].Cached, wantCached)
+			}
+		}
+		return out
+	}
+	first := pass(1, false)
+	second := pass(2, true)
+	for i := range bodies {
+		if first[i].Report != second[i].Report || first[i].Method != second[i].Method {
+			t.Errorf("%s: cached report %+v (method %s) != synthesized %+v (method %s)",
+				bodies[i], second[i].Report, second[i].Method, first[i].Report, first[i].Method)
+		}
+	}
+	if hits, misses, _ := s.cache.counters(); hits != 8 || misses != 8 {
+		t.Errorf("cache counters = %d hits / %d misses, want 8/8", hits, misses)
+	}
+}
+
 func TestBadRequests(t *testing.T) {
 	s := New(Config{})
 	h := s.Handler()
@@ -96,6 +153,12 @@ func TestBadRequests(t *testing.T) {
 		{"bad activity", `{"circuit": "cm42a", "options": {"activity": "guess"}}`},
 		{"bad prob", `{"circuit": "cm42a", "options": {"pi_prob": 1.5}}`},
 		{"negative timeout", `{"circuit": "cm42a", "options": {"timeout_ms": -1}}`},
+		// LUT arity is range-checked before any synthesis runs.
+		{"lut above 6", `{"circuit": "cm42a", "options": {"lut": 7}}`},
+		{"lut of 1", `{"circuit": "cm42a", "options": {"lut": 1}}`},
+		{"negative lut", `{"circuit": "cm42a", "options": {"lut": -1}}`},
+		{"cuts lut above 6", `{"circuit": "cm42a", "options": {"mapper": "cuts", "lut": 9}}`},
+		{"tree negative lut", `{"circuit": "cm42a", "options": {"mapper": "tree", "lut": -3}}`},
 	}
 	for _, c := range cases {
 		code, out := postSynth(t, h, c.body)
@@ -317,6 +380,14 @@ func TestDrainNoLeak(t *testing.T) {
 }
 
 func TestCanonicalKey(t *testing.T) {
+	cacheKey := func(circuit, blifText string, o Options) string {
+		t.Helper()
+		r, err := o.resolve()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return cacheKey(circuit, blifText, r)
+	}
 	sparse := cacheKey("cm42a", "", Options{})
 	explicit := cacheKey("cm42a", "", Options{
 		Method: "vi", Style: "Static", Mapper: "dag", Activity: "EXACT",

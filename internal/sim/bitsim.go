@@ -14,22 +14,21 @@ import (
 )
 
 // This file implements the bit-parallel sampling engine: 64 sample lanes
-// per uint64 word, evaluated over a precompiled per-node plan instead of
-// the scalar engine's per-vector map allocations.
+// per uint64 word, evaluated over a precompiled per-node plan.
 //
 // Lane layout is SERIAL: a stream of draws d = 0, 1, 2, ... maps draw d to
-// bit (d mod 64) of word number (d div 64). Draw 0 is the predecessor
-// vector (the scalar engines' initial `prev` draw) and draws 1..vectors
-// are the counted vectors, exactly mirroring ActivitiesFrom. Because a
-// word then holds 64 *consecutive* draws of one stream, toggles are a
-// shift-XOR away:
+// bit (d mod 64) of word number (d div 64). Draw 0 is the uncounted
+// predecessor vector and draws 1..vectors are the counted vectors, exactly
+// mirroring a scalar simulation of the same stream. Because a word then
+// holds 64 *consecutive* draws of one stream, toggles are a shift-XOR
+// away:
 //
 //	toggle bit b of word w  =  w[b] XOR w[b-1]   (carrying the top bit of
 //	                                              the previous word into b=0)
 //
-// and the engine's one/toggle counts are bit-identical to the scalar
-// engine fed the same draw sequence — the property the cross-engine tests
-// pin down.
+// and the engine's one/toggle counts are bit-identical to a scalar engine
+// fed the same draw sequence — the property the cross-engine tests pin
+// down against the scalar oracle kept in the package tests.
 
 // WordLanes is the number of sample lanes packed per machine word.
 const WordLanes = 64
@@ -53,7 +52,8 @@ type independentWords struct {
 }
 
 // IndependentWords returns a WordSource with independent inputs,
-// P(pi=1) from piProb (default 0.5), seeded like IndependentSource.
+// P(pi=1) from piProb (default 0.5), drawn from a math/rand stream with
+// the given seed.
 func IndependentWords(nw *network.Network, piProb map[string]float64, seed int64) WordSource {
 	s := &independentWords{r: rand.New(rand.NewSource(seed)), probs: make([]float64, len(nw.PIs))}
 	for i, pi := range nw.PIs {
@@ -86,9 +86,10 @@ func (s *independentWords) Draw(dst []uint64, lanes int) {
 
 // packedVectors adapts a scalar VectorSource into a WordSource by drawing
 // one scalar vector per lane. The adapter consumes exactly `lanes` scalar
-// draws per call, so a packed source replays the same transcript as the
+// draws per call, so a packed source replays the same transcript as a
 // scalar engine reading the same VectorSource — the bridge behind the
-// cross-engine bit-identity tests and the correlated (lag-one) sources.
+// correlated (lag-one, pair-correlated) sources and the cross-engine
+// bit-identity tests.
 type packedVectors struct {
 	src   VectorSource
 	pis   []*network.Node
@@ -292,7 +293,7 @@ type BitwiseOptions struct {
 	// Vectors is the fixed sample budget. Ignored when TargetCI > 0.
 	Vectors int
 	// Seed is the base Monte-Carlo seed; chunk c draws from
-	// mixSeed(Seed, c), the same scheme as ActivitiesParallel.
+	// mixSeed(Seed, c).
 	Seed int64
 	// Workers bounds the chunk pool (<= 0: one per CPU). The chunk
 	// partition depends only on (Vectors, Seed, ChunkVectors), so counts
@@ -307,10 +308,9 @@ type BitwiseOptions struct {
 	TargetCI float64
 	// MaxVectors caps TargetCI mode (0 selects DefaultMaxVectors).
 	MaxVectors int
-	// ChunkVectors overrides the per-chunk vector count (0 selects the
-	// scalar engine's chunk size, keeping packed sources stream-compatible
-	// with ActivitiesParallel). Tests use small values to hit word- and
-	// chunk-boundary masking.
+	// ChunkVectors overrides the per-chunk vector count (0 selects
+	// mcChunk). Tests use small values to hit word- and chunk-boundary
+	// masking.
 	ChunkVectors int
 	// Source, when non-nil, supplies the word stream of the chunk with the
 	// given mixed seed, replacing the default IndependentWords stream.
@@ -349,9 +349,7 @@ type bitCounts struct {
 // with the bit-parallel engine: the vector stream is split into fixed-size
 // chunks, each simulated 64 lanes at a time from its own mixSeed-derived
 // stream, and the integer counts are summed in chunk order. Counts are
-// bit-identical for every worker count; with a packed IndependentSource
-// stream and the default chunk size they are bit-identical to
-// ActivitiesParallel on the same (vectors, seed).
+// bit-identical for every worker count.
 func ActivitiesBitwise(ctx context.Context, nw *network.Network, piProb map[string]float64, o BitwiseOptions) (*BitwiseResult, error) {
 	if o.TargetCI <= 0 && o.Vectors <= 0 {
 		return nil, fmt.Errorf("sim: need a positive vector count or CI target, got %d vectors", o.Vectors)
@@ -504,11 +502,11 @@ func activityCI(toggles, pairs int64, vectors, chunks int, z float64) float64 {
 	return z * math.Sqrt(v/n)
 }
 
-// ActivitiesBitwiseFrom is the bit-parallel counterpart of ActivitiesFrom:
-// one uninterrupted stream from a single WordSource, counted with the same
-// serial semantics (draw 0 is the uncounted predecessor). Feeding it
-// PackVectors(nw, src) yields ones/toggle counts bit-identical to
-// ActivitiesFrom(nw, src, vectors) on the same source transcript.
+// ActivitiesBitwiseFrom estimates activities from one uninterrupted stream
+// of a single WordSource, counted with the serial semantics above (draw 0
+// is the uncounted predecessor). Feeding it PackVectors(nw, src) yields
+// one/toggle counts bit-identical to a scalar simulation of src's
+// transcript; correlated-input experiments measure through it.
 func ActivitiesBitwiseFrom(nw *network.Network, src WordSource, vectors int) (map[*network.Node]Estimate, error) {
 	if vectors <= 0 {
 		return nil, fmt.Errorf("sim: need a positive vector count, got %d", vectors)

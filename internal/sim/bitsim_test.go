@@ -10,16 +10,6 @@ import (
 	"powermap/internal/prob"
 )
 
-// packedIndependent is the chunk-source bridge used throughout the
-// cross-engine tests: each chunk packs a scalar IndependentSource, so the
-// bit-parallel engine replays exactly the transcript ActivitiesParallel
-// reads for the same (seed, chunk) pair.
-func packedIndependent(nw *network.Network, piProb map[string]float64) func(int64) WordSource {
-	return func(chunkSeed int64) WordSource {
-		return PackVectors(nw, IndependentSource(nw, piProb, chunkSeed))
-	}
-}
-
 // checkCountsEqual compares the exact integer counts of two estimate maps
 // over every reachable node.
 func checkCountsEqual(t *testing.T, nw *network.Network, label string, want, got map[*network.Node]Estimate) {
@@ -59,30 +49,43 @@ func TestBitwiseFromMatchesScalarSharedTranscript(t *testing.T) {
 	}
 }
 
-// TestBitwiseMatchesActivitiesParallel pins the chunked mode to the scalar
-// parallel engine: with a packed IndependentSource per chunk and the
-// default chunk size, ActivitiesBitwise reproduces ActivitiesParallel's
-// counts exactly — including the short tail chunk and vector counts that
-// are not multiples of the word or chunk size.
+// TestBitwiseMatchesActivitiesParallel pins the chunked mode to a
+// per-chunk loop over the scalar oracle: with a packed IndependentSource
+// per chunk (seeded mixSeed(seed, c), mcChunk vectors each), the chunked
+// ActivitiesBitwise reproduces the summed scalar counts exactly —
+// including the short tail chunk and vector counts that are not multiples
+// of the word or chunk size.
 func TestBitwiseMatchesActivitiesParallel(t *testing.T) {
 	nw := mustParse(t, testBlif)
 	pp := map[string]float64{"a": 0.3, "b": 0.6, "c": 0.5, "d": 0.8}
 	const seed = 7
 	for _, vectors := range []int{1, 63, 64, 65, 511, 512, 513, 1000, 2048} {
-		want, err := ActivitiesParallel(context.Background(), nw, pp, vectors, seed, 2)
-		if err != nil {
-			t.Fatal(err)
+		want := map[*network.Node]Estimate{}
+		for c := 0; c*mcChunk < vectors; c++ {
+			est, err := ActivitiesFrom(nw, IndependentSource(nw, pp, mixSeed(seed, c)), min(mcChunk, vectors-c*mcChunk))
+			if err != nil {
+				t.Fatal(err)
+			}
+			for n, e := range est {
+				w := want[n]
+				w.Ones += e.Ones
+				w.Toggles += e.Toggles
+				w.Vectors += e.Vectors
+				want[n] = w
+			}
 		}
 		got, err := ActivitiesBitwise(context.Background(), nw, pp, BitwiseOptions{
 			Vectors: vectors,
 			Seed:    seed,
 			Workers: 3,
-			Source:  packedIndependent(nw, pp),
+			Source: func(chunkSeed int64) WordSource {
+				return PackVectors(nw, IndependentSource(nw, pp, chunkSeed))
+			},
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		checkCountsEqual(t, nw, "parallel", want, got.Estimates)
+		checkCountsEqual(t, nw, "chunked", want, got.Estimates)
 		if got.Vectors != vectors {
 			t.Errorf("vectors=%d: result reports %d vectors", vectors, got.Vectors)
 		}

@@ -4,6 +4,7 @@
 package sim_test
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -62,6 +63,40 @@ func TestCrossEngineBitIdentity(t *testing.T) {
 						n.Name, w.Ones, w.Toggles, g.Ones, g.Toggles)
 				}
 			}
+		})
+	}
+}
+
+// BenchmarkSampling times the scalar oracle against the bit-parallel
+// engine on one worker over the same circuits and vector budget; the
+// README's speedup table is regenerated from it with
+//
+//	go test -run '^$' -bench '^BenchmarkSampling$' -count 3 ./internal/sim/
+func BenchmarkSampling(b *testing.B) {
+	const vectors = 1 << 16
+	for _, name := range []string{"cm42a", "x2", "s344"} {
+		c, err := circuits.ByName(name)
+		if err != nil {
+			b.Fatal(err)
+		}
+		nw := c.Build()
+		b.Run(name+"/scalar", func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := sim.ActivitiesFrom(nw, sim.IndependentSource(nw, nil, 1), vectors); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+		b.Run(name+"/bitwise", func(b *testing.B) {
+			var res *sim.BitwiseResult
+			for i := 0; i < b.N; i++ {
+				if res, err = sim.ActivitiesBitwise(context.Background(), nw, nil, sim.BitwiseOptions{
+					Vectors: vectors, Seed: 1, Workers: 1,
+				}); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(res.MaxActivityCI, "max_ci")
 		})
 	}
 }

@@ -3,15 +3,12 @@
 // cross-validates the exact BDD probabilities of internal/prob on random
 // input streams (the paper's model, Section 1.4).
 //
-// Two engines share the vector-stream semantics (an uncounted predecessor
-// draw followed by the counted vectors):
-//
-//   - the scalar engines (Activities, ActivitiesFrom, ActivitiesParallel)
-//     simulate one map-based vector at a time;
-//   - the bit-parallel engine (ActivitiesBitwise, ActivitiesBitwiseFrom)
-//     packs 64 sample lanes per uint64 word over a precompiled evaluation
-//     plan, reports normal-approximation confidence intervals, and fed the
-//     same draw transcript produces bit-identical one/toggle counts.
+// The engine (ActivitiesBitwise, ActivitiesBitwiseFrom) is bit-parallel:
+// it packs 64 sample lanes per uint64 word over a precompiled evaluation
+// plan and reports normal-approximation confidence intervals. A stream is
+// an uncounted predecessor draw followed by the counted vectors. The
+// package tests keep a scalar one-vector-at-a-time engine as the oracle:
+// fed the same draw transcript, both count bit-identical ones and toggles.
 //
 // Annotate dispatches between exact BDDs and the sampling engine under a
 // prob.Policy (exact, sampling, or auto with a node-limit fallback).
@@ -19,22 +16,13 @@
 // internal/glitch.
 package sim
 
-import (
-	"context"
-	"fmt"
-	"math/rand"
-
-	"powermap/internal/exec"
-	"powermap/internal/network"
-)
-
 // Estimate is a per-signal simulation result.
 type Estimate struct {
 	Prob1    float64 // fraction of time the signal is 1
 	Activity float64 // transitions per cycle (zero-delay: 0 or 1 per pair)
 	// Ones, Toggles and Vectors are the exact integer counts behind Prob1
 	// and Activity; the cross-engine tests compare them bit-for-bit
-	// between the scalar and bit-parallel engines.
+	// against the scalar oracle.
 	Ones    int64
 	Toggles int64
 	Vectors int
@@ -51,82 +39,7 @@ type Estimate struct {
 // the zero-delay activity interpretation.
 type VectorSource func(dst map[string]bool)
 
-// IndependentSource returns a VectorSource with independent inputs:
-// P(pi=1) from piProb, defaulting to 0.5.
-func IndependentSource(nw *network.Network, piProb map[string]float64, seed int64) VectorSource {
-	r := rand.New(rand.NewSource(seed))
-	return func(dst map[string]bool) {
-		for _, pi := range nw.PIs {
-			p, ok := piProb[pi.Name]
-			if !ok {
-				p = 0.5
-			}
-			dst[pi.Name] = r.Float64() < p
-		}
-	}
-}
-
-// Activities estimates zero-delay signal probabilities and toggle
-// activities for every reachable node by simulating vector pairs with
-// independent inputs.
-func Activities(nw *network.Network, piProb map[string]float64, vectors int, seed int64) (map[*network.Node]Estimate, error) {
-	return ActivitiesFrom(nw, IndependentSource(nw, piProb, seed), vectors)
-}
-
-// ActivitiesFrom is Activities with an arbitrary input-vector source,
-// enabling correlated-input experiments (Section 2.1.1).
-func ActivitiesFrom(nw *network.Network, src VectorSource, vectors int) (map[*network.Node]Estimate, error) {
-	if vectors <= 0 {
-		return nil, fmt.Errorf("sim: need a positive vector count, got %d", vectors)
-	}
-	order := nw.TopoOrder()
-	ones := make(map[*network.Node]int)
-	toggles := make(map[*network.Node]int)
-	prev := make(map[*network.Node]bool)
-	cur := make(map[*network.Node]bool)
-	named := make(map[string]bool, len(nw.PIs))
-	draw := func(dst map[*network.Node]bool) {
-		src(named)
-		for _, n := range order {
-			switch {
-			case n.Kind == network.PI:
-				dst[n] = named[n.Name]
-			default:
-				assign := make([]bool, len(n.Fanin))
-				for i, f := range n.Fanin {
-					assign[i] = dst[f]
-				}
-				dst[n] = n.Func.Eval(assign)
-			}
-		}
-	}
-	draw(prev)
-	for v := 0; v < vectors; v++ {
-		draw(cur)
-		for _, n := range order {
-			if cur[n] {
-				ones[n]++
-			}
-			if cur[n] != prev[n] {
-				toggles[n]++
-			}
-		}
-		prev, cur = cur, prev
-	}
-	out := make(map[*network.Node]Estimate, len(order))
-	for _, n := range order {
-		out[n] = Estimate{
-			Prob1:    float64(ones[n]) / float64(vectors),
-			Activity: float64(toggles[n]) / float64(vectors),
-			Ones:     int64(ones[n]),
-			Toggles:  int64(toggles[n]),
-			Vectors:  vectors,
-		}
-	}
-	return out, nil
-}
-
-// mcChunk is the fixed Monte-Carlo chunk length of ActivitiesParallel.
+// mcChunk is the default Monte-Carlo chunk length of ActivitiesBitwise.
 // The chunk partition depends only on the vector count, never on the
 // worker count, so the merged result is identical for every pool size.
 const mcChunk = 512
@@ -138,93 +51,4 @@ func mixSeed(seed int64, chunk int) int64 {
 	z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
 	z = (z ^ (z >> 27)) * 0x94D049BB133111EB
 	return int64(z ^ (z >> 31))
-}
-
-// ActivitiesParallel is Activities fanned out across a worker pool. The
-// vector stream is split into fixed-size chunks, each simulated from its
-// own seed-derived RNG stream, and the integer one/toggle counts are
-// summed. Because the chunking depends only on (vectors, seed), the
-// estimate is bit-identical for every workers value — including 1 — but
-// it samples a different (equally valid) random stream than the
-// single-stream Activities.
-func ActivitiesParallel(ctx context.Context, nw *network.Network, piProb map[string]float64, vectors int, seed int64, workers int) (map[*network.Node]Estimate, error) {
-	if vectors <= 0 {
-		return nil, fmt.Errorf("sim: need a positive vector count, got %d", vectors)
-	}
-	// TopoOrder mutates node scratch flags: compute it once, up front, so
-	// the chunk workers only ever read the network.
-	order := nw.TopoOrder()
-	chunks := (vectors + mcChunk - 1) / mcChunk
-	type counts struct{ ones, toggles []int }
-	parts, err := exec.Map(exec.WithLabel(ctx, "sim.mc"), exec.Workers(workers), chunks, func(ctx context.Context, c int) (counts, error) {
-		if err := ctx.Err(); err != nil {
-			return counts{}, fmt.Errorf("sim: %w", err)
-		}
-		n := mcChunk
-		if c == chunks-1 {
-			n = vectors - c*mcChunk
-		}
-		cc := counts{ones: make([]int, len(order)), toggles: make([]int, len(order))}
-		simChunk(order, IndependentSource(nw, piProb, mixSeed(seed, c)), n, cc.ones, cc.toggles)
-		return cc, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	out := make(map[*network.Node]Estimate, len(order))
-	for i, n := range order {
-		ones, toggles := 0, 0
-		for _, cc := range parts {
-			ones += cc.ones[i]
-			toggles += cc.toggles[i]
-		}
-		out[n] = Estimate{
-			Prob1:    float64(ones) / float64(vectors),
-			Activity: float64(toggles) / float64(vectors),
-			Ones:     int64(ones),
-			Toggles:  int64(toggles),
-			Vectors:  vectors,
-		}
-	}
-	return out, nil
-}
-
-// simChunk simulates `vectors` vector pairs over a precomputed topological
-// order, accumulating one/toggle counts into the per-order-index slices.
-// It only reads the network, so chunks may run concurrently.
-func simChunk(order []*network.Node, src VectorSource, vectors int, ones, toggles []int) {
-	idx := make(map[*network.Node]int, len(order))
-	for i, n := range order {
-		idx[n] = i
-	}
-	prev := make(map[*network.Node]bool)
-	cur := make(map[*network.Node]bool)
-	named := make(map[string]bool)
-	draw := func(dst map[*network.Node]bool) {
-		src(named)
-		for _, n := range order {
-			if n.Kind == network.PI {
-				dst[n] = named[n.Name]
-				continue
-			}
-			assign := make([]bool, len(n.Fanin))
-			for i, f := range n.Fanin {
-				assign[i] = dst[f]
-			}
-			dst[n] = n.Func.Eval(assign)
-		}
-	}
-	draw(prev)
-	for v := 0; v < vectors; v++ {
-		draw(cur)
-		for _, n := range order {
-			if cur[n] {
-				ones[idx[n]]++
-			}
-			if cur[n] != prev[n] {
-				toggles[idx[n]]++
-			}
-		}
-		prev, cur = cur, prev
-	}
 }

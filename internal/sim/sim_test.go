@@ -1,14 +1,12 @@
 package sim
 
 import (
-	"context"
-	"math"
+	"fmt"
+	"math/rand"
 	"testing"
 
 	"powermap/internal/blif"
-	"powermap/internal/huffman"
 	"powermap/internal/network"
-	"powermap/internal/prob"
 )
 
 const testBlif = `
@@ -37,90 +35,73 @@ func mustParse(t *testing.T, text string) *network.Network {
 	return nw
 }
 
-func TestActivitiesMatchBDD(t *testing.T) {
-	nw := mustParse(t, testBlif)
-	piProb := map[string]float64{"a": 0.3, "b": 0.6, "c": 0.5, "d": 0.8}
-	if _, err := prob.Compute(nw, piProb, huffman.Static); err != nil {
-		t.Fatal(err)
-	}
-	const vectors = 40000
-	est, err := Activities(nw, piProb, vectors, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// MC standard error ~ sqrt(p(1-p)/N) <= 0.0025; allow 5 sigma.
-	const tol = 0.015
-	for _, n := range nw.TopoOrder() {
-		e := est[n]
-		if math.Abs(e.Prob1-n.Prob1) > tol {
-			t.Errorf("node %s: MC prob %.4f vs BDD %.4f", n.Name, e.Prob1, n.Prob1)
-		}
-		if math.Abs(e.Activity-n.Activity) > tol {
-			t.Errorf("node %s: MC activity %.4f vs BDD %.4f", n.Name, e.Activity, n.Activity)
+// IndependentSource returns a VectorSource with independent inputs:
+// P(pi=1) from piProb, defaulting to 0.5.
+func IndependentSource(nw *network.Network, piProb map[string]float64, seed int64) VectorSource {
+	r := rand.New(rand.NewSource(seed))
+	return func(dst map[string]bool) {
+		for _, pi := range nw.PIs {
+			p, ok := piProb[pi.Name]
+			if !ok {
+				p = 0.5
+			}
+			dst[pi.Name] = r.Float64() < p
 		}
 	}
 }
 
-func TestActivitiesValidation(t *testing.T) {
-	nw := mustParse(t, testBlif)
-	if _, err := Activities(nw, nil, 0, 1); err == nil {
-		t.Error("zero vectors accepted")
+// ActivitiesFrom is the scalar reference engine: it estimates zero-delay
+// signal probabilities and toggle activities for every reachable node by
+// simulating one map-based vector at a time from src. It is the oracle of
+// the cross-engine tests, which demand bit-identical counts from the
+// bit-parallel engine fed the same transcript through PackVectors.
+func ActivitiesFrom(nw *network.Network, src VectorSource, vectors int) (map[*network.Node]Estimate, error) {
+	if vectors <= 0 {
+		return nil, fmt.Errorf("sim: need a positive vector count, got %d", vectors)
 	}
-}
-
-func TestActivitiesDeterministic(t *testing.T) {
-	nw := mustParse(t, testBlif)
-	a, err := Activities(nw, nil, 500, 42)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := Activities(nw, nil, 500, 42)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, n := range nw.TopoOrder() {
-		if a[n] != b[n] {
-			t.Fatalf("same seed diverges at %s", n.Name)
-		}
-	}
-}
-
-func TestActivitiesParallelDeterministicAcrossWorkers(t *testing.T) {
-	nw := mustParse(t, testBlif)
-	piProb := map[string]float64{"a": 0.3, "b": 0.6, "c": 0.5, "d": 0.8}
 	order := nw.TopoOrder()
-	var want map[*network.Node]Estimate
-	for _, w := range []int{1, 2, 8} {
-		est, err := ActivitiesParallel(context.Background(), nw, piProb, 2000, 7, w)
-		if err != nil {
-			t.Fatalf("workers=%d: %v", w, err)
-		}
-		if w == 1 {
-			want = est
-			continue
-		}
+	ones := make(map[*network.Node]int)
+	toggles := make(map[*network.Node]int)
+	prev := make(map[*network.Node]bool)
+	cur := make(map[*network.Node]bool)
+	named := make(map[string]bool, len(nw.PIs))
+	draw := func(dst map[*network.Node]bool) {
+		src(named)
 		for _, n := range order {
-			if est[n] != want[n] {
-				t.Errorf("workers=%d node %s: %+v != sequential %+v", w, n.Name, est[n], want[n])
+			switch {
+			case n.Kind == network.PI:
+				dst[n] = named[n.Name]
+			default:
+				assign := make([]bool, len(n.Fanin))
+				for i, f := range n.Fanin {
+					assign[i] = dst[f]
+				}
+				dst[n] = n.Func.Eval(assign)
 			}
 		}
 	}
-}
-
-func TestActivitiesParallelMatchesBDD(t *testing.T) {
-	nw := mustParse(t, testBlif)
-	piProb := map[string]float64{"a": 0.3, "b": 0.6, "c": 0.5, "d": 0.8}
-	if _, err := prob.Compute(nw, piProb, huffman.Static); err != nil {
-		t.Fatal(err)
+	draw(prev)
+	for v := 0; v < vectors; v++ {
+		draw(cur)
+		for _, n := range order {
+			if cur[n] {
+				ones[n]++
+			}
+			if cur[n] != prev[n] {
+				toggles[n]++
+			}
+		}
+		prev, cur = cur, prev
 	}
-	est, err := ActivitiesParallel(context.Background(), nw, piProb, 40000, 7, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	const tol = 0.015
-	for _, n := range nw.TopoOrder() {
-		if math.Abs(est[n].Prob1-n.Prob1) > tol {
-			t.Errorf("node %s: MC prob %.4f vs BDD %.4f", n.Name, est[n].Prob1, n.Prob1)
+	out := make(map[*network.Node]Estimate, len(order))
+	for _, n := range order {
+		out[n] = Estimate{
+			Prob1:    float64(ones[n]) / float64(vectors),
+			Activity: float64(toggles[n]) / float64(vectors),
+			Ones:     int64(ones[n]),
+			Toggles:  int64(toggles[n]),
+			Vectors:  vectors,
 		}
 	}
+	return out, nil
 }

@@ -27,11 +27,11 @@ func TestSynthesizePropertyFuzz(t *testing.T) {
 	for seed := 0; seed < runs; seed++ {
 		cfg := RandConfig{
 			Seed:     int64(seed),
-			PIs:      4 + seed%4,  // 4..7
-			Nodes:    8 + seed%9,  // 8..16
-			MaxFanin: 2 + seed%3,  // 2..4
-			Depth:    3 + seed%3,  // 3..5
-			Outputs:  1 + seed%3,  // 1..3
+			PIs:      4 + seed%4, // 4..7
+			Nodes:    8 + seed%9, // 8..16
+			MaxFanin: 2 + seed%3, // 2..4
+			Depth:    3 + seed%3, // 3..5
+			Outputs:  1 + seed%3, // 1..3
 		}
 		src := RandomNetwork("fuzz", cfg)
 		tree := seed%2 == 1

@@ -171,12 +171,16 @@ func SynthesizeContext(ctx context.Context, nw *Network, o Options) (*Result, er
 func Float64(v float64) *float64 { return core.Float64(v) }
 
 // Verify proves a synthesis result against its source network with the
-// formal-verification oracle (see VerifyResult).
+// formal-verification oracle (see VerifyContext).
 func Verify(src *Network, res *Result) error {
 	return verify.CheckResult(context.Background(), src, res)
 }
 
-// VerifyContext is Verify with cancellation.
+// VerifyContext proves a synthesis run end to end with an oracle
+// independent of the pipeline: src ≡ optimized ≡ decomposed ≡ mapped
+// (global ROBDDs rebuilt from scratch) plus report self-consistency.
+// Equivalence failures come back as a *MismatchError carrying a
+// counterexample input. It is Verify with cancellation.
 func VerifyContext(ctx context.Context, src *Network, res *Result) error {
 	return verify.CheckResult(ctx, src, res)
 }
@@ -188,14 +192,6 @@ type (
 	// RandConfig parameterizes RandomNetwork.
 	RandConfig = verify.RandConfig
 )
-
-// VerifyResult proves a synthesis run end to end with an oracle independent
-// of the pipeline: src ≡ optimized ≡ decomposed ≡ mapped (global ROBDDs
-// rebuilt from scratch) plus report self-consistency. Equivalence failures
-// come back as a *MismatchError carrying a counterexample input.
-func VerifyResult(ctx context.Context, src *Network, res *Result) error {
-	return verify.CheckResult(ctx, src, res)
-}
 
 // ProveEquivalent checks two networks over the same primary inputs for
 // combinational equivalence, returning a *MismatchError with a
