@@ -314,6 +314,7 @@ func BenchmarkMapOnly(b *testing.B) {
 		b.Fatal(err)
 	}
 	lib := Lib2()
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		nl, err := mapper.Map(context.Background(), d.Network, d.Model, mapper.Options{

@@ -2,7 +2,8 @@ package mapper
 
 import (
 	"math"
-	"sort"
+	"slices"
+	"sync"
 
 	"powermap/internal/genlib"
 	"powermap/internal/network"
@@ -46,91 +47,198 @@ type Curve struct {
 	matches int
 }
 
-// prune sorts by (arrival, cost) and removes inferior points: a point is
-// kept only if no other point has both arrival ≤ and cost ≤ (with at least
-// one strict). Then ε-pruning drops points whose arrival is within eps of
-// the previous kept point (keeping the cheaper), bounding curve size.
-func (c *Curve) prune(eps float64) {
-	if len(c.Points) == 0 {
-		return
+// candidate is one trade-off a match offers at a node before pruning.
+// It holds no pointers: the cell, class and input nodes come from
+// matches[match], and the chosen input curve points are
+// choices[choice : choice+len(Inputs)] of the owning candidateSet.
+type candidate struct {
+	arrival float64
+	cost    float64
+	drive   float64
+	match   int32
+	choice  int32
+}
+
+// candidateSet collects every candidate of one node, in match order and,
+// within a match, in ascending candidate time. It also carries the
+// scratch of the time merge and of prune, so a pooled set serves node
+// after node without allocating.
+type candidateSet struct {
+	recs    []candidate
+	choices []int32
+	ins     []inputCtx
+	times   []float64
+	order   []int32
+	tmp     []int32
+	runs    []int
+}
+
+// candidateSets recycles candidate sets across nodes, workers and Map
+// calls.
+var candidateSets = sync.Pool{New: func() any { return new(candidateSet) }}
+
+// getCandidateSet returns an empty set from the pool; release returns it.
+func getCandidateSet() *candidateSet {
+	cs := candidateSets.Get().(*candidateSet)
+	cs.recs, cs.choices = cs.recs[:0], cs.choices[:0]
+	return cs
+}
+
+// release returns cs to the pool, first dropping its references to input
+// curves so a pooled set keeps no curve alive.
+func (cs *candidateSet) release() {
+	clear(cs.ins[:cap(cs.ins)])
+	candidateSets.Put(cs)
+}
+
+// curve prunes the candidates and materializes the survivors, in curve
+// order, as the node's points. Only survivors get a Point; their input
+// choices share one arena, each cut with a full slice expression so no
+// Inputs slice can grow into its neighbour's.
+func (cs *candidateSet) curve(matches []Match, eps float64) *Curve {
+	keep := cs.prune(eps)
+	arena := 0
+	for _, i := range keep {
+		arena += len(matches[cs.recs[i].match].Inputs)
 	}
-	sort.SliceStable(c.Points, func(i, j int) bool {
-		if c.Points[i].Arrival != c.Points[j].Arrival {
-			return c.Points[i].Arrival < c.Points[j].Arrival
+	inputs := make([]InputChoice, arena)
+	points := make([]Point, len(keep))
+	for j, i := range keep {
+		r := &cs.recs[i]
+		m := &matches[r.match]
+		k := len(m.Inputs)
+		in := inputs[:k:k]
+		inputs = inputs[k:]
+		for pin, node := range m.Inputs {
+			in[pin] = InputChoice{Node: node, Pin: pin, Point: int(cs.choices[int(r.choice)+pin])}
 		}
-		return c.Points[i].Cost < c.Points[j].Cost
-	})
-	out := c.Points[:0]
+		points[j] = Point{Arrival: r.arrival, Cost: r.cost, Cell: m.Cell, Drive: r.drive, Inputs: in, class: m.Class}
+	}
+	return &Curve{Points: points, matches: len(matches)}
+}
+
+// prune returns the indices of the candidates that survive, in curve
+// order; the slice is scratch of cs. Candidates are ordered by (arrival,
+// cost, index); the index tie-break makes the order total, so any sort
+// yields exactly the order a stable sort on (arrival, cost) gives the
+// candidates in index order. A candidate is then kept only if no earlier
+// one has both arrival ≤ and cost ≤ (with at least one strict). Then
+// ε-pruning drops points whose arrival is within eps of the previous kept
+// point (keeping the cheaper), and a hard cap bounds the curve size.
+func (cs *candidateSet) prune(eps float64) []int32 {
+	recs := cs.recs
+	if len(recs) == 0 {
+		return nil
+	}
+	order := cs.sort()
+	out := order[:0]
 	bestCost := math.Inf(1)
-	for _, p := range c.Points {
-		if p.Cost < bestCost-1e-15 {
-			out = append(out, p)
-			bestCost = p.Cost
+	for _, i := range order {
+		if c := recs[i].cost; c < bestCost-1e-15 {
+			out = append(out, i)
+			bestCost = c
 		}
 	}
-	c.Points = out
-	if eps <= 0 || len(c.Points) < 3 {
-		return
+	if eps <= 0 || len(out) < 3 {
+		return out
 	}
 	// ε-merge: keep the first (fastest) point, then require arrivals to
 	// advance by at least eps; the last (cheapest) point always survives.
-	merged := c.Points[:1]
-	for i := 1; i < len(c.Points); i++ {
-		p := c.Points[i]
+	merged := out[:1]
+	for i := 1; i < len(out); i++ {
+		p := out[i]
 		last := &merged[len(merged)-1]
-		if p.Arrival-last.Arrival < eps && i != len(c.Points)-1 {
+		if recs[p].arrival-recs[*last].arrival < eps && i != len(out)-1 {
 			// Same ε-bucket: the later point is cheaper by construction.
 			*last = p
 			continue
 		}
 		merged = append(merged, p)
 	}
-	c.Points = merged
 	// Hard cap: keep the fastest and cheapest endpoints plus evenly spaced
-	// interior points, bounding downstream merge cost.
-	if len(c.Points) > maxCurvePoints {
-		kept := make([]Point, 0, maxCurvePoints)
-		step := float64(len(c.Points)-1) / float64(maxCurvePoints-1)
+	// interior points, bounding downstream merge cost. The step exceeds
+	// one, so slot i reads index ≥ i and the selection can run in place.
+	if len(merged) > maxCurvePoints {
+		step := float64(len(merged)-1) / float64(maxCurvePoints-1)
 		prev := -1
 		for i := 0; i < maxCurvePoints; i++ {
 			idx := int(float64(i)*step + 0.5)
 			if idx <= prev {
 				idx = prev + 1
 			}
-			if idx >= len(c.Points) {
-				idx = len(c.Points) - 1
+			if idx >= len(merged) {
+				idx = len(merged) - 1
 			}
-			kept = append(kept, c.Points[idx])
+			merged[i] = merged[idx]
 			prev = idx
 		}
-		c.Points = kept
+		merged = merged[:maxCurvePoints]
 	}
+	return merged
+}
+
+// sort returns the candidate indices ordered by (arrival, cost, index).
+// Each match appends its candidates in ascending time, and their arrivals
+// ascend with it, so the input is a few long ascending runs: a natural
+// merge sort finds the runs and merges them pairwise, costing
+// O(C log runs) comparisons, and O(C log C) on arbitrary input.
+func (cs *candidateSet) sort() []int32 {
+	recs := cs.recs
+	less := func(a, b int32) bool {
+		ra, rb := &recs[a], &recs[b]
+		if ra.arrival != rb.arrival {
+			return ra.arrival < rb.arrival
+		}
+		if ra.cost != rb.cost {
+			return ra.cost < rb.cost
+		}
+		return a < b
+	}
+	src := slices.Grow(cs.order[:0], len(recs))[:len(recs)]
+	for i := range src {
+		src[i] = int32(i)
+	}
+	// runs holds the run boundaries, from 0 to len(recs).
+	runs := append(cs.runs[:0], 0)
+	for i := 1; i < len(src); i++ {
+		if less(src[i], src[i-1]) {
+			runs = append(runs, i)
+		}
+	}
+	runs = append(runs, len(src))
+	dst := slices.Grow(cs.tmp[:0], len(src))[:len(src)]
+	cs.order, cs.tmp, cs.runs = src, dst, runs
+	for len(runs) > 2 {
+		// Merge runs pairwise into dst; boundaries are rewritten behind
+		// the ones still to be read.
+		w := 1
+		for r := 0; r+1 < len(runs); r += 2 {
+			lo, mid, hi := runs[r], runs[r+1], runs[r+1]
+			if r+2 < len(runs) {
+				hi = runs[r+2]
+			}
+			i, j, k := lo, mid, lo
+			for i < mid && j < hi {
+				if less(src[j], src[i]) {
+					dst[k] = src[j]
+					j++
+				} else {
+					dst[k] = src[i]
+					i++
+				}
+				k++
+			}
+			k += copy(dst[k:], src[i:mid])
+			copy(dst[k:], src[j:hi])
+			runs[w] = hi
+			w++
+		}
+		runs = runs[:w]
+		src, dst = dst, src
+	}
+	return src
 }
 
 // maxCurvePoints bounds a curve after pruning; the first and last points
 // (fastest and cheapest solutions) are always retained.
 const maxCurvePoints = 48
-
-// cheapestAtOrBefore returns the index of the minimum-cost point whose
-// arrival is ≤ t, or -1 when no point meets t. Curves are monotone, so
-// that is the last point with Arrival ≤ t.
-func (c *Curve) cheapestAtOrBefore(t float64) int {
-	idx := -1
-	for i := range c.Points {
-		if c.Points[i].Arrival <= t+1e-12 {
-			idx = i
-		} else {
-			break
-		}
-	}
-	return idx
-}
-
-// fastest returns the index of the minimum-arrival point (0 for a
-// non-empty pruned curve), or -1 when the curve is empty.
-func (c *Curve) fastest() int {
-	if len(c.Points) == 0 {
-		return -1
-	}
-	return 0
-}

@@ -4,7 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"powermap/internal/exec"
 	"powermap/internal/genlib"
@@ -491,39 +491,44 @@ func (s *state) install(n *network.Node, c *Curve) {
 
 // curveAt builds one node's pruned curve. budget > 1 additionally fans the
 // match enumeration out (used when a level has fewer nodes than workers);
-// per-match point slices are concatenated in match order, so the curve fed
-// to prune is identical to the sequential append order.
+// per-match candidate buffers are concatenated in match order, so the
+// candidates fed to prune are identical to the sequential append order.
 func (s *state) curveAt(ctx context.Context, n *network.Node, budget int, local map[*network.Node]*Curve) (*Curve, error) {
 	matches := s.matcher.matchesAt(n)
 	if len(matches) == 0 {
 		return nil, fmt.Errorf("mapper: no library match at node %s", n.Name)
 	}
 	s.obs.matchesPerNode.Observe(float64(len(matches)))
-	curve := &Curve{}
+	cs := getCandidateSet()
+	defer cs.release()
 	if budget > 1 && len(matches) > 1 {
-		parts, err := exec.Map(ctx, budget, len(matches), func(_ context.Context, j int) (*Curve, error) {
-			part := &Curve{}
-			s.addMatchPoints(part, n, matches[j], local)
+		parts, err := exec.Map(ctx, budget, len(matches), func(_ context.Context, j int) (*candidateSet, error) {
+			part := getCandidateSet()
+			s.addMatchPoints(part, n, int32(j), matches[j:j+1], local)
 			return part, nil
 		})
 		if err != nil {
 			return nil, err
 		}
 		for _, part := range parts {
-			curve.Points = append(curve.Points, part.Points...)
+			off := int32(len(cs.choices))
+			for _, r := range part.recs {
+				r.choice += off
+				cs.recs = append(cs.recs, r)
+			}
+			cs.choices = append(cs.choices, part.choices...)
+			part.release()
 		}
 	} else {
-		for _, m := range matches {
-			s.addMatchPoints(curve, n, m, local)
-		}
+		s.addMatchPoints(cs, n, 0, matches, local)
 	}
-	generated := len(curve.Points)
-	curve.prune(s.opt.Epsilon)
+	generated := len(cs.recs)
+	// The curve stashes len(matches), read at extract for the map.site
+	// journal event.
+	curve := cs.curve(matches, s.opt.Epsilon)
 	if len(curve.Points) == 0 {
 		return nil, fmt.Errorf("mapper: empty curve at node %s", n.Name)
 	}
-	// Stashed task-locally; read at extract for the map.site journal event.
-	curve.matches = len(matches)
 	s.obs.nodesCovered.Inc()
 	s.obs.pointsGenerated.Add(int64(generated))
 	s.obs.pointsKept.Add(int64(len(curve.Points)))
@@ -541,21 +546,88 @@ func (s *state) curveOf(n *network.Node, local map[*network.Node]*Curve) *Curve 
 	return s.curves[n]
 }
 
-// addMatchPoints merges the input curves of one match in their common
-// region and appends the resulting trade-off points (the lower-bound merge
-// of [3] emerges from pruning the union afterwards). It only reads input
-// curves (through the optional task-local overlay) and appends to curve,
-// so concurrent calls on disjoint curves are safe.
-func (s *state) addMatchPoints(curve *Curve, n *network.Node, m Match, local map[*network.Node]*Curve) {
-	type inputCtx struct {
-		node   *network.Node
-		curve  *Curve
-		delay  float64 // τ + R·C_default for this pin
-		fixed  float64 // Method 1 pin-charge power, or 0 for area
-		div    float64 // fanout division of the accumulated cost
-		pinIdx int
+// inputCtx is one input of a match during the merge: its curve, the pin's
+// delay and cost terms, and a forward-only cursor into the curve.
+type inputCtx struct {
+	curve *Curve
+	delay float64 // τ + R·C_default for this pin
+	fixed float64 // Method 1 pin-charge power, or 0 for area
+	div   float64 // fanout division of the accumulated cost
+	// next is mergeTimes' cursor: the first point not yet merged.
+	next int
+	// at is the point seek last returned.
+	at int
+}
+
+// mergeTimes appends to times, in ascending order, every input point's
+// arrival shifted by its pin delay that is at or above lower. Each input
+// curve ascends in arrival (Lemma 3.1), so a k-way merge of the inputs'
+// suffixes replaces a sort.
+func mergeTimes(times []float64, ins []inputCtx, lower float64) []float64 {
+	for i := range ins {
+		ic := &ins[i]
+		for ic.next < len(ic.curve.Points) && ic.curve.Points[ic.next].Arrival+ic.delay < lower {
+			ic.next++
+		}
 	}
-	ins := make([]inputCtx, len(m.Inputs))
+	for {
+		best, bt := -1, 0.0
+		for i := range ins {
+			ic := &ins[i]
+			if ic.next < len(ic.curve.Points) {
+				if t := ic.curve.Points[ic.next].Arrival + ic.delay; best < 0 || t < bt {
+					best, bt = i, t
+				}
+			}
+		}
+		if best < 0 {
+			return times
+		}
+		times = append(times, bt)
+		ins[best].next++
+	}
+}
+
+// seek returns the index of the cheapest input point that meets output
+// time t, i.e. the last one with arrival ≤ t - delay (within 1e-12), or
+// -1 when none does. Candidate times are visited in ascending order and
+// the input curve ascends in arrival (Lemma 3.1), so the cursor only ever
+// moves forward: one sweep over the times costs O(times + points).
+func (ic *inputCtx) seek(t float64) int {
+	limit := t - ic.delay + 1e-12
+	for ic.at+1 < len(ic.curve.Points) && ic.curve.Points[ic.at+1].Arrival <= limit {
+		ic.at++
+	}
+	return ic.at
+}
+
+// addMatchPoints merges the input curves of each match in their common
+// region and appends the resulting trade-off candidates to cs, numbering
+// matches[j] as match base+j (the lower-bound merge of [3] emerges from
+// pruning the union afterwards). It only reads input curves (through the
+// optional task-local overlay) and appends to cs, so concurrent calls on
+// disjoint sets are safe.
+func (s *state) addMatchPoints(cs *candidateSet, n *network.Node, base int32, matches []Match, local map[*network.Node]*Curve) {
+	// Size the buffers once: a match yields at most one candidate per
+	// input curve point plus the common lower bound.
+	recs, choices := 0, 0
+	for _, m := range matches {
+		c := 1
+		for _, node := range m.Inputs {
+			c += len(s.curveOf(node, local).Points)
+		}
+		recs += c
+		choices += c * len(m.Inputs)
+	}
+	cs.recs = slices.Grow(cs.recs, recs)
+	cs.choices = slices.Grow(cs.choices, choices)
+	for j, m := range matches {
+		s.matchCandidates(cs, n, base+int32(j), m, local)
+	}
+}
+
+// matchCandidates appends the candidates of one match to cs.
+func (s *state) matchCandidates(cs *candidateSet, n *network.Node, mi int32, m Match, local map[*network.Node]*Curve) {
 	gateCost := 0.0
 	if s.opt.Objective == AreaDelay {
 		gateCost = m.Cell.Area
@@ -567,14 +639,14 @@ func (s *state) addMatchPoints(curve *Curve, n *network.Node, m Match, local map
 			gateCost += s.env.GatePowerUW(s.cdef, n.Activity)
 		}
 	}
+	ins := cs.ins[:0]
 	for pin, node := range m.Inputs {
 		p := m.Cell.Pins[pin]
 		ic := inputCtx{
-			node:   node,
-			curve:  s.curveOf(node, local),
-			delay:  p.Block + p.Drive*s.cdef,
-			div:    s.fanoutDiv(node),
-			pinIdx: pin,
+			curve: s.curveOf(node, local),
+			delay: p.Block + p.Drive*s.cdef,
+			div:   s.fanoutDiv(node),
+			at:    -1,
 		}
 		if s.opt.Objective == PowerDelay && !s.opt.PowerMethod2 {
 			// Method 1 (Equation 15): charge the input node's activity
@@ -582,8 +654,9 @@ func (s *state) addMatchPoints(curve *Curve, n *network.Node, m Match, local map
 			// deferred to its mapped parent (Section 3.1).
 			ic.fixed = s.env.GatePowerUW(p.Load, node.Activity)
 		}
-		ins[pin] = ic
+		ins = append(ins, ic)
 	}
+	cs.ins = ins
 	// Candidate arrival times: every input point's arrival shifted by its
 	// pin delay (merging in the common region). Candidates below the
 	// fastest feasible arrival cannot be met by every input and are
@@ -597,20 +670,12 @@ func (s *state) addMatchPoints(curve *Curve, n *network.Node, m Match, local map
 			lower = a
 		}
 	}
-	var cands []float64
-	for _, ic := range ins {
-		for _, p := range ic.curve.Points {
-			if t := p.Arrival + ic.delay; t >= lower {
-				cands = append(cands, t)
-			}
-		}
-	}
-	cands = append(cands, lower)
-	sort.Float64s(cands)
+	times := mergeTimes(append(cs.times[:0], lower), ins, lower)
+	cs.times = times
 	spacing := s.opt.Epsilon / 2
-	kept := cands[:0]
-	for i, t := range cands {
-		if len(kept) == 0 || t-kept[len(kept)-1] > spacing || i == len(cands)-1 {
+	kept := times[:0]
+	for i, t := range times {
+		if len(kept) == 0 || t-kept[len(kept)-1] > spacing || i == len(times)-1 {
 			kept = append(kept, t)
 		}
 	}
@@ -618,33 +683,27 @@ func (s *state) addMatchPoints(curve *Curve, n *network.Node, m Match, local map
 		arrival := math.Inf(-1)
 		cost := gateCost
 		drive := 0.0
-		choices := make([]InputChoice, len(ins))
 		ok := true
-		for i, ic := range ins {
-			idx := ic.curve.cheapestAtOrBefore(t - ic.delay)
-			if idx < 0 {
+		for i := range ins {
+			ic := &ins[i]
+			if ic.seek(t) < 0 {
 				ok = false
 				break
 			}
-			pt := ic.curve.Points[idx]
+			pt := &ic.curve.Points[ic.at]
 			if a := pt.Arrival + ic.delay; a > arrival {
 				arrival = a
-				drive = m.Cell.Pins[ic.pinIdx].Drive
+				drive = m.Cell.Pins[i].Drive
 			}
 			cost += ic.fixed + pt.Cost/ic.div
-			choices[i] = InputChoice{Node: ic.node, Pin: ic.pinIdx, Point: idx}
 		}
 		if !ok {
 			continue
 		}
-		curve.Points = append(curve.Points, Point{
-			Arrival: arrival,
-			Cost:    cost,
-			Cell:    m.Cell,
-			Drive:   drive,
-			Inputs:  choices,
-			class:   m.Class,
-		})
+		cs.recs = append(cs.recs, candidate{arrival: arrival, cost: cost, drive: drive, match: mi, choice: int32(len(cs.choices))})
+		for _, ic := range ins {
+			cs.choices = append(cs.choices, int32(ic.at))
+		}
 	}
 }
 

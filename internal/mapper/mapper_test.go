@@ -4,6 +4,8 @@ import (
 	"context"
 	"math"
 	"math/rand"
+	"reflect"
+	"slices"
 	"testing"
 
 	"powermap/internal/blif"
@@ -361,6 +363,40 @@ func TestFanoutDivision(t *testing.T) {
 		}
 		if n.Kind == network.Internal && len(n.Fanout) > 1 && math.Abs(div-float64(len(n.Fanout))) > 1e-12 {
 			t.Errorf("node %s fanout %d divided by %v", n.Name, len(n.Fanout), div)
+		}
+	}
+}
+
+// TestCurvesIdenticalAcrossWorkers: every installed curve, down to the
+// input points each curve point chose, is the same whether a node's
+// matches run in one task or fan out across workers. Levels and trees
+// narrower than the pool give a node a budget above one, which builds
+// one candidate buffer per match and concatenates them, offsetting the
+// choice indices.
+func TestCurvesIdenticalAcrossWorkers(t *testing.T) {
+	sub, model := subject(t, smallBlif)
+	for _, tree := range []bool{false, true} {
+		curves := func(workers int) map[*network.Node][]Point {
+			got := map[*network.Node][]Point{}
+			_, err := Map(context.Background(), sub, model, Options{
+				Objective: PowerDelay,
+				Library:   genlib.Lib2(),
+				TreeMode:  tree,
+				Workers:   workers,
+				CurveAudit: func(n *network.Node, c *Curve) {
+					got[n] = slices.Clone(c.Points)
+				},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return got
+		}
+		want := curves(1)
+		for _, w := range []int{2, 8} {
+			if got := curves(w); !reflect.DeepEqual(got, want) {
+				t.Errorf("tree=%v workers=%d: curves differ from the sequential run", tree, w)
+			}
 		}
 	}
 }

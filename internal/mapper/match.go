@@ -7,6 +7,8 @@
 package mapper
 
 import (
+	"slices"
+
 	"powermap/internal/decomp"
 	"powermap/internal/genlib"
 	"powermap/internal/network"
@@ -77,7 +79,8 @@ func newMatcher(lib *genlib.Library, treeMode bool) *matcher {
 }
 
 // matchesAt enumerates all matches of all library cells at node n.
-// Matches are deduplicated by (cell, input binding).
+// Matches are deduplicated by (cell, bound nodes), keeping the first
+// occurrence.
 func (m *matcher) matchesAt(n *network.Node) []Match {
 	if n.Kind != network.Internal {
 		return nil
@@ -90,22 +93,27 @@ func (m *matcher) matchesAt(n *network.Node) []Match {
 		entries = m.nandRooted
 	}
 	var out []Match
-	seen := map[string]bool{}
 	for _, e := range entries {
 		bindings := m.matchPattern(e.pat, n, true)
 		for _, b := range bindings {
-			if !b.complete(e.cell.NumInputs()) {
+			if !b.complete(e.cell.NumInputs()) || hasMatch(out, e.cell, b.pins) {
 				continue
 			}
-			key := e.cell.Name + "|" + b.key()
-			if seen[key] {
-				continue
-			}
-			seen[key] = true
 			out = append(out, Match{Cell: e.cell, Inputs: b.pins, Covered: e.pat.Size()})
 		}
 	}
 	return out
+}
+
+// hasMatch reports whether ms already binds cell to exactly these nodes.
+// Matches at one node are few, so a scan beats building a key.
+func hasMatch(ms []Match, cell *genlib.Cell, pins []*network.Node) bool {
+	for _, m := range ms {
+		if m.Cell == cell && slices.Equal(m.Inputs, pins) {
+			return true
+		}
+	}
+	return false
 }
 
 // binding maps cell pins to subject nodes. Patterns may be leaf-DAGs
@@ -145,22 +153,15 @@ func (b binding) complete(n int) bool {
 	return true
 }
 
-func (b binding) key() string {
-	s := ""
-	for _, p := range b.pins {
-		if p == nil {
-			s += "_,"
-		} else {
-			s += p.Name + ","
-		}
-	}
-	return s
-}
-
 // matchPattern returns all bindings under which pattern p matches the
 // subject cone rooted at n. root marks the top of the match (a match root
 // may have any fanout; interior nodes are restricted in tree mode).
 func (m *matcher) matchPattern(p *genlib.Pattern, n *network.Node, root bool) []binding {
+	// Most patterns at a node fail on gate kinds alone: rule those out
+	// before allocating any binding.
+	if !m.fits(p, n, root) {
+		return nil
+	}
 	// Determine the pin count lazily from the deepest pin index.
 	maxPin := maxPinIndex(p)
 	init := newBinding(maxPin + 1)
@@ -179,6 +180,26 @@ func maxPinIndex(p *genlib.Pattern) int {
 			return r
 		}
 		return l
+	}
+}
+
+// fits reports whether the gate kinds of the subject cone at n can take
+// the shape of pattern p under some input order, ignoring how leaves
+// bind. matchRec walks the same orders, so a pattern that does not fit
+// has no binding.
+func (m *matcher) fits(p *genlib.Pattern, n *network.Node, root bool) bool {
+	switch p.Kind {
+	case genlib.PatLeaf:
+		return true
+	case genlib.PatInv:
+		return decomp.IsInv(n) && m.interiorOK(n, root) && m.fits(p.L, n.Fanin[0], false)
+	default: // PatNand
+		if !decomp.IsNand2(n) || !m.interiorOK(n, root) {
+			return false
+		}
+		a, b := n.Fanin[0], n.Fanin[1]
+		return m.fits(p.L, a, false) && m.fits(p.R, b, false) ||
+			m.fits(p.L, b, false) && m.fits(p.R, a, false)
 	}
 }
 
@@ -229,16 +250,12 @@ func (m *matcher) interiorOK(n *network.Node, root bool) bool {
 	return len(n.Fanout) <= 1
 }
 
+// dedupeBindings drops bindings that bind the same nodes as an earlier
+// one, keeping first-occurrence order.
 func dedupeBindings(bs []binding) []binding {
-	if len(bs) < 2 {
-		return bs
-	}
-	seen := map[string]bool{}
 	out := bs[:0]
 	for _, b := range bs {
-		k := b.key()
-		if !seen[k] {
-			seen[k] = true
+		if !slices.ContainsFunc(out, func(o binding) bool { return slices.Equal(o.pins, b.pins) }) {
 			out = append(out, b)
 		}
 	}

@@ -1,10 +1,15 @@
 package mapper
 
 import (
+	"context"
+	"fmt"
+	"math/rand"
+	"slices"
 	"testing"
 
 	"powermap/internal/decomp"
 	"powermap/internal/genlib"
+	"powermap/internal/huffman"
 	"powermap/internal/network"
 )
 
@@ -53,42 +58,51 @@ func TestTreeModeExcludesMultiFanoutInterior(t *testing.T) {
 	}
 }
 
-// TestRootKindIndexEquivalent checks the root-kind buckets are a pure
-// index: for every node of a real subject network, the bucketed matcher
-// returns exactly what brute-force matching over all patterns returns.
+// TestRootKindIndexEquivalent checks the root-kind buckets and the
+// gate-kind pre-check are pure filters: for every node of real subject
+// networks, in DAG and tree mode, the matcher returns exactly what
+// brute-force binding of every pattern of every cell returns.
 func TestRootKindIndexEquivalent(t *testing.T) {
 	lib := genlib.Lib2()
-	sub, _ := subject(t, smallBlif)
-	m := newMatcher(lib, false)
-	for _, n := range sub.TopoOrder() {
-		if n.IsSource() {
-			continue
+	small, _ := subject(t, smallBlif)
+	subs := []*network.Network{small}
+	r := rand.New(rand.NewSource(43))
+	for i := 0; i < 6; i++ {
+		res, err := decomp.Decompose(context.Background(), randomNetwork(r, 5, 12), decomp.Options{Strategy: decomp.MinPower, Style: huffman.Static})
+		if err != nil {
+			t.Fatal(err)
 		}
-		got := m.matchesAt(n)
-		var want []Match
-		seen := map[string]bool{}
-		for _, cell := range lib.Cells {
-			for _, pat := range cell.Patterns {
-				for _, b := range m.matchPattern(pat, n, true) {
-					if !b.complete(cell.NumInputs()) {
-						continue
-					}
-					key := cell.Name + "|" + b.key()
-					if seen[key] {
-						continue
-					}
-					seen[key] = true
-					want = append(want, Match{Cell: cell, Inputs: b.pins})
+		subs = append(subs, res.Network)
+	}
+	for _, tree := range []bool{false, true} {
+		m := newMatcher(lib, tree)
+		for _, sub := range subs {
+			for _, n := range sub.TopoOrder() {
+				if n.IsSource() {
+					continue
 				}
-			}
-		}
-		if len(got) != len(want) {
-			t.Fatalf("node %s: index found %d matches, brute force %d", n.Name, len(got), len(want))
-		}
-		for i := range got {
-			if got[i].Cell != want[i].Cell {
-				t.Fatalf("node %s match %d: index cell %s, brute force %s",
-					n.Name, i, got[i].Cell.Name, want[i].Cell.Name)
+				got := m.matchesAt(n)
+				var want []Match
+				for _, cell := range lib.Cells {
+					for _, pat := range cell.Patterns {
+						all := m.matchRec(pat, n, true, []binding{newBinding(maxPinIndex(pat) + 1)})
+						for _, b := range all {
+							if !b.complete(cell.NumInputs()) || hasMatch(want, cell, b.pins) {
+								continue
+							}
+							want = append(want, Match{Cell: cell, Inputs: b.pins})
+						}
+					}
+				}
+				if len(got) != len(want) {
+					t.Fatalf("tree=%v node %s: index found %d matches, brute force %d", tree, n.Name, len(got), len(want))
+				}
+				for i := range got {
+					if got[i].Cell != want[i].Cell || !slices.Equal(got[i].Inputs, want[i].Inputs) {
+						t.Fatalf("tree=%v node %s match %d: index %s, brute force %s",
+							tree, n.Name, i, got[i].Cell.Name, want[i].Cell.Name)
+					}
+				}
 			}
 		}
 	}
@@ -109,5 +123,27 @@ func TestRootKindIndexSkipsWrongRoot(t *testing.T) {
 		if m.Cell.Name == "inv1" {
 			t.Errorf("inv1 matched at NAND root %s", nd.Name)
 		}
+	}
+}
+
+// TestMatchDedupKeysOnNodes: BLIF names split only on whitespace, so
+// "a,a" is a legal signal name. Bindings must be told apart by the nodes
+// they bind, not by joined names: NAND2(a, "a,a") has two distinct nand2
+// bindings, one per input order.
+func TestMatchDedupKeysOnNodes(t *testing.T) {
+	nw := network.New("commas")
+	a, aa := nw.AddPI("a"), nw.AddPI("a,a")
+	y := nw.AddNode("y", []*network.Node{a, aa}, decomp.Nand2Cover())
+	nw.MarkOutput("y", y)
+	var got [][]*network.Node
+	var names []string
+	for _, m := range newMatcher(genlib.Lib2(), false).matchesAt(y) {
+		if m.Cell.Name == "nand2" {
+			got = append(got, m.Inputs)
+			names = append(names, fmt.Sprintf("[%s %s]", m.Inputs[0].Name, m.Inputs[1].Name))
+		}
+	}
+	if len(got) != 2 || got[0][0] != a || got[0][1] != aa || got[1][0] != aa || got[1][1] != a {
+		t.Fatalf("nand2 bindings at NAND2(a, a,a) = %v, want [[a a,a] [a,a a]]", names)
 	}
 }
