@@ -33,12 +33,18 @@ bench:
 benchcheck:
 	$(GO) run ./cmd/pbench -runs 3 -quick -workers 1 -out BENCH_pipeline.json
 
-# Brief fuzzing of the four parsers (seed corpora run in plain `make test`).
+# Brief fuzzing of the same eight targets as the CI fuzz job: the four
+# parsers, the activity engines, curve pruning, NPN canonicalization and
+# the equivalence oracle (seed corpora run in plain `make test`).
 fuzz:
-	$(GO) test -fuzz=FuzzParse -fuzztime=30s ./internal/blif/
-	$(GO) test -fuzz=FuzzParseCover -fuzztime=20s ./internal/sop/
-	$(GO) test -fuzz=FuzzParseExpr -fuzztime=20s ./internal/genlib/
-	$(GO) test -fuzz=FuzzParseGenlib -fuzztime=20s ./internal/genlib/
+	$(GO) test -run='^$$' -fuzz='^FuzzParse$$' -fuzztime=30s ./internal/blif/
+	$(GO) test -run='^$$' -fuzz='^FuzzParseCover$$' -fuzztime=20s ./internal/sop/
+	$(GO) test -run='^$$' -fuzz='^FuzzParseExpr$$' -fuzztime=20s ./internal/genlib/
+	$(GO) test -run='^$$' -fuzz='^FuzzParseGenlib$$' -fuzztime=20s ./internal/genlib/
+	$(GO) test -run='^$$' -fuzz='^FuzzBitwiseVsScalar$$' -fuzztime=20s ./internal/sim/
+	$(GO) test -run='^$$' -fuzz='^FuzzPrune$$' -fuzztime=20s ./internal/mapper/
+	$(GO) test -run='^$$' -fuzz='^FuzzCanonical$$' -fuzztime=20s ./internal/npn/
+	$(GO) test -run='^$$' -fuzz='^FuzzEquivalent$$' -fuzztime=20s ./internal/verify/equiv/
 
 # Regenerate every table/figure of the paper (see EXPERIMENTS.md).
 tables:

@@ -166,17 +166,18 @@ func BenchmarkAblationEpsilon(b *testing.B) {
 }
 
 func BenchmarkAblationDecomposition(b *testing.B) {
-	// Conventional vs MINPOWER vs bounded-height (§2).
-	for _, strat := range []struct {
+	// Conventional vs MINPOWER vs bounded-height (§2), all under pd-map:
+	// Methods IV, V and VI.
+	for _, c := range []struct {
 		name string
-		s    Strategy
+		m    Method
 	}{
-		{"conventional", Conventional},
-		{"minpower", MinPower},
-		{"bounded", BoundedMinPower},
+		{"conventional", MethodIV},
+		{"minpower", MethodV},
+		{"bounded", MethodVI},
 	} {
-		b.Run(strat.name, func(b *testing.B) {
-			synthAblation(b, Options{Decomposition: strat.s, Mapping: PowerDelay})
+		b.Run(c.name, func(b *testing.B) {
+			synthAblation(b, Options{Method: c.m})
 		})
 	}
 }

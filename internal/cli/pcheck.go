@@ -9,13 +9,10 @@ import (
 	"path/filepath"
 	"strings"
 
-	"powermap/internal/bdd"
 	"powermap/internal/circuits"
 	"powermap/internal/core"
-	"powermap/internal/genlib"
 	"powermap/internal/huffman"
 	"powermap/internal/journal"
-	"powermap/internal/mapper"
 	"powermap/internal/network"
 	"powermap/internal/obs"
 	"powermap/internal/verify"
@@ -113,6 +110,17 @@ func Pcheck(args []string, out, errOut io.Writer) error {
 	ctx, cancel := timeoutContext(*timeout)
 	defer cancel()
 	ctx = obs.WithScope(ctx, sc)
+	base := core.Options{
+		Style:    st,
+		Relax:    relax,
+		Mapper:   backend,
+		LUT:      lut,
+		TreeMode: treeMode,
+		Workers:  *workers,
+		Library:  lib,
+		Obs:      sc,
+		BDD:      bddf.config(),
+	}
 	checks := 0
 	if *blifPath != "" || *circuit != "" {
 		src, err := LoadNetwork(*blifPath, *circuit)
@@ -124,7 +132,9 @@ func Pcheck(args []string, out, errOut io.Writer) error {
 			if err != nil {
 				return err
 			}
-			err = checkOne(ctx, out, src, lib, m, st, backend, lut, treeMode, relax, *workers, *inject, sc, jr, bddf.config())
+			o := base
+			o.Method, o.Journal = m, jr
+			err = checkOne(ctx, out, src, o, *inject)
 			if cerr := jr.Close(); cerr != nil && err == nil {
 				err = fmt.Errorf("journal: %w", cerr)
 			}
@@ -144,7 +154,10 @@ func Pcheck(args []string, out, errOut io.Writer) error {
 		if err != nil {
 			return err
 		}
-		err = checkOne(ctx, out, src, lib, m, st, backend, lut, treeMode || i%2 == 1, relax, *workers, false, sc, jr, bddf.config())
+		o := base
+		o.Method, o.Journal = m, jr
+		o.TreeMode = treeMode || i%2 == 1
+		err = checkOne(ctx, out, src, o, false)
 		if cerr := jr.Close(); cerr != nil && err == nil {
 			err = fmt.Errorf("journal: %w", cerr)
 		}
@@ -189,30 +202,18 @@ func parseMethods(s string) ([]core.Method, error) {
 	return out, nil
 }
 
-// checkOne synthesizes src under one method and runs the full verification
-// chain: curve audit during mapping, end-to-end equivalence, report
-// consistency. With inject it corrupts the mapped netlist first and demands
-// the checker reject it.
-func checkOne(ctx context.Context, out io.Writer, src *network.Network, lib *genlib.Library,
-	m core.Method, st huffman.Style, backend mapper.Backend, lut int, tree bool, relax *float64, workers int, inject bool, sc *obs.Scope, jr *journal.Journal, cfg bdd.Config) error {
+// checkOne synthesizes src under o (one method) and runs the full
+// verification chain: curve audit during mapping, end-to-end equivalence,
+// report consistency. With inject it corrupts the mapped netlist first and
+// demands the checker reject it.
+func checkOne(ctx context.Context, out io.Writer, src *network.Network, o core.Options, inject bool) error {
+	m, sc := o.Method, o.Obs
 	ctx = obs.WithLabels(ctx, "circuit", src.Name, "method", m.String())
 	span := sc.StartCtx(ctx, "pcheck.check")
 	defer span.End()
 	var audit verify.CurveAuditor
-	res, err := core.SynthesizeContext(ctx, src, core.Options{
-		Method:     m,
-		Style:      st,
-		Relax:      relax,
-		Mapper:     backend,
-		LUT:        lut,
-		TreeMode:   tree,
-		Workers:    workers,
-		Library:    lib,
-		CurveAudit: audit.Hook(),
-		Obs:        sc,
-		Journal:    jr,
-		BDD:        cfg,
-	})
+	o.CurveAudit = audit.Hook()
+	res, err := core.SynthesizeContext(ctx, src, o)
 	if err != nil {
 		return fmt.Errorf("%s method %s: synthesize: %w", src.Name, m, err)
 	}
@@ -221,10 +222,10 @@ func checkOne(ctx context.Context, out io.Writer, src *network.Network, lib *gen
 	}
 	span.SetAttr("curves_audited", audit.Checked()).SetAttr("gates", res.Report.Gates)
 	if inject {
-		return injectViolation(ctx, out, src, res, lib, cfg)
+		return injectViolation(ctx, out, src, res)
 	}
 	vspan := sc.StartCtx(ctx, "pcheck.verify")
-	err = verify.CheckResultWith(ctx, src, res, cfg)
+	err = verify.CheckResult(ctx, src, res)
 	vspan.End()
 	if err != nil {
 		return fmt.Errorf("%s method %s: %w", src.Name, m, err)
@@ -238,15 +239,15 @@ func checkOne(ctx context.Context, out io.Writer, src *network.Network, lib *gen
 // with a different function and demands the checker reject the result. The
 // detection comes back as an error so pcheck exits nonzero; a corruption
 // the checker misses is itself an error. The self-test never exits zero.
-func injectViolation(ctx context.Context, out io.Writer, src *network.Network, res *core.Result, lib *genlib.Library, cfg bdd.Config) error {
+func injectViolation(ctx context.Context, out io.Writer, src *network.Network, res *core.Result) error {
 	for _, g := range res.Netlist.Gates {
 		orig := g.Cell
-		for _, c := range lib.Cells {
+		for _, c := range res.Options.Library.Cells {
 			if c == orig || len(c.Pins) != len(orig.Pins) || c.Cover().Equal(orig.Cover()) {
 				continue
 			}
 			g.Cell = c
-			err := verify.CheckResultWith(ctx, src, res, cfg)
+			err := verify.CheckResult(ctx, src, res)
 			if err == nil {
 				g.Cell = orig // masked downstream; try another injection site
 				continue

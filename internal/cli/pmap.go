@@ -152,7 +152,7 @@ func Pmap(args []string, out, errOut io.Writer) error {
 	}
 	if *prove {
 		span := sc.StartCtx(ctx, "verify-source")
-		err := verify.CheckResultWith(ctx, src, res, bddf.config())
+		err := verify.CheckResult(ctx, src, res)
 		span.End()
 		if err != nil {
 			return timeoutError(*timeout, err)

@@ -56,15 +56,9 @@ func Powerest(args []string, out, errOut io.Writer) error {
 		memProf  = fs.String("memprofile", "", "write a heap profile to this file")
 	)
 	bddf := addBDDFlags(fs)
-	mapf := addMapFlags(fs)
 	actf := addActivityFlags(fs, true)
 	tel := addTelemetryFlags(fs)
 	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	// Estimation is mapping-free; the shared mapper flags are validated for
-	// interface uniformity but do not change the estimate.
-	if _, _, _, err := mapf.resolve(false); err != nil {
 		return err
 	}
 	policy, err := actf.policy()

@@ -62,6 +62,19 @@ func Tables(args []string, out, errOut io.Writer) error {
 	}
 	want := strings.ToLower(*table)
 	runAll := want == "all"
+	base := core.Options{
+		Style:           huffman.Static,
+		Relax:           relax,
+		Exact:           *exact,
+		Mapper:          backend,
+		LUT:             lut,
+		TreeMode:        treeMode,
+		Workers:         *workers,
+		Obs:             sc,
+		BDD:             bddf.config(),
+		Activity:        activity,
+		ActivityVectors: *actf.vectors,
+	}
 
 	if runAll || want == "1" {
 		fmt.Fprintln(out, "=== Table 1: Modified Huffman optimality (static AND decomposition) ===")
@@ -91,7 +104,6 @@ func Tables(args []string, out, errOut io.Writer) error {
 	if want == "backends" {
 		ctx, cancel := timeoutContext(*timeout)
 		defer cancel()
-		base := core.Options{Style: huffman.Static, Relax: relax, Exact: *exact, LUT: lut, Workers: *workers, Obs: sc, BDD: bddf.config(), Activity: activity, ActivityVectors: *actf.vectors}
 		fmt.Fprintln(out, "=== Mapper backends: structural vs cuts (Method VI, common constraints) ===")
 		rows, err := eval.CompareBackends(ctx, base, core.MethodVI, names)
 		if err != nil {
@@ -107,7 +119,6 @@ func Tables(args []string, out, errOut io.Writer) error {
 	}
 	ctx, cancel := timeoutContext(*timeout)
 	defer cancel()
-	base := core.Options{Style: huffman.Static, Relax: relax, Exact: *exact, Mapper: backend, LUT: lut, TreeMode: treeMode, Workers: *workers, Obs: sc, BDD: bddf.config(), Activity: activity, ActivityVectors: *actf.vectors}
 	var jc eval.JournalConfig
 	if *jdir != "" {
 		jc = eval.JournalConfig{Dir: *jdir, RunID: tel.resolveRunID()}

@@ -103,11 +103,9 @@ func ParseMethod(s string) (Method, error) {
 
 // Options configures Synthesize.
 type Options struct {
-	// Method selects decomposition strategy and mapping objective. When 0,
-	// Decomposition and Mapping are used directly.
-	Method        Method
-	Decomposition decomp.Strategy
-	Mapping       mapper.Objective
+	// Method selects decomposition strategy and mapping objective. The
+	// zero value selects MethodI (conventional decomposition + ad-map).
+	Method Method
 
 	// Style is the CMOS design style (static in the paper's experiments).
 	Style huffman.Style
@@ -118,12 +116,6 @@ type Options struct {
 	PIProb map[string]float64
 	// Library is the target cell library (default the embedded lib2).
 	Library *genlib.Library
-	// SkipOptimize bypasses the technology-independent script (the input
-	// is already optimized).
-	SkipOptimize bool
-	// EliminateThreshold is passed to opt.Optimize (0 collapses only
-	// growth-free nodes, the default; negative disables elimination).
-	EliminateThreshold int
 	// Relax loosens the mapper's defaulted required times as a fraction of
 	// the fastest mapping's delay. Nil selects mapper.DefaultRelax (0.15),
 	// giving both ad-map and pd-map the same modest timing slack to spend;
@@ -153,8 +145,6 @@ type Options struct {
 	// PIArrival/PORequired pass mapped-domain (ns) timing constraints.
 	PIArrival  map[string]float64
 	PORequired map[string]float64
-	// Env overrides the electrical operating point.
-	Env power.Environment
 	// CurveAudit is forwarded to the mapper: when non-nil it observes every
 	// internal node's pruned power-delay curve as it is installed, on the
 	// coordinator goroutine. The verification layer uses it to check curve
@@ -164,11 +154,6 @@ type Options struct {
 	// stage (decomp, mapper, bdd, timing). Nil — the default — disables
 	// all instrumentation at near-zero cost.
 	Obs *obs.Scope
-	// Budgets declares per-phase SLOs (latency and/or live-BDD-node
-	// ceilings) installed on Obs before the run; breaches land in the
-	// scope's slo.breaches series and degrade its /healthz. Ignored when
-	// Obs is nil.
-	Budgets []obs.Budget
 	// Journal records the run's decision provenance (per-node
 	// decomposition events, per-site mapper decisions, per-gate power
 	// attribution) as JSONL, threaded through decomp and mapper the same
@@ -214,6 +199,9 @@ type Result struct {
 	Report power.Report
 	// OptStats reports what quick-opt changed.
 	OptStats opt.Stats
+	// Options are the options the run used, with Method and Library
+	// defaulted. verify.CheckResult proves the run under their BDD budget.
+	Options Options
 }
 
 // Synthesize runs the full flow on a copy of the input network. The input
@@ -233,18 +221,14 @@ func Synthesize(nw *network.Network, o Options) (*Result, error) {
 // last runtime samples — auto-dumped to disk when -flight configured a
 // path.
 func SynthesizeContext(ctx context.Context, nw *network.Network, o Options) (_ *Result, err error) {
-	if o.Method != 0 {
-		o.Decomposition = o.Method.Decomposition()
-		o.Mapping = o.Method.Mapping()
+	if o.Method == 0 {
+		o.Method = MethodI
 	}
 	if o.Library == nil {
 		o.Library = genlib.Lib2()
 	}
-	res := &Result{}
+	res := &Result{Options: o}
 	sc := o.Obs
-	if len(o.Budgets) > 0 {
-		sc.SetBudgets(o.Budgets)
-	}
 	defer func() {
 		if err != nil {
 			sc.Flight().CaptureFailure("core.synthesize", err,
@@ -258,30 +242,27 @@ func SynthesizeContext(ctx context.Context, nw *network.Network, o Options) (_ *
 	ctx = obs.WithScope(ctx, sc)
 
 	work := nw.Duplicate()
-	if !o.SkipOptimize {
-		// MaxNodeLiterals keeps optimized nodes small, matching the
-		// "relatively simple nodes" the paper attributes to its
-		// fast_extract/quick-decomposition front end (Section 4).
-		span := sc.StartCtx(ctx, "quick-opt")
-		st, err := opt.Optimize(ctx, work, opt.Options{
-			EliminateThreshold: o.EliminateThreshold,
-			MaxNodeLiterals:    6,
-			StrongSimplify:     o.StrongSimplify,
-		})
-		span.SetAttr("literals_before", st.LiteralsBefore).SetAttr("literals_after", st.LiteralsAfter)
-		span.End()
-		if err != nil {
-			return nil, fmt.Errorf("core: optimize: %w", err)
-		}
-		res.OptStats = st
-		sc.Counter("core.opt_literals_removed").Add(int64(st.LiteralsBefore - st.LiteralsAfter))
+	// MaxNodeLiterals keeps optimized nodes small, matching the
+	// "relatively simple nodes" the paper attributes to its
+	// fast_extract/quick-decomposition front end (Section 4).
+	span := sc.StartCtx(ctx, "quick-opt")
+	st, err := opt.Optimize(ctx, work, opt.Options{
+		MaxNodeLiterals: 6,
+		StrongSimplify:  o.StrongSimplify,
+	})
+	span.SetAttr("literals_before", st.LiteralsBefore).SetAttr("literals_after", st.LiteralsAfter)
+	span.End()
+	if err != nil {
+		return nil, fmt.Errorf("core: optimize: %w", err)
 	}
+	res.OptStats = st
+	sc.Counter("core.opt_literals_removed").Add(int64(st.LiteralsBefore - st.LiteralsAfter))
 	res.Optimized = work
 
-	span := sc.StartCtx(ctx, "decompose")
-	span.SetAttr("strategy", o.Decomposition.String()).SetAttr("circuit", work.Name)
+	span = sc.StartCtx(ctx, "decompose")
+	span.SetAttr("strategy", o.Method.Decomposition().String()).SetAttr("circuit", work.Name)
 	d, err := decomp.Decompose(ctx, work, decomp.Options{
-		Strategy:        o.Decomposition,
+		Strategy:        o.Method.Decomposition(),
 		Style:           o.Style,
 		Exact:           o.Exact,
 		PIProb:          o.PIProb,
@@ -305,15 +286,14 @@ func SynthesizeContext(ctx context.Context, nw *network.Network, o Options) (_ *
 	res.Decomp = d
 
 	span = sc.StartCtx(ctx, "map")
-	span.SetAttr("objective", o.Mapping.String()).SetAttr("backend", o.Mapper.String())
+	span.SetAttr("objective", o.Method.Mapping().String()).SetAttr("backend", o.Mapper.String())
 	nl, err := mapper.Map(ctx, d.Network, d.Model, mapper.Options{
-		Objective:    o.Mapping,
+		Objective:    o.Method.Mapping(),
 		Library:      o.Library,
 		Backend:      o.Mapper,
 		LUT:          o.LUT,
 		TreeMode:     o.TreeMode,
 		Epsilon:      o.Epsilon,
-		Env:          o.Env,
 		PIArrival:    o.PIArrival,
 		PORequired:   o.PORequired,
 		Relax:        o.Relax,

@@ -8,24 +8,20 @@ import (
 	"powermap/internal/circuits"
 	"powermap/internal/huffman"
 	"powermap/internal/network"
-	"powermap/internal/prob"
+	"powermap/internal/verify/equiv"
 )
 
 // verifyAgainstSource checks that the optimized network and the subject
 // graph still compute the source's outputs; Synthesize itself verifies the
-// mapped netlist gate by gate. (The full oracle, internal/verify, imports
-// this package and so cannot be used here.)
+// mapped netlist gate by gate. (internal/verify.CheckResult imports this
+// package, so the tests here call its checker, equiv, directly.)
 func verifyAgainstSource(src *network.Network, res *Result) error {
 	for _, stage := range []struct {
 		name string
 		nw   *network.Network
 	}{{"optimized network", res.Optimized}, {"subject graph", res.Decomp.Network}} {
-		ok, err := prob.EquivalentOutputs(context.Background(), src, stage.nw)
-		if err != nil {
-			return err
-		}
-		if !ok {
-			return fmt.Errorf("%s is not equivalent to the source", stage.name)
+		if err := equiv.Equivalent(context.Background(), src, stage.nw, res.Options.BDD); err != nil {
+			return fmt.Errorf("%s: %w", stage.name, err)
 		}
 	}
 	return nil
@@ -133,8 +129,7 @@ func TestSynthesizeOptionPaths(t *testing.T) {
 		{Method: MethodV, Style: huffman.Static, TreeMode: true},
 		{Method: MethodV, Style: huffman.Static, Epsilon: 0.3},
 		{Method: MethodV, Style: huffman.Static, PowerMethod2: true},
-		{Method: MethodV, Style: huffman.Static, EliminateThreshold: -1},
-		{Decomposition: 1 /* MinPower */, Mapping: 1 /* PowerDelay */, Style: huffman.Static},
+		{Style: huffman.Static}, // zero Method: Method I
 	} {
 		res, err := Synthesize(src, o)
 		if err != nil {
@@ -142,6 +137,14 @@ func TestSynthesizeOptionPaths(t *testing.T) {
 		}
 		if err := verifyAgainstSource(src, res); err != nil {
 			t.Fatalf("options %+v: %v", o, err)
+		}
+		// Result.Options records the run's resolved method and library.
+		want := o.Method
+		if want == 0 {
+			want = MethodI
+		}
+		if res.Options.Method != want || res.Options.Library == nil {
+			t.Errorf("options %+v: resolved method %v, library %v", o, res.Options.Method, res.Options.Library)
 		}
 	}
 }
@@ -180,16 +183,5 @@ func TestSynthesizeBadProbability(t *testing.T) {
 		PIProb: map[string]float64{"a0": -1}})
 	if err == nil {
 		t.Error("bad probability accepted")
-	}
-}
-
-func TestSynthesizeSkipOptimize(t *testing.T) {
-	src := circuits.Decoder10()
-	res, err := Synthesize(src, Options{Method: MethodI, Style: huffman.Static, SkipOptimize: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.OptStats.LiteralsBefore != 0 {
-		t.Error("optimize ran despite SkipOptimize")
 	}
 }

@@ -7,11 +7,12 @@ import (
 	"strings"
 	"testing"
 
+	"powermap/internal/bdd"
 	"powermap/internal/blif"
 	"powermap/internal/huffman"
 	"powermap/internal/network"
-	"powermap/internal/prob"
 	"powermap/internal/sop"
+	"powermap/internal/verify/equiv"
 )
 
 func mustParse(t *testing.T, text string) *network.Network {
@@ -70,12 +71,8 @@ func decomposeAll(t *testing.T, text string, opt Options) *Result {
 		t.Fatalf("decomposed network invalid: %v", err)
 	}
 	checkSubjectGraph(t, res.Network)
-	ok, err := prob.EquivalentOutputs(context.Background(), nw, res.Network)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !ok {
-		t.Fatal("decomposition changed the function")
+	if err := equiv.Equivalent(context.Background(), nw, res.Network, bdd.Config{}); err != nil {
+		t.Fatalf("decomposition changed the function: %v", err)
 	}
 	return res
 }
@@ -230,12 +227,8 @@ func TestRandomNetworksPreserveFunction(t *testing.T) {
 				t.Fatalf("trial %d %v: %v", trial, strat, err)
 			}
 			checkSubjectGraph(t, res.Network)
-			ok, err := prob.EquivalentOutputs(context.Background(), nw, res.Network)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !ok {
-				t.Fatalf("trial %d %v: function changed", trial, strat)
+			if err := equiv.Equivalent(context.Background(), nw, res.Network, bdd.Config{}); err != nil {
+				t.Fatalf("trial %d %v: function changed: %v", trial, strat, err)
 			}
 		}
 	}
@@ -371,9 +364,8 @@ func TestBoundedMultiCubeNodes(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkSubjectGraph(t, res.Network)
-	ok, err := prob.EquivalentOutputs(context.Background(), nw, res.Network)
-	if err != nil || !ok {
-		t.Fatalf("bounded multi-cube changed function: %v %v", ok, err)
+	if err := equiv.Equivalent(context.Background(), nw, res.Network, bdd.Config{}); err != nil {
+		t.Fatalf("bounded multi-cube changed function: %v", err)
 	}
 }
 

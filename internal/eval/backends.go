@@ -27,8 +27,10 @@ type BackendRow struct {
 // reference run fixes each circuit's per-output required times, and both
 // backends are then mapped under those common constraints, so the rows
 // compare matching power/area at equal performance. Every run is
-// self-verifying (source ≡ optimized ≡ decomposed ≡ mapped). A nil or
-// empty names slice runs the full suite.
+// self-verifying (source ≡ optimized ≡ decomposed ≡ mapped). Each leg sets
+// its own Mapper and TreeMode (the structural leg is the DAG mapper);
+// base.LUT applies to the cuts leg only. A nil or empty names slice runs
+// the full suite.
 func CompareBackends(ctx context.Context, base core.Options, method core.Method, names []string) ([]BackendRow, error) {
 	suite := circuits.Suite()
 	if len(names) > 0 {
@@ -57,6 +59,7 @@ func CompareBackends(ctx context.Context, base core.Options, method core.Method,
 			o := base
 			o.Method = method
 			o.Mapper = backend
+			o.TreeMode = false
 			if backend != mapper.BackendCuts {
 				o.LUT = 0 // LUT mode only applies to the cuts leg
 			}

@@ -6,8 +6,9 @@ import (
 	"strings"
 	"testing"
 
+	"powermap/internal/bdd"
 	"powermap/internal/genlib"
-	"powermap/internal/prob"
+	"powermap/internal/verify/equiv"
 )
 
 func TestMappedBLIFRoundTrip(t *testing.T) {
@@ -30,12 +31,8 @@ func TestMappedBLIFRoundTrip(t *testing.T) {
 		t.Fatalf("reparse: %v\n%s", err, text)
 	}
 	// The reconstructed network must be equivalent to the subject graph.
-	ok, err := prob.EquivalentOutputs(context.Background(), sub, back)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !ok {
-		t.Errorf("mapped BLIF round trip changed the function:\n%s", text)
+	if err := equiv.Equivalent(context.Background(), sub, back, bdd.Config{}); err != nil {
+		t.Errorf("mapped BLIF round trip changed the function: %v\n%s", err, text)
 	}
 	// Gate count must survive the trip.
 	if got := strings.Count(text, ".gate"); got != len(nl.Gates) {

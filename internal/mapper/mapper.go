@@ -106,12 +106,6 @@ type Options struct {
 	// the default 0.05 ns; a negative value disables ε-pruning and keeps
 	// every non-inferior point (exponentially expensive on large DAGs).
 	Epsilon float64
-	// Env is the electrical operating point; the zero value means
-	// power.Default().
-	Env power.Environment
-	// OutputLoad is the capacitance (in load units) attached to each
-	// primary output; 0 means twice the library default load.
-	OutputLoad float64
 	// PIArrival gives arrival times at primary inputs (default 0).
 	PIArrival map[string]float64
 	// PORequired gives required times at primary outputs. Outputs not
@@ -121,13 +115,6 @@ type Options struct {
 	// fastest mapping. Nil selects DefaultRelax; Float64(0) demands the
 	// fastest mapping.
 	Relax *float64
-	// AreaTiebreak adds a small area-proportional term (µW per area unit)
-	// to the power cost so pd-map does not spend unbounded area on
-	// negligible power gains; it controls where the flow sits on the
-	// power/area trade-off curve. Zero means the default 0.05 (which
-	// lands near the paper's −22% power / +12% area operating point);
-	// negative disables the regularization entirely.
-	AreaTiebreak float64
 	// PowerMethod2 switches the dynamic-power accounting of Section 3.1
 	// from Method 1 (each input's output charge is priced at its mapped
 	// parent with the exact pin capacitance — the paper's choice) to
@@ -164,6 +151,13 @@ const DefaultRelax = 0.15
 
 // Float64 returns a pointer to v, for optional fields like Options.Relax.
 func Float64(v float64) *float64 { return &v }
+
+// areaTiebreak adds a small area-proportional term (µW per area unit) to
+// pd-map's power cost so it does not spend unbounded area on negligible
+// power gains. It sets where the flow sits on the power/area trade-off
+// curve: 0.05 lands near the paper's −22% power / +12% area operating
+// point.
+const areaTiebreak = 0.05
 
 type selection struct {
 	point    Point
@@ -231,19 +225,10 @@ func Map(ctx context.Context, sub *network.Network, model *prob.Model, opt Optio
 	if opt.Library == nil {
 		return nil, fmt.Errorf("mapper: no library given")
 	}
-	env := opt.Env
-	if env.Vdd == 0 {
-		env = power.Default()
-	}
 	if opt.Epsilon == 0 {
 		opt.Epsilon = 0.05
 	} else if opt.Epsilon < 0 {
 		opt.Epsilon = 0
-	}
-	if opt.AreaTiebreak == 0 {
-		opt.AreaTiebreak = 0.05
-	} else if opt.AreaTiebreak < 0 {
-		opt.AreaTiebreak = 0
 	}
 	if opt.LUT != 0 {
 		if opt.Backend != BackendCuts {
@@ -256,7 +241,7 @@ func Map(ctx context.Context, sub *network.Network, model *prob.Model, opt Optio
 	s := &state{
 		opt:     opt,
 		lib:     opt.Library,
-		env:     env,
+		env:     power.Default(),
 		matcher: newMatcher(opt.Library, opt.TreeMode),
 		sub:     sub,
 		model:   model,
@@ -272,10 +257,7 @@ func Map(ctx context.Context, sub *network.Network, model *prob.Model, opt Optio
 	if opt.Relax != nil {
 		s.relax = *opt.Relax
 	}
-	s.poLoad = opt.OutputLoad
-	if s.poLoad == 0 {
-		s.poLoad = 2 * s.cdef
-	}
+	s.poLoad = 2 * s.cdef
 	if opt.Backend == BackendCuts {
 		span := opt.Obs.StartCtx(ctx, "mapper.cuts")
 		cm, err := newCutMatcher(ctx, sub, opt)
@@ -632,7 +614,7 @@ func (s *state) matchCandidates(cs *candidateSet, n *network.Node, mi int32, m M
 	if s.opt.Objective == AreaDelay {
 		gateCost = m.Cell.Area
 	} else {
-		gateCost = s.opt.AreaTiebreak * m.Cell.Area
+		gateCost = areaTiebreak * m.Cell.Area
 		if s.opt.PowerMethod2 {
 			// Method 2 (Equation 16): price this node's own output charge
 			// now, with the default load standing in for the unknown one.

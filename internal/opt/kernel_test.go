@@ -5,7 +5,8 @@ import (
 	"math/rand"
 	"testing"
 
-	"powermap/internal/prob"
+	"powermap/internal/bdd"
+	"powermap/internal/verify/equiv"
 )
 
 func TestKernelsOfSimple(t *testing.T) {
@@ -147,12 +148,8 @@ func TestExtractKernelsRandomPreservesFunction(t *testing.T) {
 		if err := nw.Check(); err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
-		ok, err := prob.EquivalentOutputs(context.Background(), ref, nw)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !ok {
-			t.Fatalf("trial %d: kernel extraction changed the function", trial)
+		if err := equiv.Equivalent(context.Background(), ref, nw, bdd.Config{}); err != nil {
+			t.Fatalf("trial %d: kernel extraction changed the function: %v", trial, err)
 		}
 	}
 }

@@ -5,10 +5,11 @@ import (
 	"math/rand"
 	"testing"
 
+	"powermap/internal/bdd"
 	"powermap/internal/blif"
 	"powermap/internal/network"
-	"powermap/internal/prob"
 	"powermap/internal/sop"
+	"powermap/internal/verify/equiv"
 )
 
 func mustParse(t *testing.T, text string) *network.Network {
@@ -22,12 +23,8 @@ func mustParse(t *testing.T, text string) *network.Network {
 
 func assertEquivalent(t *testing.T, ref, got *network.Network) {
 	t.Helper()
-	ok, err := prob.EquivalentOutputs(context.Background(), ref, got)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !ok {
-		t.Fatal("optimization changed the network function")
+	if err := equiv.Equivalent(context.Background(), ref, got, bdd.Config{}); err != nil {
+		t.Fatalf("optimization changed the network function: %v", err)
 	}
 }
 

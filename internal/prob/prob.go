@@ -282,78 +282,3 @@ func (m *Model) Register(n *network.Node) (bdd.Ref, error) {
 	}
 	return m.global[n], nil
 }
-
-// EquivalentOutputs checks that two networks over the same PIs compute
-// identical output functions, by comparing global BDDs in one shared
-// manager. Outputs are matched by name. The ctx is checked between nodes,
-// so a deadline aborts the check mid-build; an over-wide pair of networks
-// yields a wrapped bdd.ErrNodeLimit instead of a panic.
-func EquivalentOutputs(ctx context.Context, a, b *network.Network) (bool, error) {
-	if len(a.PIs) != len(b.PIs) {
-		return false, fmt.Errorf("prob: PI count mismatch %d vs %d", len(a.PIs), len(b.PIs))
-	}
-	index := make(map[string]int, len(a.PIs))
-	for i, pi := range a.PIs {
-		index[pi.Name] = i
-	}
-	mgr := bdd.New(len(a.PIs))
-	build := func(nw *network.Network) (map[string]bdd.Ref, error) {
-		global := make(map[*network.Node]bdd.Ref)
-		for _, n := range nw.TopoOrder() {
-			if err := ctx.Err(); err != nil {
-				return nil, fmt.Errorf("prob: %w", err)
-			}
-			var r bdd.Ref
-			var err error
-			if n.Kind == network.PI {
-				i, ok := index[n.Name]
-				if !ok {
-					return nil, fmt.Errorf("prob: PI %s missing from reference network", n.Name)
-				}
-				r, err = mgr.Var(i)
-			} else {
-				inputs := make([]bdd.Ref, len(n.Fanin))
-				for i, f := range n.Fanin {
-					inputs[i] = global[f]
-				}
-				r, err = mgr.FromCover(n.Func, inputs)
-			}
-			if err != nil {
-				return nil, wideErr("equivalence BDD of "+n.Name, err)
-			}
-			global[n] = r
-			mgr.Protect(r)
-			// Only GC between nodes here: output refs from the first
-			// network must stay comparable to the second build's, and
-			// reordering in a comparison manager buys nothing (the refs
-			// are discarded immediately after the == checks).
-			mgr.Maintain()
-		}
-		outs := make(map[string]bdd.Ref, len(nw.Outputs))
-		for _, o := range nw.Outputs {
-			outs[o.Name] = global[o.Driver]
-		}
-		return outs, nil
-	}
-	ao, err := build(a)
-	if err != nil {
-		return false, err
-	}
-	bo, err := build(b)
-	if err != nil {
-		return false, err
-	}
-	if len(ao) != len(bo) {
-		return false, fmt.Errorf("prob: output count mismatch %d vs %d", len(ao), len(bo))
-	}
-	for name, ra := range ao {
-		rb, ok := bo[name]
-		if !ok {
-			return false, fmt.Errorf("prob: output %s missing", name)
-		}
-		if ra != rb {
-			return false, nil
-		}
-	}
-	return true, nil
-}

@@ -1,7 +1,6 @@
 package prob
 
 import (
-	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -170,25 +169,6 @@ func TestRegister(t *testing.T) {
 	}
 }
 
-func TestEquivalentOutputs(t *testing.T) {
-	a := mustParse(t, andOrBlif)
-	b := a.Duplicate()
-	ok, err := EquivalentOutputs(context.Background(), a, b)
-	if err != nil || !ok {
-		t.Fatalf("duplicate not equivalent: %v %v", ok, err)
-	}
-	// Change b's output function.
-	y := b.NodeByName("y")
-	y.Func = sop.FromLiteral(2, 0, true)
-	ok, err = EquivalentOutputs(context.Background(), a, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ok {
-		t.Error("different networks reported equivalent")
-	}
-}
-
 func TestProbMatchesSimulation(t *testing.T) {
 	// Property: BDD probability equals weighted truth-table enumeration on
 	// random small networks.
@@ -267,25 +247,6 @@ func TestModelAccessors(t *testing.T) {
 	}
 	if _, ok := m.Global(other.NodeByName("y")); ok {
 		t.Error("foreign node has a global BDD")
-	}
-}
-
-func TestEquivalentOutputsMismatches(t *testing.T) {
-	a := mustParse(t, andOrBlif)
-	// Different PI count.
-	b := mustParse(t, ".model x\n.inputs a b\n.outputs y\n.names a b y\n11 1\n.end\n")
-	if _, err := EquivalentOutputs(context.Background(), a, b); err == nil {
-		t.Error("PI count mismatch accepted")
-	}
-	// Different PI names.
-	c := mustParse(t, ".model x\n.inputs a b q\n.outputs y\n.names a b q y\n111 1\n.end\n")
-	if _, err := EquivalentOutputs(context.Background(), a, c); err == nil {
-		t.Error("PI name mismatch accepted")
-	}
-	// Different output names.
-	d := mustParse(t, ".model x\n.inputs a b c\n.outputs z\n.names a b c z\n111 1\n.end\n")
-	if _, err := EquivalentOutputs(context.Background(), a, d); err == nil {
-		t.Error("output name mismatch accepted")
 	}
 }
 

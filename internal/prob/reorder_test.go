@@ -9,7 +9,7 @@ import (
 	"powermap/internal/circuits"
 	"powermap/internal/huffman"
 	"powermap/internal/prob"
-	"powermap/internal/verify"
+	"powermap/internal/verify/equiv"
 )
 
 // reorderCfg uses thresholds low enough that GC and sifting actually fire
@@ -54,7 +54,7 @@ func TestReorderInvariance(t *testing.T) {
 			st := model.Manager().Stats()
 			t.Logf("%s: peak %d live nodes, %d gc runs, %d reorder runs (%d swaps)",
 				b.Name, st.PeakLive, st.GCRuns, st.ReorderRuns, st.ReorderSwaps)
-			if err := verify.EquivalentWith(ctx, base, sifted, reorderCfg); err != nil {
+			if err := equiv.Equivalent(ctx, base, sifted, reorderCfg); err != nil {
 				t.Errorf("oracle rejects self-equivalence under reordering: %v", err)
 			}
 		})

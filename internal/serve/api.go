@@ -3,9 +3,10 @@
 // request, with the production concerns the CLI tools don't need —
 // content-addressed result caching, admission control with honest status
 // codes, and graceful drain. A "verified" response carries the
-// internal/verify proof (verify.CheckResultWith) of the optimized network,
-// the subject graph and the mapped netlist. See DESIGN.md §16 for the
-// architecture and the status-code contract.
+// internal/verify proof (verify.CheckResult, under the request's BDD
+// budget) of the optimized network, the subject graph and the mapped
+// netlist. See DESIGN.md §16 for the architecture and the status-code
+// contract.
 package serve
 
 import (

@@ -335,7 +335,6 @@ func (s *Server) synthesize(ctx context.Context, nw *network.Network, req Reques
 	for _, name := range nw.PINames() {
 		probs[name] = rv.piProb
 	}
-	bddCfg := bdd.Config{NodeLimit: s.bddLimit(rv), Reorder: rv.reorder}
 	res, err := core.SynthesizeContext(ctx, nw, core.Options{
 		Method:          rv.method,
 		Style:           rv.style,
@@ -345,7 +344,7 @@ func (s *Server) synthesize(ctx context.Context, nw *network.Network, req Reques
 		TreeMode:        rv.treeMode,
 		Workers:         s.cfg.Workers,
 		Obs:             s.cfg.Scope,
-		BDD:             bddCfg,
+		BDD:             bdd.Config{NodeLimit: s.bddLimit(rv), Reorder: rv.reorder},
 		Activity:        rv.activity,
 		ActivityVectors: rv.vectors,
 	})
@@ -368,7 +367,7 @@ func (s *Server) synthesize(ctx context.Context, nw *network.Network, req Reques
 		out.Circuit = nw.Name
 	}
 	if rv.verify {
-		if err := verify.CheckResultWith(ctx, nw, res, bddCfg); err != nil {
+		if err := verify.CheckResult(ctx, nw, res); err != nil {
 			return nil, err
 		}
 		ok := true

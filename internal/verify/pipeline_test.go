@@ -5,10 +5,12 @@ import (
 	"errors"
 	"testing"
 
+	"powermap/internal/bdd"
 	"powermap/internal/circuits"
 	"powermap/internal/core"
 	"powermap/internal/genlib"
 	"powermap/internal/mapper"
+	"powermap/internal/verify/equiv"
 )
 
 // TestSynthesizePropertyFuzz drives the whole pipeline over seeded random
@@ -148,14 +150,14 @@ func TestCorruptedNetlistRejected(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			err = Equivalent(ctx, src, mapped)
+			err = equiv.Equivalent(ctx, src, mapped, bdd.Config{})
 			if err == nil {
 				// The corruption was masked downstream; restore and try
 				// another injection site.
 				g.Cell = orig
 				continue
 			}
-			var mm *MismatchError
+			var mm *equiv.MismatchError
 			if !errors.As(err, &mm) {
 				t.Fatalf("want *MismatchError with counterexample, got %T: %v", err, err)
 			}

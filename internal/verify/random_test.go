@@ -5,7 +5,9 @@ import (
 	"strings"
 	"testing"
 
+	"powermap/internal/bdd"
 	"powermap/internal/blif"
+	"powermap/internal/verify/equiv"
 )
 
 func TestRandomNetworkWellFormed(t *testing.T) {
@@ -45,7 +47,7 @@ func TestRandomNetworkDeterministic(t *testing.T) {
 	if wa.String() != wb.String() {
 		t.Fatal("same seed produced different networks")
 	}
-	if err := Equivalent(context.Background(), a, b); err != nil {
+	if err := equiv.Equivalent(context.Background(), a, b, bdd.Config{}); err != nil {
 		t.Fatalf("same-seed networks not equivalent: %v", err)
 	}
 	c := RandomNetwork("r", RandConfig{Seed: 43})

@@ -1,16 +1,18 @@
-// Package verify is the correctness oracle for the synthesis pipeline: a
-// BDD-based combinational equivalence checker with counterexample
-// extraction, a seeded random-network generator for property-based testing
-// of the whole flow, and invariant checkers for the paper's optimality
-// claims (Huffman/package-merge tree costs against exhaustive enumeration,
-// power-delay curve non-inferiority, mapped-report self-consistency).
+// Package verify is the correctness oracle for the synthesis pipeline: the
+// end-to-end proof of a synthesis run built on the equiv package's BDD
+// equivalence checker, a seeded random-network generator for
+// property-based testing of the whole flow, and invariant checkers for the
+// paper's optimality claims (Huffman/package-merge tree costs against
+// exhaustive enumeration, power-delay curve non-inferiority, mapped-report
+// self-consistency).
 //
 // The equivalence oracle is independent of the flow under test: it
 // rebuilds global ROBDDs for both networks from scratch in a fresh manager
 // ordered by the reference network's PI declaration order, so a bug in the
 // pipeline's own probability model cannot mask itself. A disproof comes
-// back as a *MismatchError carrying a satisfying cube of the XOR of the
-// two output functions — a concrete input on which the circuits disagree.
+// back as an *equiv.MismatchError carrying a satisfying cube of the XOR of
+// the two output functions — a concrete input on which the circuits
+// disagree.
 //
 // CheckResult chains the checks every synthesis run must pass and is wired
 // into eval.RunSuite (making benchmark runs self-verifying) and the pcheck
@@ -21,9 +23,9 @@ import (
 	"context"
 	"fmt"
 
-	"powermap/internal/bdd"
 	"powermap/internal/core"
 	"powermap/internal/network"
+	"powermap/internal/verify/equiv"
 )
 
 // CheckResult verifies one completed synthesis run end to end against its
@@ -31,19 +33,17 @@ import (
 // src ≡ mapped netlist (reconstructed as a Boolean network from the gate
 // list, independently of the pipeline's own gate-by-gate check), and the
 // netlist report's internal consistency. Any failure is returned with the
-// stage that broke; equivalence failures are *MismatchError values with a
-// counterexample cube.
+// stage that broke; equivalence failures are *equiv.MismatchError values
+// with a counterexample cube.
+//
+// The oracle's managers take the run's own BDD budget, res.Options.BDD, so
+// a node limit binds verification exactly as it bound synthesis.
 func CheckResult(ctx context.Context, src *network.Network, res *core.Result) error {
-	return CheckResultWith(ctx, src, res, bdd.Config{})
-}
-
-// CheckResultWith is CheckResult with an explicit BDD kernel configuration
-// for the oracle's equivalence managers (node limit, GC, reordering).
-func CheckResultWith(ctx context.Context, src *network.Network, res *core.Result, cfg bdd.Config) error {
-	if err := EquivalentWith(ctx, src, res.Optimized, cfg); err != nil {
+	cfg := res.Options.BDD
+	if err := equiv.Equivalent(ctx, src, res.Optimized, cfg); err != nil {
 		return fmt.Errorf("optimized network: %w", err)
 	}
-	if err := EquivalentWith(ctx, src, res.Decomp.Network, cfg); err != nil {
+	if err := equiv.Equivalent(ctx, src, res.Decomp.Network, cfg); err != nil {
 		return fmt.Errorf("decomposed subject graph: %w", err)
 	}
 	mapped, err := res.Netlist.ToNetwork()
@@ -53,7 +53,7 @@ func CheckResultWith(ctx context.Context, src *network.Network, res *core.Result
 	if err := mapped.Check(); err != nil {
 		return fmt.Errorf("reconstructed mapped netlist: %w", err)
 	}
-	if err := EquivalentWith(ctx, src, mapped, cfg); err != nil {
+	if err := equiv.Equivalent(ctx, src, mapped, cfg); err != nil {
 		return fmt.Errorf("mapped netlist: %w", err)
 	}
 	if err := CheckNetlist(res.Netlist); err != nil {

@@ -26,6 +26,7 @@ import (
 	"context"
 	"io"
 
+	"powermap/internal/bdd"
 	"powermap/internal/blif"
 	"powermap/internal/circuits"
 	"powermap/internal/core"
@@ -41,6 +42,7 @@ import (
 	"powermap/internal/prob"
 	"powermap/internal/sim"
 	"powermap/internal/verify"
+	"powermap/internal/verify/equiv"
 )
 
 // Core flow types.
@@ -171,7 +173,8 @@ func SynthesizeContext(ctx context.Context, nw *Network, o Options) (*Result, er
 func Float64(v float64) *float64 { return core.Float64(v) }
 
 // Verify proves a synthesis result against its source network with the
-// formal-verification oracle (see VerifyContext).
+// formal-verification oracle (see VerifyContext), under the BDD budget the
+// run used (res.Options.BDD).
 func Verify(src *Network, res *Result) error {
 	return verify.CheckResult(context.Background(), src, res)
 }
@@ -188,17 +191,16 @@ func VerifyContext(ctx context.Context, src *Network, res *Result) error {
 // Formal-verification re-exports (see internal/verify and cmd/pcheck).
 type (
 	// MismatchError is an equivalence disproof with a counterexample cube.
-	MismatchError = verify.MismatchError
+	MismatchError = equiv.MismatchError
 	// RandConfig parameterizes RandomNetwork.
 	RandConfig = verify.RandConfig
 )
 
 // ProveEquivalent checks two networks over the same primary inputs for
-// combinational equivalence, returning a *MismatchError with a
-// counterexample cube on disproof (unlike Equivalent, which only reports a
-// boolean verdict).
+// combinational equivalence (exact, via shared BDDs), returning a
+// *MismatchError with a counterexample cube on disproof.
 func ProveEquivalent(ctx context.Context, ref, impl *Network) error {
-	return verify.Equivalent(ctx, ref, impl)
+	return equiv.Equivalent(ctx, ref, impl, bdd.Config{})
 }
 
 // RandomNetwork builds a seeded random multi-level network for
@@ -275,12 +277,6 @@ const (
 // confidence intervals. Counts are bit-identical for every worker count.
 func SampleActivities(ctx context.Context, nw *Network, piProb map[string]float64, o SamplingOptions) (*SamplingResult, error) {
 	return sim.ActivitiesBitwise(ctx, nw, piProb, o)
-}
-
-// Equivalent reports whether two networks over the same primary inputs
-// compute identical outputs (exact, via shared BDDs).
-func Equivalent(a, b *Network) (bool, error) {
-	return prob.EquivalentOutputs(context.Background(), a, b)
 }
 
 // Experiment harness re-exports (see cmd/tables for the CLI).

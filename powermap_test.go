@@ -2,8 +2,14 @@ package powermap
 
 import (
 	"bytes"
+	"context"
+	"fmt"
 	"strings"
 	"testing"
+
+	"powermap/internal/bdd"
+	"powermap/internal/verify"
+	"powermap/internal/verify/equiv"
 )
 
 const facadeBlif = `
@@ -41,9 +47,61 @@ func TestFacadeFlow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ok, err := Equivalent(nw, back)
-	if err != nil || !ok {
-		t.Fatalf("optimized network round trip: %v %v", ok, err)
+	if err := ProveEquivalent(context.Background(), nw, back); err != nil {
+		t.Fatalf("optimized network round trip: %v", err)
+	}
+}
+
+// pairsBlif is f = x0·y0 + … + x11·y11 with every x input declared before
+// every y input.
+func pairsBlif() string {
+	const n = 12
+	var b strings.Builder
+	b.WriteString(".model pairs\n.inputs")
+	for _, v := range []string{"x", "y"} {
+		for i := 0; i < n; i++ {
+			fmt.Fprintf(&b, " %s%d", v, i)
+		}
+	}
+	b.WriteString("\n.outputs f\n")
+	for i := 0; i < n; i++ {
+		fmt.Fprintf(&b, ".names x%d y%d p%d\n11 1\n", i, i, i)
+	}
+	b.WriteString(".names")
+	for i := 0; i < n; i++ {
+		fmt.Fprintf(&b, " p%d", i)
+	}
+	b.WriteString(" f\n")
+	for i := 0; i < n; i++ {
+		fmt.Fprintf(&b, "%s1%s 1\n", strings.Repeat("-", i), strings.Repeat("-", n-1-i))
+	}
+	b.WriteString(".end\n")
+	return b.String()
+}
+
+// TestVerifyHonorsRunBDDBudget: the pipeline's DFS variable order
+// interleaves each x/y pair, so synthesis fits a 300-node budget, but the
+// oracle's declaration order (all x, then all y) needs more than 1,000
+// nodes. Proving the run under the run's own budget must therefore fail
+// on the node limit, not silently verify at the kernel default.
+func TestVerifyHonorsRunBDDBudget(t *testing.T) {
+	ctx := context.Background()
+	nw, err := ParseBLIFString(pairsBlif())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := equiv.Equivalent(ctx, nw, nw.Duplicate(), bdd.Config{NodeLimit: 1000}); !bdd.IsNodeLimit(err) {
+		t.Fatalf("declaration-order oracle fit 1,000 nodes: %v", err)
+	}
+	res, err := Synthesize(nw, Options{Method: MethodVI, BDD: bdd.Config{NodeLimit: 300}})
+	if err != nil {
+		t.Fatalf("synthesis under a 300-node budget: %v", err)
+	}
+	if err := verify.CheckResult(ctx, nw, res); !bdd.IsNodeLimit(err) {
+		t.Errorf("verify.CheckResult ignored the run's budget: %v", err)
+	}
+	if err := Verify(nw, res); !bdd.IsNodeLimit(err) {
+		t.Errorf("Verify ignored the run's budget: %v", err)
 	}
 }
 
