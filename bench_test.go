@@ -328,6 +328,34 @@ func BenchmarkMapOnly(b *testing.B) {
 	}
 }
 
+// BenchmarkMapOnlyCuts is BenchmarkMapOnly on the cut backend: cut
+// enumeration and NPN matching on the strashed AIG feed the same curve
+// construction, so its gap to BenchmarkMapOnly is the matching cost.
+func BenchmarkMapOnlyCuts(b *testing.B) {
+	bench, err := BenchmarkByName("s344")
+	if err != nil {
+		b.Fatal(err)
+	}
+	src := bench.Build()
+	d, err := decomp.Decompose(context.Background(), src, decomp.Options{Strategy: decomp.MinPower, Style: huffman.Static})
+	if err != nil {
+		b.Fatal(err)
+	}
+	lib := Lib2()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		nl, err := mapper.Map(context.Background(), d.Network, d.Model, mapper.Options{
+			Objective: mapper.PowerDelay, Library: lib, Relax: mapper.Float64(0.15),
+			Backend: mapper.BackendCuts, Workers: 1,
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.ReportMetric(nl.Report.PowerUW, "uW")
+	}
+}
+
 // BenchmarkSynthesizeParallel measures the end-to-end flow at several
 // worker-pool sizes on a mid-size circuit. On a multi-core host the
 // workers>1 variants should win; on a single-CPU host they only measure

@@ -253,7 +253,7 @@ func newCutMatcher(ctx context.Context, sub *network.Network, opt Options) (*cut
 				// that created it), fold the chosen phases into the truth
 				// table, reduce, and key a synthetic cell by the raw table.
 				inputs := make([]*network.Node, nl)
-				flip := 0
+				var flips uint8
 				for i, leaf := range leaves {
 					r := subject.Reps[aig.MakeLit(leaf, false)]
 					if r == nil || subject.Topo[r] >= nodeTopo {
@@ -261,19 +261,11 @@ func newCutMatcher(ctx context.Context, sub *network.Network, opt Options) (*cut
 						if r == nil || subject.Topo[r] >= nodeTopo {
 							return nil // uncovered phase; try other cuts
 						}
-						flip |= 1 << uint(i)
+						flips |= 1 << uint(i)
 					}
 					inputs[i] = r
 				}
-				if flip != 0 {
-					var adj uint64
-					for x := 0; x < 1<<uint(nl); x++ {
-						if tt>>uint(x^flip)&1 == 1 {
-							adj |= 1 << uint(x)
-						}
-					}
-					tt = adj
-				}
+				tt = npn.FlipInputs(tt, nl, flips)
 				rtt, sup := npn.Reduce(tt, nl)
 				m := len(sup)
 				if m == 0 {

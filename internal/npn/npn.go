@@ -139,29 +139,83 @@ func genPerms(n int) [][Max]uint8 {
 	return out
 }
 
-// permute returns f with inputs rewired by perm alone (no flips, no output
-// negation): g(x) = f(y), y_j = x_{perm[j]}.
-func permute(f uint64, n int, perm [Max]uint8) uint64 {
-	size := 1 << uint(n)
-	var g uint64
-	for x := 0; x < size; x++ {
-		y := 0
-		for j := 0; j < n; j++ {
-			y |= int(x>>perm[j]&1) << uint(j)
-		}
-		if f>>uint(y)&1 == 1 {
-			g |= 1 << uint(x)
-		}
-	}
-	return g
+// lo[i] selects the truth-table rows with input i clear: bit x is set iff
+// bit i of x is 0.
+var lo = [Max]uint64{
+	0x5555555555555555,
+	0x3333333333333333,
+	0x0f0f0f0f0f0f0f0f,
+	0x00ff00ff00ff00ff,
+	0x0000ffff0000ffff,
+	0x00000000ffffffff,
 }
 
-// flipSpace maps an input-flip vector from the transformed input space back
-// through perm: g(x) = f_perm(x ^ fx) equals the full transform with Flips_j
-// = fx_{perm^-1... — callers use flipFor instead; see Canonical.
+// flipInput complements input i of a table: h(x) = g(x ^ 2^i). Each block
+// of 2^i rows with input i clear trades places with the block above it.
+func flipInput(g uint64, i int) uint64 {
+	s := uint(1) << uint(i)
+	return (g&lo[i])<<s | (g>>s)&lo[i]
+}
+
+// FlipInputs complements the inputs of an n-input table named by the low n
+// bits of flips: h(x) = f(x ^ flips).
+func FlipInputs(f uint64, n int, flips uint8) uint64 {
+	f &= Mask(n)
+	for fl := uint(flips) & (1<<uint(n) - 1); fl != 0; fl &= fl - 1 {
+		f = flipInput(f, bits.TrailingZeros(fl))
+	}
+	return f
+}
+
+// swapInputs exchanges inputs i < j of a table with one delta swap: the
+// rows with input i set and input j clear trade places with the rows d =
+// 2^j - 2^i above them, which have input i clear and input j set.
+func swapInputs(g uint64, i, j int) uint64 {
+	d := uint(1)<<uint(j) - uint(1)<<uint(i)
+	m := ^lo[i] & lo[j]
+	t := (g>>d ^ g) & m
+	return g ^ t ^ t<<d
+}
+
+// permute returns f with inputs rewired by perm alone (no flips, no output
+// negation): g(x) = f(y), y_j = x_{perm[j]}, i.e. input j of f moves to
+// position perm[j]. Placing the inputs one by one, each with one input
+// swap, never disturbs an input already placed, so at most n-1 swaps build
+// g.
+func permute(f uint64, n int, perm [Max]uint8) uint64 {
+	// at[k] is the input of f now at position k; pos[i] is where input i is.
+	at, pos := Identity().Perm, Identity().Perm
+	for j := 0; j < n-1; j++ {
+		k, p := perm[j], pos[j]
+		if k == p {
+			continue
+		}
+		f = swapInputs(f, int(min(k, p)), int(max(k, p)))
+		i := at[k]
+		at[k], at[p] = uint8(j), i
+		pos[j], pos[i] = k, p
+	}
+	return f
+}
+
+// flipTables fills tt[fx] = g(x ^ fx) for every flip vector fx < 2^n of an
+// n-input table g. For fx < 2^i, tt[2^i + fx] is tt[fx] with input i
+// flipped, so each table costs one block swap.
+func flipTables(tt *[1 << Max]uint64, g uint64, n int) {
+	tt[0] = g
+	for i := 0; i < n; i++ {
+		s := 1 << uint(i)
+		for fx := 0; fx < s; fx++ {
+			tt[s+fx] = flipInput(tt[fx], i)
+		}
+	}
+}
+
+// flipFor converts a flip vector fx over the inputs of the permuted table
+// (g(x) = permute(f, n, perm)(x ^ fx)) into Transform.Flips, which is over
+// the inputs of f: input j of f is driven by input perm[j] of g, so it is
+// complemented exactly when bit perm[j] of fx is set.
 func flipFor(perm [Max]uint8, fx int) uint8 {
-	// f(base(x) ^ F) with F_j = bit perm[j] of fx: base is a bit
-	// permutation, so xoring fx before permuting equals xoring F after.
 	var fl uint8
 	for j := 0; j < Max; j++ {
 		fl |= uint8(fx>>perm[j]&1) << uint(j)
@@ -178,33 +232,25 @@ func Canonical(f uint64, n int) (uint64, Transform) {
 	f &= Mask(n)
 	size := 1 << uint(n)
 	mask := Mask(n)
-	best := f
-	bestT := Identity()
-	found := false
-	for _, perm := range permsByN[n] {
-		fp := permute(f, n, perm)
-		for fx := 0; fx < size; fx++ {
-			// g(x) = fp(x ^ fx); fx in the post-permutation input space.
-			var g uint64
-			for x := 0; x < size; x++ {
-				if fp>>uint(x^fx)&1 == 1 {
-					g |= 1 << uint(x)
-				}
+	perms := permsByN[n]
+	// The first candidate in scan order is f itself under the identity, so
+	// seeding best with it and keeping only strictly smaller tables makes
+	// the first minimum win.
+	best, bestPerm, bestFx, bestNeg := f, 0, 0, false
+	var tt [1 << Max]uint64
+	for pi, perm := range perms {
+		flipTables(&tt, permute(f, n, perm), n)
+		for fx, g := range tt[:size] {
+			if g < best {
+				best, bestPerm, bestFx, bestNeg = g, pi, fx, false
 			}
-			for neg := 0; neg < 2; neg++ {
-				cand := g
-				if neg == 1 {
-					cand = ^g & mask
-				}
-				if !found || cand < best {
-					best = cand
-					bestT = Transform{Perm: perm, Flips: flipFor(perm, fx), NegOut: neg == 1}
-					found = true
-				}
+			if c := ^g & mask; c < best {
+				best, bestPerm, bestFx, bestNeg = c, pi, fx, true
 			}
 		}
 	}
-	return best, bestT
+	perm := perms[bestPerm]
+	return best, Transform{Perm: perm, Flips: flipFor(perm, bestFx), NegOut: bestNeg}
 }
 
 // Automorphisms returns transforms t with t.Apply(f, n) == f, in the same
@@ -217,15 +263,10 @@ func Automorphisms(f uint64, n int, limit int) []Transform {
 	size := 1 << uint(n)
 	mask := Mask(n)
 	var out []Transform
+	var tt [1 << Max]uint64
 	for _, perm := range permsByN[n] {
-		fp := permute(f, n, perm)
-		for fx := 0; fx < size; fx++ {
-			var g uint64
-			for x := 0; x < size; x++ {
-				if fp>>uint(x^fx)&1 == 1 {
-					g |= 1 << uint(x)
-				}
-			}
+		flipTables(&tt, permute(f, n, perm), n)
+		for fx, g := range tt[:size] {
 			if g == f {
 				out = append(out, Transform{Perm: perm, Flips: flipFor(perm, fx)})
 			} else if ^g&mask == f {
