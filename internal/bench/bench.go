@@ -15,6 +15,7 @@ package bench
 import (
 	"context"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -162,6 +163,12 @@ type PhaseStat struct {
 	WallNs int64 `json:"wall_ns"`
 }
 
+// phaseStat is one run's cost of a phase, read from its phase_seconds
+// histogram.
+func phaseStat(ps obs.HistogramStats) PhaseStat {
+	return PhaseStat{Spans: int(ps.Count), WallNs: int64(math.Round(ps.Sum * 1e9))}
+}
+
 // Host describes the machine a manifest was produced on.
 type Host struct {
 	OS         string `json:"os"`
@@ -277,20 +284,13 @@ func Run(ctx context.Context, opts Options) (*Manifest, error) {
 			m.AllocBytes = alloc
 		}
 		sn := sc.Snapshot()
-		phaseWall := map[string]int64{}
-		phaseSpans := map[string]int{}
-		for _, sp := range sn.Spans {
-			phaseWall[sp.Name] += sp.DurationNs
-			phaseSpans[sp.Name]++
-		}
-		for name, wall := range phaseWall {
+		for name, ps := range sn.PhaseSeconds() {
+			cur := phaseStat(ps)
 			st, ok := m.Phases[name]
-			if !ok || wall < st.WallNs {
-				st.WallNs = wall
+			if !ok || cur.WallNs < st.WallNs {
+				st.WallNs = cur.WallNs
 			}
-			if spans := phaseSpans[name]; spans > st.Spans {
-				st.Spans = spans
-			}
+			st.Spans = max(st.Spans, cur.Spans)
 			m.Phases[name] = st
 		}
 		if run == runs-1 {
@@ -338,14 +338,8 @@ func cutsWorkload(ctx context.Context, m *Manifest, methods []core.Method, circu
 	}
 	m.Phases["bench.cuts-suite"] = PhaseStat{Spans: 1, WallNs: time.Since(start).Nanoseconds()}
 	sn := sc.Snapshot()
-	phaseWall := map[string]int64{}
-	phaseSpans := map[string]int{}
-	for _, sp := range sn.Spans {
-		phaseWall[sp.Name] += sp.DurationNs
-		phaseSpans[sp.Name]++
-	}
-	for name, wall := range phaseWall {
-		m.Phases["cuts."+name] = PhaseStat{Spans: phaseSpans[name], WallNs: wall}
+	for name, ps := range sn.PhaseSeconds() {
+		m.Phases["cuts."+name] = phaseStat(ps)
 	}
 	if m.Metrics == nil {
 		m.Metrics = map[string]float64{}

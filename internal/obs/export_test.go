@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -223,7 +224,7 @@ func scanPromExposition(t *testing.T, text string) (kinds map[string]string, sam
 		if !promNameRe.MatchString(name) {
 			t.Fatalf("bad metric name %q", name)
 		}
-		family := strings.TrimSuffix(strings.TrimSuffix(name, "_sum"), "_count")
+		family := strings.TrimSuffix(strings.TrimSuffix(strings.TrimSuffix(name, "_sum"), "_count"), "_bucket")
 		if _, ok := kinds[family]; !ok {
 			if _, ok := kinds[name]; !ok {
 				t.Fatalf("sample %q has no preceding # TYPE", name)
@@ -259,6 +260,64 @@ func splitPromLabels(t *testing.T, body string) []string {
 	return parts
 }
 
+// checkHistogramSeries checks every histogram series of an exposition:
+// its _bucket lines are cumulative in strictly increasing le and end with
+// le="+Inf", whose count equals the series' _count. It returns the number
+// of series checked.
+func checkHistogramSeries(t *testing.T, text string) int {
+	t.Helper()
+	type buckets struct {
+		le, cum float64
+	}
+	series := map[string]*buckets{}
+	counts := map[string]float64{}
+	for _, line := range strings.Split(strings.TrimSpace(text), "\n") {
+		if strings.HasPrefix(line, "#") {
+			continue
+		}
+		sp := strings.LastIndexByte(line, ' ')
+		v, _ := strconv.ParseFloat(line[sp+1:], 64)
+		name, labels, _ := strings.Cut(line[:sp], "{")
+		labels = strings.TrimSuffix(labels, "}")
+		if fam, ok := strings.CutSuffix(name, "_count"); ok {
+			counts[fam+"{"+labels+"}"] = v
+			continue
+		}
+		fam, ok := strings.CutSuffix(name, "_bucket")
+		if !ok {
+			continue
+		}
+		var rest []string
+		le := math.NaN()
+		for _, pair := range splitPromLabels(t, labels) {
+			if q, ok := strings.CutPrefix(pair, "le="); ok {
+				le, _ = strconv.ParseFloat(strings.Trim(q, `"`), 64)
+			} else {
+				rest = append(rest, pair)
+			}
+		}
+		id := fam + "{" + strings.Join(rest, ",") + "}"
+		b := series[id]
+		if b == nil {
+			b = &buckets{le: math.Inf(-1)}
+			series[id] = b
+		}
+		if !(le > b.le) || v < b.cum {
+			t.Errorf("%s: bucket le=%v count %v after le=%v count %v: not increasing and cumulative", id, le, v, b.le, b.cum)
+		}
+		b.le, b.cum = le, v
+	}
+	for id, b := range series {
+		if !math.IsInf(b.le, 1) {
+			t.Errorf("%s: last bucket le=%v, want +Inf", id, b.le)
+		}
+		if c, ok := counts[id]; !ok || c != b.cum {
+			t.Errorf("%s: +Inf bucket %v, _count %v (present %v)", id, b.cum, c, ok)
+		}
+	}
+	return len(series)
+}
+
 func TestPrometheusExposition(t *testing.T) {
 	sc := New(Config{})
 	sc.Counter("decomp.nodes_planned").Add(42)
@@ -283,23 +342,33 @@ func TestPrometheusExposition(t *testing.T) {
 	if kinds["powermap_core_power_uw"] != "gauge" {
 		t.Errorf("gauge family missing: %v", kinds)
 	}
-	if kinds["powermap_mapper_matches_per_node"] != "summary" {
-		t.Errorf("histogram-as-summary family missing: %v", kinds)
+	for _, fam := range []string{"powermap_mapper_matches_per_node", "powermap_eval_run_ms", "powermap_phase_seconds"} {
+		if kinds[fam] != "histogram" {
+			t.Errorf("%s kind = %q, want histogram", fam, kinds[fam])
+		}
 	}
-	if kinds["powermap_phase_seconds"] != "summary" {
-		t.Errorf("phase summary family missing: %v", kinds)
+	// mapper.matches_per_node, its unlabeled eval.run_ms base, the
+	// method="I" series, and phase="map".
+	if n := checkHistogramSeries(t, buf.String()); n != 4 {
+		t.Errorf("checked %d histogram series, want 4", n)
 	}
 	text := buf.String()
 	for _, want := range []string{
 		`powermap_eval_runs{circuit="cm42a",method="VI"} 1`,
-		`powermap_mapper_matches_per_node{quantile="0.5"}`,
+		`powermap_mapper_matches_per_node_bucket{le="64"} 64`,
+		`powermap_mapper_matches_per_node_bucket{le="+Inf"} 100`,
+		`powermap_mapper_matches_per_node_sum 5050`,
 		`powermap_mapper_matches_per_node_count 100`,
-		`powermap_eval_run_ms{method="I",quantile="0.9"}`,
+		`powermap_eval_run_ms_bucket{method="I",le="4"} 0`,
+		`powermap_eval_run_ms_bucket{method="I",le="16"} 1`,
 		`powermap_phase_seconds_count{phase="map"} 1`,
 	} {
-		if !strings.Contains(text, want) {
+		if !strings.Contains(text, want+"\n") {
 			t.Errorf("exposition missing %q:\n%s", want, text)
 		}
+	}
+	if strings.Contains(text, "quantile=") {
+		t.Errorf("exposition still carries summary quantiles:\n%s", text)
 	}
 	if samples < 10 {
 		t.Errorf("suspiciously few samples: %d", samples)

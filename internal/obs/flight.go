@@ -84,16 +84,10 @@ type FlightRecorder struct {
 	scope *Scope
 
 	mu     sync.Mutex
-	logs   []FlightLogRecord
-	next   int
-	wrap   bool
+	logs   ring[FlightLogRecord]
 	last   *FlightRecord
 	dump   string // auto-dump destination ("" = off)
 	dumped bool   // a failure record was already written to dump
-}
-
-func newFlightRecorder(s *Scope) *FlightRecorder {
-	return &FlightRecorder{scope: s}
 }
 
 // Flight returns the scope's flight recorder, or nil on a nil scope.
@@ -132,27 +126,15 @@ func (f *FlightRecorder) addLog(rec FlightLogRecord) {
 		return
 	}
 	f.mu.Lock()
-	defer f.mu.Unlock()
-	if len(f.logs) < defaultFlightLogs {
-		f.logs = append(f.logs, rec)
-		return
-	}
-	f.logs[f.next] = rec
-	f.next = (f.next + 1) % defaultFlightLogs
-	f.wrap = true
+	f.logs.push(rec)
+	f.mu.Unlock()
 }
 
 // logTail returns the retained log records, oldest first.
 func (f *FlightRecorder) logTail() []FlightLogRecord {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	if !f.wrap {
-		return append([]FlightLogRecord(nil), f.logs...)
-	}
-	out := make([]FlightLogRecord, 0, len(f.logs))
-	out = append(out, f.logs[f.next:]...)
-	out = append(out, f.logs[:f.next]...)
-	return out
+	return f.logs.all()
 }
 
 // Capture assembles a FlightRecord from the scope's current tails. The

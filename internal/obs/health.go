@@ -86,21 +86,12 @@ type Breach struct {
 	Limit int64 `json:"limit"`
 }
 
-// healthState carries the scope's SLO bookkeeping: the configured budgets,
-// the bounded breach ledger, and the span-drop watermark the health probe
-// compares against.
+// healthState carries the scope's SLO bookkeeping: the configured budgets
+// and the bounded breach ledger.
 type healthState struct {
 	mu       sync.Mutex
 	budgets  map[string]Budget
-	breaches []Breach
-	next     int
-	wrapped  bool
-	total    int64
-	// probeDropped is the SpansDropped value seen by the previous Health()
-	// probe; growth between probes degrades health (the ring is losing
-	// telemetry faster than it is being exported).
-	probeDropped int64
-	probed       bool
+	breaches ring[Breach]
 }
 
 // SetBudgets replaces the scope's phase budgets. Safe on nil.
@@ -147,16 +138,9 @@ func (s *Scope) Breaches() []Breach {
 	if s == nil {
 		return nil
 	}
-	h := &s.health
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if !h.wrapped {
-		return append([]Breach(nil), h.breaches...)
-	}
-	out := make([]Breach, 0, len(h.breaches))
-	out = append(out, h.breaches[h.next:]...)
-	out = append(out, h.breaches[:h.next]...)
-	return out
+	s.health.mu.Lock()
+	defer s.health.mu.Unlock()
+	return s.health.breaches.all()
 }
 
 // BreachCount reports the total number of budget breaches so far (0 on a
@@ -167,7 +151,7 @@ func (s *Scope) BreachCount() int64 {
 	}
 	s.health.mu.Lock()
 	defer s.health.mu.Unlock()
-	return s.health.total
+	return int64(len(s.health.breaches.items)) + s.health.breaches.dropped
 }
 
 // afterSpan evaluates the ended span against its phase budget (if any).
@@ -195,30 +179,24 @@ func (s *Scope) afterSpan(rec SpanRecord) {
 }
 
 func (s *Scope) addBreach(b Breach) {
-	h := &s.health
-	h.mu.Lock()
-	if len(h.breaches) < maxBreaches {
-		h.breaches = append(h.breaches, b)
-	} else {
-		h.breaches[h.next] = b
-		h.next = (h.next + 1) % maxBreaches
-		h.wrapped = true
-	}
-	h.total++
-	h.mu.Unlock()
+	s.health.mu.Lock()
+	s.health.breaches.push(b)
+	s.health.mu.Unlock()
 	s.Counter("slo.breaches").With("phase", b.Phase, "kind", b.Kind).Inc()
 }
 
 // HealthStatus is the scope's liveness/readiness verdict as served by
 // /healthz and /readyz.
 type HealthStatus struct {
-	// Healthy is false once any budget breached, the runtime sampler
-	// stalled, or the span ring dropped spans between consecutive probes.
+	// Healthy is false once any budget breached or while the runtime
+	// sampler is stalled.
 	Healthy bool `json:"healthy"`
 	// Ready is false until the scope exists and — when a sampler was
 	// started — it has produced at least one fresh sample.
-	Ready          bool  `json:"ready"`
-	Breaches       int64 `json:"breaches"`
+	Ready    bool  `json:"ready"`
+	Breaches int64 `json:"breaches"`
+	// SpansDropped is informational: a wrapped span ring loses only old
+	// span detail, never phase time.
 	SpansDropped   int64 `json:"spans_dropped"`
 	SamplerStarted bool  `json:"sampler_started"`
 	SamplerStalled bool  `json:"sampler_stalled"`
@@ -229,34 +207,20 @@ type HealthStatus struct {
 	Reasons []string `json:"reasons,omitempty"`
 }
 
-// Health evaluates the scope's current health. A nil scope is reported
-// healthy and ready (nothing is instrumented, so nothing is wrong).
-//
-// Health is the stateful probe backing /healthz: each call records the
-// span-drop watermark, and the next call degrades if the count grew in
-// between. Breaches and sampler stalls are evaluated fresh each call (a
-// breach degrades the run permanently; a stall heals if sampling resumes).
+// Health evaluates the scope's current health; it is a pure read backing
+// /healthz and /readyz. A nil scope is reported healthy and ready (nothing
+// is instrumented, so nothing is wrong). A breach degrades the run
+// permanently; a sampler stall heals if sampling resumes.
 func (s *Scope) Health() HealthStatus {
 	st := HealthStatus{Healthy: true, Ready: true}
 	if s == nil {
 		return st
 	}
-	h := &s.health
 	st.SpansDropped = s.SpansDropped()
-	h.mu.Lock()
-	st.Breaches = h.total
-	droppedGrew := h.probed && st.SpansDropped > h.probeDropped
-	h.probeDropped = st.SpansDropped
-	h.probed = true
-	h.mu.Unlock()
-
+	st.Breaches = s.BreachCount()
 	if st.Breaches > 0 {
 		st.Healthy = false
 		st.Reasons = append(st.Reasons, fmt.Sprintf("%d budget breach(es)", st.Breaches))
-	}
-	if droppedGrew {
-		st.Healthy = false
-		st.Reasons = append(st.Reasons, "span ring dropping records between probes")
 	}
 	st.SamplerStarted = s.rt.started.Load() == 1
 	if st.SamplerStarted {

@@ -162,18 +162,29 @@ func TestHealthSamplerStall(t *testing.T) {
 	}
 }
 
-func TestHealthSpanDropGrowth(t *testing.T) {
+// TestSpanRingWrapKeepsPhaseTimeAndHealth: a wrapped span ring loses only
+// old span detail. Phase time is recorded at Span.End, and health does not
+// degrade however many spans the ring drops between probes.
+func TestSpanRingWrapKeepsPhaseTimeAndHealth(t *testing.T) {
 	sc := New(Config{MaxSpans: 2})
-	sc.Health() // arm the probe watermark
+	sc.Health()
+	var want float64
 	for i := 0; i < 5; i++ {
-		sc.Start("s").End()
+		want += sc.Start("s").End().Seconds()
 	}
-	if st := sc.Health(); st.Healthy {
-		t.Errorf("span-drop growth between probes did not degrade health: %+v", st)
+	for probe := 1; probe <= 2; probe++ {
+		if st := sc.Health(); !st.Healthy || st.SpansDropped != 3 {
+			t.Errorf("probe %d after the ring wrapped: %+v, want healthy with 3 spans dropped", probe, st)
+		}
 	}
-	// Drops recorded, no further growth: the next probe heals.
-	if st := sc.Health(); !st.Healthy {
-		t.Errorf("health did not heal once drops stopped growing: %+v", st)
+	st := sc.Snapshot().Histograms[`phase_seconds{phase="s"}`]
+	if st.Count != 5 || st.Sum != want {
+		t.Errorf("phase_seconds{phase=\"s\"} count/sum = %d/%v, want 5/%v", st.Count, st.Sum, want)
+	}
+	// PhaseSeconds keys the same histograms by span name, quotes included.
+	sc.Start(`q"x`).End()
+	if ps := sc.Snapshot().PhaseSeconds(); len(ps) != 2 || ps["s"].Count != 5 || ps[`q"x`].Count != 1 {
+		t.Errorf("PhaseSeconds = %+v, want s (5 spans) and q\"x (1 span)", ps)
 	}
 }
 

@@ -255,20 +255,28 @@ func (g *Gauge) Value() float64 {
 	return math.Float64frombits(g.bits.Load())
 }
 
-// maxHistogramSamples caps per-histogram memory; beyond it observations
-// are reservoir-sampled so quantiles stay representative.
-const maxHistogramSamples = 4096
+// bucketBounds holds the upper bounds of the one bucket layout every
+// Histogram counts into: the powers of 4 from 4^-10 (about 1e-6) to 4^17
+// (about 1.7e10), then +Inf. One layout at a fixed 4x resolution spans
+// seconds, milliseconds, per-node counts and heap bytes alike, and makes
+// any two histograms mergeable bucket by bucket.
+var bucketBounds = func() (b [29]float64) {
+	for i := range b[:len(b)-1] {
+		b[i] = math.Ldexp(1, 2*(i-10))
+	}
+	b[len(b)-1] = math.Inf(1)
+	return b
+}()
 
-// Histogram tracks a value distribution: exact count/sum/min/max plus a
-// bounded reservoir of samples for quantile estimation.
+// Histogram tracks a value distribution: exact count/sum/min/max plus
+// per-bucket counts over bucketBounds.
 type Histogram struct {
 	mu      sync.Mutex
 	count   int64
 	sum     float64
 	min     float64
 	max     float64
-	samples []float64
-	rng     uint64 // xorshift state for deterministic reservoir sampling
+	buckets [len(bucketBounds)]uint64
 	reg     *Metrics
 	name    string
 	labels  []Label
@@ -289,6 +297,9 @@ func (h *Histogram) Observe(v float64) {
 	if h == nil {
 		return
 	}
+	// The first bound >= v is v's bucket (Prometheus "le" semantics); NaN
+	// finds none and counts as +Inf.
+	i := min(sort.SearchFloat64s(bucketBounds[:], v), len(bucketBounds)-1)
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	if h.count == 0 || v < h.min {
@@ -299,24 +310,12 @@ func (h *Histogram) Observe(v float64) {
 	}
 	h.count++
 	h.sum += v
-	if len(h.samples) < maxHistogramSamples {
-		h.samples = append(h.samples, v)
-		return
-	}
-	// Reservoir replacement with a deterministic xorshift64* stream, so
-	// repeated runs snapshot identically.
-	if h.rng == 0 {
-		h.rng = 0x9e3779b97f4a7c15
-	}
-	h.rng ^= h.rng << 13
-	h.rng ^= h.rng >> 7
-	h.rng ^= h.rng << 17
-	if j := h.rng % uint64(h.count); j < maxHistogramSamples {
-		h.samples[j] = v
-	}
+	h.buckets[i]++
 }
 
-// Stats summarizes a histogram for export.
+// HistogramStats summarizes a histogram for export. The quantiles are
+// bucket upper bounds (see bucketQuantile), so they are exact to the
+// layout's 4x resolution and deterministic for a given set of values.
 type HistogramStats struct {
 	Count int64   `json:"count"`
 	Sum   float64 `json:"sum"`
@@ -325,6 +324,10 @@ type HistogramStats struct {
 	P50   float64 `json:"p50"`
 	P90   float64 `json:"p90"`
 	P99   float64 `json:"p99"`
+	// Buckets counts the observations per bucket of the shared layout:
+	// powers of 4 from 4^-10 to 4^17, then +Inf. Buckets[i] holds the
+	// values in (bound i-1, bound i].
+	Buckets []uint64 `json:"buckets,omitempty"`
 }
 
 // Stats returns the current summary (zero value on a nil histogram).
@@ -333,51 +336,36 @@ func (h *Histogram) Stats() HistogramStats {
 		return HistogramStats{}
 	}
 	h.mu.Lock()
-	defer h.mu.Unlock()
-	st := HistogramStats{Count: h.count, Sum: h.sum, Min: h.min, Max: h.max}
-	st.P50 = quantile(h.samples, 0.50)
-	st.P90 = quantile(h.samples, 0.90)
-	st.P99 = quantile(h.samples, 0.99)
+	st := HistogramStats{Count: h.count, Sum: h.sum, Min: h.min, Max: h.max,
+		Buckets: append([]uint64(nil), h.buckets[:]...)}
+	h.mu.Unlock()
+	st.P50 = bucketQuantile(st.Buckets, bucketBounds[:], 0.50)
+	st.P90 = bucketQuantile(st.Buckets, bucketBounds[:], 0.90)
+	st.P99 = bucketQuantile(st.Buckets, bucketBounds[:], 0.99)
 	return st
 }
 
-// Quantile estimates the q-quantile (q in [0,1]) from the sample
-// reservoir, with linear interpolation. Returns 0 on a nil or empty
-// histogram.
-func (h *Histogram) Quantile(q float64) float64 {
-	if h == nil {
+// bucketQuantile estimates the q-quantile of a bucketed distribution as the
+// upper bound of the bucket holding rank q·total, where upper[i] bounds
+// counts[i]. A rank in a +Inf bucket reports that bucket's lower bound
+// instead. Returns 0 on an empty distribution.
+func bucketQuantile(counts []uint64, upper []float64, q float64) float64 {
+	var total uint64
+	for _, c := range counts {
+		total += c
+	}
+	if total == 0 {
 		return 0
 	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return quantile(h.samples, q)
-}
-
-func quantile(samples []float64, q float64) float64 {
-	if len(samples) == 0 {
-		return 0
+	rank := uint64(q * float64(total))
+	i, seen := 0, uint64(0)
+	for ; i < len(counts)-1; i++ {
+		if seen += counts[i]; seen > rank {
+			break
+		}
 	}
-	s := append([]float64(nil), samples...)
-	sort.Float64s(s)
-	return sortedQuantile(s, q)
-}
-
-// sortedQuantile is quantile over an already-sorted sample slice.
-func sortedQuantile(s []float64, q float64) float64 {
-	if len(s) == 0 {
-		return 0
+	if math.IsInf(upper[i], 1) && i > 0 {
+		return upper[i-1]
 	}
-	if q <= 0 {
-		return s[0]
-	}
-	if q >= 1 {
-		return s[len(s)-1]
-	}
-	pos := q * float64(len(s)-1)
-	lo := int(pos)
-	frac := pos - float64(lo)
-	if lo+1 >= len(s) {
-		return s[len(s)-1]
-	}
-	return s[lo]*(1-frac) + s[lo+1]*frac
+	return upper[i]
 }

@@ -1,11 +1,13 @@
 // Package obs is the pipeline-wide observability layer: structured phase
 // spans (tracing, with attributes, events, and per-worker virtual tracks),
-// a registry of named counters/gauges/histograms refinable into labeled
-// series, and a snapshot/export API producing a human-readable table,
-// JSON, Chrome/Perfetto trace-event JSON (WriteTraceEvents), or the
-// Prometheus text exposition format (WritePrometheus, plus a live
-// /metrics + /debug/pprof http.Handler via Scope.Handler). It depends only
-// on the standard library.
+// a registry of named counters/gauges/fixed-bucket histograms refinable
+// into labeled series, and a snapshot/export API producing JSON,
+// Chrome/Perfetto trace-event JSON (WriteTraceEvents), or the Prometheus
+// text exposition format (WritePrometheus, plus a live /metrics +
+// /debug/pprof http.Handler via Scope.Handler). Aggregates are kept where
+// they are recorded — each ended span observes its wall time into the
+// phase_seconds histogram — so exporters only format them. It depends
+// only on the standard library.
 //
 // A single *Scope is threaded through the flow (core → decomp, mapper,
 // bdd, timing). Every entry point is safe on a nil receiver, so packages
@@ -34,7 +36,9 @@ type Config struct {
 	// MaxSpans caps the completed-span ring buffer. Zero selects
 	// DefaultMaxSpans; a negative value disables the cap (unbounded
 	// growth — only sensible for short one-shot runs). Once the buffer is
-	// full the oldest spans are overwritten and counted in SpansDropped.
+	// full the oldest spans are overwritten and counted in SpansDropped;
+	// only their detail is lost, since per-phase time is recorded into the
+	// phase_seconds histograms as each span ends.
 	MaxSpans int
 	// RunID identifies the run this scope instruments. It is stamped into
 	// snapshots and Perfetto trace metadata, and ties telemetry exports to
@@ -59,8 +63,13 @@ type Scope struct {
 func New(cfg Config) *Scope {
 	s := &Scope{runID: cfg.RunID}
 	s.tracer.logger = cfg.Logger
-	s.tracer.max = cfg.MaxSpans
-	s.flight = newFlightRecorder(s)
+	s.tracer.spans.max = cfg.MaxSpans
+	if cfg.MaxSpans == 0 {
+		s.tracer.spans.max = DefaultMaxSpans
+	}
+	s.rt.samples.max = defaultMaxRuntimeSamples
+	s.health.breaches.max = maxBreaches
+	s.flight = &FlightRecorder{scope: s, logs: ring[FlightLogRecord]{max: defaultFlightLogs}}
 	return s
 }
 

@@ -2,8 +2,11 @@ package obs
 
 import (
 	"bytes"
+	"context"
+	"fmt"
 	"log/slog"
 	"math"
+	"runtime/metrics"
 	"strings"
 	"sync"
 	"testing"
@@ -30,21 +33,27 @@ func TestCounterConcurrent(t *testing.T) {
 }
 
 func TestHistogramConcurrent(t *testing.T) {
-	sc := New(Config{})
+	sc := New(Config{MaxSpans: 16})
 	var wg sync.WaitGroup
 	for i := 0; i < 8; i++ {
 		wg.Add(1)
 		go func(base int) {
 			defer wg.Done()
 			h := sc.Histogram("shared")
+			ctx := WithTrack(context.Background(), sc.TrackFor(fmt.Sprint("w", base)))
 			for j := 0; j < 1000; j++ {
 				h.Observe(float64(base + j))
+				sc.StartCtx(ctx, "phase").End()
 			}
 		}(i)
 	}
 	wg.Wait()
 	if got := sc.Histogram("shared").Stats().Count; got != 8000 {
 		t.Errorf("concurrent histogram count = %d, want 8000", got)
+	}
+	// Spans ended concurrently all reach phase_seconds, whatever the ring kept.
+	if got := sc.Snapshot().PhaseSeconds()["phase"].Count; got != 8000 {
+		t.Errorf("concurrent phase_seconds count = %d, want 8000", got)
 	}
 }
 
@@ -97,34 +106,38 @@ func TestHistogramQuantiles(t *testing.T) {
 	if math.Abs(st.Sum-5050) > 1e-9 {
 		t.Errorf("sum = %v, want 5050", st.Sum)
 	}
-	checks := []struct {
-		q, want, tol float64
-	}{{0, 1, 0}, {0.5, 50.5, 0.51}, {0.9, 90.1, 0.51}, {0.99, 99.01, 0.51}, {1, 100, 0}}
-	for _, c := range checks {
-		if got := h.Quantile(c.q); math.Abs(got-c.want) > c.tol {
-			t.Errorf("quantile(%v) = %v, want %v ± %v", c.q, got, c.want, c.tol)
-		}
+	// Bounds 4^0..4^4 sit at indexes 10..14; a value equal to a bound
+	// belongs to that bound's bucket (Prometheus "le").
+	want := make([]uint64, len(bucketBounds))
+	want[10], want[11], want[12], want[13], want[14] = 1, 3, 12, 48, 36 // 1 | 2-4 | 5-16 | 17-64 | 65-100
+	if fmt.Sprint(st.Buckets) != fmt.Sprint(want) {
+		t.Errorf("buckets = %v, want %v", st.Buckets, want)
 	}
-}
+	// Quantiles are the upper bound of the bucket holding the rank.
+	if st.P50 != 64 || st.P90 != 256 || st.P99 != 256 {
+		t.Errorf("p50/p90/p99 = %v/%v/%v, want 64/256/256", st.P50, st.P90, st.P99)
+	}
 
-func TestHistogramReservoirBounded(t *testing.T) {
-	sc := New(Config{})
-	h := sc.Histogram("big")
-	for v := 0; v < 10*maxHistogramSamples; v++ {
-		h.Observe(float64(v))
+	// The layout's ends: below 4^-10 lands in the first bucket, above 4^17
+	// and NaN in +Inf, whose rank reports the last finite bound.
+	edge := sc.Histogram("edge")
+	edge.Observe(1e-9)
+	for _, v := range []float64{1e11, math.Inf(1), math.NaN()} {
+		edge.Observe(v)
 	}
-	if len(h.samples) != maxHistogramSamples {
-		t.Errorf("reservoir size = %d, want %d", len(h.samples), maxHistogramSamples)
+	est := edge.Stats()
+	if est.Buckets[0] != 1 || est.Buckets[len(bucketBounds)-1] != 3 {
+		t.Errorf("edge buckets = %v, want 1 first and 3 in +Inf", est.Buckets)
 	}
-	st := h.Stats()
-	if st.Count != int64(10*maxHistogramSamples) {
-		t.Errorf("count = %d", st.Count)
+	if last := bucketBounds[len(bucketBounds)-2]; est.P99 != last || last != math.Pow(4, 17) {
+		t.Errorf("+Inf-bucket p99 = %v, want 4^17", est.P99)
 	}
-	// The p50 of a uniform 0..N stream should land near N/2 even after
-	// reservoir sampling.
-	mid := float64(10*maxHistogramSamples) / 2
-	if math.Abs(st.P50-mid) > mid/4 {
-		t.Errorf("reservoir p50 = %v, want ≈ %v", st.P50, mid)
+
+	// runtime/metrics histograms go through the same rule: Buckets[i+1]
+	// bounds Counts[i], reported in nanoseconds.
+	rh := &metrics.Float64Histogram{Counts: []uint64{3, 0, 1}, Buckets: []float64{0, 1e-6, 1e-3, math.Inf(1)}}
+	if p50, p99 := histQuantileNs(rh, 0.5), histQuantileNs(rh, 0.99); p50 != 1e3 || p99 != 1e6 {
+		t.Errorf("runtime p50/p99 = %v/%v ns, want 1e3/1e6", p50, p99)
 	}
 }
 
@@ -189,16 +202,6 @@ func TestSnapshotJSONRoundTrip(t *testing.T) {
 	hs := back.Histograms["mapper.curve_points_per_node"]
 	if hs.Count != 2 || hs.Sum != 12 || hs.Min != 4 || hs.Max != 8 {
 		t.Errorf("histogram did not round-trip: %+v", hs)
-	}
-
-	var table bytes.Buffer
-	if err := back.WriteTable(&table); err != nil {
-		t.Fatal(err)
-	}
-	for _, want := range []string{"phases:", "decompose", "counters:", "decomp.merge_evals", "gauges:", "histograms:"} {
-		if !strings.Contains(table.String(), want) {
-			t.Errorf("table missing %q:\n%s", want, table.String())
-		}
 	}
 }
 

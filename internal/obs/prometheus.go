@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"fmt"
 	"io"
 	"sort"
 	"strconv"
@@ -42,18 +41,18 @@ func splitSeriesKey(key string) (name, labels string) {
 	return key, ""
 }
 
-// promSample is one exposition line under a family.
-type promSample struct {
-	suffix string // appended to the family name (e.g. "_sum")
-	labels string // label body without braces
+// promSeries is one series of a family: its label body (without braces)
+// and either a counter/gauge value or a histogram.
+type promSeries struct {
+	labels string
 	value  string
+	hist   *HistogramStats
 }
 
 // promFamily is one # TYPE block.
 type promFamily struct {
-	name    string
-	kind    string
-	samples []promSample
+	kind   string
+	series []promSeries
 }
 
 func formatPromValue(v float64) string {
@@ -72,109 +71,73 @@ func joinLabels(a, b string) string {
 	}
 }
 
+// writePromLine writes one "series value" exposition line.
+func writePromLine(b *strings.Builder, name, labels, value string) {
+	b.WriteString(name)
+	if labels != "" {
+		b.WriteString("{" + labels + "}")
+	}
+	b.WriteString(" " + value + "\n")
+}
+
 // WritePrometheus writes the snapshot in the Prometheus text exposition
-// format (version 0.0.4). Counters and gauges map directly; histograms are
-// exported as summaries with p50/p90/p99 quantile series plus _sum and
-// _count; span wall times aggregate into the powermap_phase_seconds
-// summary, labeled by phase (span name), so per-phase pipeline time is
-// directly queryable. Metric names are prefixed with "powermap_" and
-// sanitized to the Prometheus charset; families and series print in
-// sorted order, so the output is deterministic for a given snapshot.
+// format (version 0.0.4). Counters and gauges map directly. Every
+// histogram — the pipeline's own and phase_seconds{phase=<span name>},
+// which each span observes as it ends — exports as a Prometheus histogram:
+// cumulative _bucket lines in increasing le over the shared bucket
+// layout, ending with +Inf, then _sum and _count. Metric names are
+// prefixed with "powermap_" and sanitized to the Prometheus charset;
+// families and series print in sorted order, so the output is
+// deterministic for a given snapshot.
 func (sn *Snapshot) WritePrometheus(w io.Writer) error {
 	families := make(map[string]*promFamily)
-	family := func(name, kind string) *promFamily {
+	add := func(key, kind string, s promSeries) {
+		name, labels := splitSeriesKey(key)
+		name = sanitizeMetricName(name)
 		f, ok := families[name]
 		if !ok {
-			f = &promFamily{name: name, kind: kind}
+			f = &promFamily{kind: kind}
 			families[name] = f
 		}
-		return f
+		s.labels = labels
+		f.series = append(f.series, s)
 	}
 	for key, v := range sn.Counters {
-		name, labels := splitSeriesKey(key)
-		f := family(sanitizeMetricName(name), "counter")
-		f.samples = append(f.samples, promSample{labels: labels, value: strconv.FormatInt(v, 10)})
+		add(key, "counter", promSeries{value: strconv.FormatInt(v, 10)})
 	}
 	for key, v := range sn.Gauges {
-		name, labels := splitSeriesKey(key)
-		f := family(sanitizeMetricName(name), "gauge")
-		f.samples = append(f.samples, promSample{labels: labels, value: formatPromValue(v)})
+		add(key, "gauge", promSeries{value: formatPromValue(v)})
 	}
 	if sn.SpansDropped > 0 {
-		f := family(promNamespace+"spans_dropped", "gauge")
-		f.samples = append(f.samples, promSample{value: strconv.FormatInt(sn.SpansDropped, 10)})
+		add("spans_dropped", "gauge", promSeries{value: strconv.FormatInt(sn.SpansDropped, 10)})
 	}
 	for key, st := range sn.Histograms {
-		name, labels := splitSeriesKey(key)
-		f := family(sanitizeMetricName(name), "summary")
-		for _, q := range []struct {
-			q string
-			v float64
-		}{{"0.5", st.P50}, {"0.9", st.P90}, {"0.99", st.P99}} {
-			f.samples = append(f.samples, promSample{
-				labels: joinLabels(labels, `quantile="`+q.q+`"`),
-				value:  formatPromValue(q.v),
-			})
-		}
-		f.samples = append(f.samples,
-			promSample{suffix: "_sum", labels: labels, value: formatPromValue(st.Sum)},
-			promSample{suffix: "_count", labels: labels, value: strconv.FormatInt(st.Count, 10)})
-	}
-	if len(sn.Spans) > 0 {
-		byPhase := make(map[string][]float64)
-		for _, sp := range sn.Spans {
-			byPhase[sp.Name] = append(byPhase[sp.Name], float64(sp.DurationNs)/1e9)
-		}
-		f := family(promNamespace+"phase_seconds", "summary")
-		for phase, durs := range byPhase {
-			sort.Float64s(durs)
-			sum := 0.0
-			for _, d := range durs {
-				sum += d
-			}
-			labels := `phase="` + labelEscaper.Replace(phase) + `"`
-			for _, q := range []struct {
-				q string
-				v float64
-			}{{"0.5", sortedQuantile(durs, 0.5)}, {"0.9", sortedQuantile(durs, 0.9)}, {"0.99", sortedQuantile(durs, 0.99)}} {
-				f.samples = append(f.samples, promSample{
-					labels: joinLabels(labels, `quantile="`+q.q+`"`),
-					value:  formatPromValue(q.v),
-				})
-			}
-			f.samples = append(f.samples,
-				promSample{suffix: "_sum", labels: labels, value: formatPromValue(sum)},
-				promSample{suffix: "_count", labels: labels, value: strconv.FormatInt(int64(len(durs)), 10)})
-		}
+		add(key, "histogram", promSeries{hist: &st})
 	}
 
-	names := make([]string, 0, len(families))
-	for name := range families {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
+	var b strings.Builder
+	for _, name := range sortedKeys(families) {
 		f := families[name]
-		if _, err := fmt.Fprintf(w, "# TYPE %s %s\n", f.name, f.kind); err != nil {
-			return err
-		}
-		sort.Slice(f.samples, func(i, j int) bool {
-			if f.samples[i].suffix != f.samples[j].suffix {
-				return f.samples[i].suffix < f.samples[j].suffix
+		b.WriteString("# TYPE " + name + " " + f.kind + "\n")
+		sort.Slice(f.series, func(i, j int) bool { return f.series[i].labels < f.series[j].labels })
+		for _, s := range f.series {
+			if s.hist == nil {
+				writePromLine(&b, name, s.labels, s.value)
+				continue
 			}
-			return f.samples[i].labels < f.samples[j].labels
-		})
-		for _, s := range f.samples {
-			series := f.name + s.suffix
-			if s.labels != "" {
-				series += "{" + s.labels + "}"
+			var cum uint64
+			for i, le := range bucketBounds {
+				if i < len(s.hist.Buckets) {
+					cum += s.hist.Buckets[i]
+				}
+				writePromLine(&b, name+"_bucket", joinLabels(s.labels, `le="`+formatPromValue(le)+`"`), strconv.FormatUint(cum, 10))
 			}
-			if _, err := fmt.Fprintf(w, "%s %s\n", series, s.value); err != nil {
-				return err
-			}
+			writePromLine(&b, name+"_sum", s.labels, formatPromValue(s.hist.Sum))
+			writePromLine(&b, name+"_count", s.labels, strconv.FormatInt(s.hist.Count, 10))
 		}
 	}
-	return nil
+	_, err := io.WriteString(w, b.String())
+	return err
 }
 
 // WritePrometheus writes a scope snapshot in the Prometheus text

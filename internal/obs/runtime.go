@@ -47,9 +47,7 @@ type RuntimeSample struct {
 // detection.
 type runtimeState struct {
 	mu      sync.Mutex
-	samples []RuntimeSample
-	next    int // overwrite cursor once the ring is full
-	wrapped bool
+	samples ring[RuntimeSample]
 
 	// started is 1 once a sampler was attached to the scope; lastNano and
 	// intervalNs feed the health layer's stall check.
@@ -60,13 +58,7 @@ type runtimeState struct {
 
 func (r *runtimeState) add(s RuntimeSample) {
 	r.mu.Lock()
-	if len(r.samples) < defaultMaxRuntimeSamples {
-		r.samples = append(r.samples, s)
-	} else {
-		r.samples[r.next] = s
-		r.next = (r.next + 1) % defaultMaxRuntimeSamples
-		r.wrapped = true
-	}
+	r.samples.push(s)
 	r.mu.Unlock()
 	r.lastNano.Store(s.UnixNano)
 }
@@ -77,16 +69,9 @@ func (s *Scope) RuntimeSamples() []RuntimeSample {
 	if s == nil {
 		return nil
 	}
-	r := &s.rt
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if !r.wrapped {
-		return append([]RuntimeSample(nil), r.samples...)
-	}
-	out := make([]RuntimeSample, 0, len(r.samples))
-	out = append(out, r.samples[r.next:]...)
-	out = append(out, r.samples[:r.next]...)
-	return out
+	s.rt.mu.Lock()
+	defer s.rt.mu.Unlock()
+	return s.rt.samples.all()
 }
 
 // samplerKeys are the runtime/metrics series the sampler reads, in the
@@ -102,7 +87,7 @@ var samplerKeys = []string{
 
 // RuntimeSampler is a background goroutine bridging runtime/metrics into
 // the scope: every interval it appends one RuntimeSample to the scope's
-// ring and refreshes the runtime.* gauges and histograms (exported as
+// ring and refreshes the runtime.* gauges (exported as
 // powermap_runtime_* by WritePrometheus and as counter tracks by
 // WriteTraceEvents). Stop it exactly once; it also stops when the start
 // context is cancelled. A nil *RuntimeSampler (from a nil scope) is inert.
@@ -175,10 +160,6 @@ func (r *RuntimeSampler) sampleOnce() {
 	if s.RSSBytes > 0 {
 		sc.Gauge("runtime.rss_bytes").Set(float64(s.RSSBytes))
 	}
-	// Distribution-over-time views: the gauges are last-write-wins, the
-	// histograms keep the run's spread for p50/p90/p99 summaries.
-	sc.Histogram("runtime.heap_live_dist_bytes").Observe(float64(s.HeapLiveBytes))
-	sc.Histogram("runtime.goroutines_dist").Observe(float64(s.Goroutines))
 	sc.Counter("runtime.samples").Inc()
 }
 
@@ -229,33 +210,13 @@ func readRuntimeSample() RuntimeSample {
 }
 
 // histQuantileNs estimates the q-quantile of a runtime/metrics histogram
-// (whose unit is seconds) in nanoseconds, taking each bucket's upper bound.
+// (whose unit is seconds) in nanoseconds, by the same bucket rule as
+// Histogram.Stats. Buckets[i+1] is Counts[i]'s upper bound.
 func histQuantileNs(h *metrics.Float64Histogram, q float64) float64 {
 	if h == nil {
 		return 0
 	}
-	var total uint64
-	for _, c := range h.Counts {
-		total += c
-	}
-	if total == 0 {
-		return 0
-	}
-	rank := uint64(q * float64(total))
-	var seen uint64
-	for i, c := range h.Counts {
-		seen += c
-		if seen > rank {
-			// Buckets[i+1] is the bucket's upper bound; the last bucket's
-			// bound may be +Inf, in which case fall back to its lower bound.
-			hi := h.Buckets[i+1]
-			if hi > 1e18 || hi != hi { // +Inf or NaN
-				hi = h.Buckets[i]
-			}
-			return hi * 1e9
-		}
-	}
-	return h.Buckets[len(h.Buckets)-1] * 1e9
+	return bucketQuantile(h.Counts, h.Buckets[1:], q) * 1e9
 }
 
 // readRSSBytes reads the resident set size from /proc/self/statm (Linux);

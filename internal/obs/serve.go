@@ -14,8 +14,8 @@ import (
 //	/metrics       Prometheus text exposition (scraped snapshot)
 //	/snapshot      the full JSON snapshot (spans + metrics + runtime samples)
 //	/trace         Chrome/Perfetto trace-event JSON of the retained spans
-//	/healthz       200 while healthy, 503 after a budget breach, sampler
-//	               stall, or span-ring drop growth (JSON HealthStatus body)
+//	/healthz       200 while healthy, 503 after a budget breach or during
+//	               a sampler stall (JSON HealthStatus body)
 //	/readyz        200 once the scope is serving and the sampler (if
 //	               started) has produced a sample; 503 otherwise
 //	/debug/flight  on-demand flight record (?last=1 returns the retained

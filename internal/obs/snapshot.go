@@ -5,7 +5,8 @@ import (
 	"fmt"
 	"io"
 	"sort"
-	"time"
+	"strconv"
+	"strings"
 )
 
 // Snapshot is a self-contained export of a Scope at one instant: all
@@ -80,6 +81,23 @@ func (s *Scope) Snapshot() *Snapshot {
 	return sn
 }
 
+// PhaseSeconds returns the phase_seconds histogram of every phase that
+// ended a span, keyed by span name. Unlike Spans, it counts every span
+// the scope ever ended, however far the span ring wrapped.
+func (sn *Snapshot) PhaseSeconds() map[string]HistogramStats {
+	out := make(map[string]HistogramStats)
+	for key, st := range sn.Histograms {
+		label, ok := strings.CutPrefix(key, phaseSeconds+"{phase=")
+		if !ok {
+			continue
+		}
+		if name, err := strconv.Unquote(strings.TrimSuffix(label, "}")); err == nil {
+			out[name] = st
+		}
+	}
+	return out
+}
+
 // WriteJSON writes the snapshot as indented JSON.
 func (sn *Snapshot) WriteJSON(w io.Writer) error {
 	enc := json.NewEncoder(w)
@@ -94,49 +112,6 @@ func ParseSnapshot(r io.Reader) (*Snapshot, error) {
 		return nil, fmt.Errorf("obs: parse snapshot: %w", err)
 	}
 	return sn, nil
-}
-
-// WriteTable writes the snapshot as a human-readable report: spans as an
-// indented phase tree in end order, then metrics sorted by name.
-func (sn *Snapshot) WriteTable(w io.Writer) error {
-	if len(sn.Spans) > 0 {
-		if _, err := fmt.Fprintln(w, "phases:"); err != nil {
-			return err
-		}
-		for _, sp := range sn.Spans {
-			indent := "  "
-			if sp.Parent != "" {
-				indent = "    "
-			}
-			if _, err := fmt.Fprintf(w, "%s%-28s %12v\n", indent, sp.Name, sp.Duration().Round(time.Microsecond)); err != nil {
-				return err
-			}
-		}
-		if sn.SpansDropped > 0 {
-			fmt.Fprintf(w, "  (%d older spans dropped by the ring buffer)\n", sn.SpansDropped)
-		}
-	}
-	if len(sn.Counters) > 0 {
-		fmt.Fprintln(w, "counters:")
-		for _, k := range sortedKeys(sn.Counters) {
-			fmt.Fprintf(w, "  %-36s %12d\n", k, sn.Counters[k])
-		}
-	}
-	if len(sn.Gauges) > 0 {
-		fmt.Fprintln(w, "gauges:")
-		for _, k := range sortedKeys(sn.Gauges) {
-			fmt.Fprintf(w, "  %-36s %12.4f\n", k, sn.Gauges[k])
-		}
-	}
-	if len(sn.Histograms) > 0 {
-		fmt.Fprintln(w, "histograms:")
-		for _, k := range sortedKeys(sn.Histograms) {
-			h := sn.Histograms[k]
-			fmt.Fprintf(w, "  %-36s n=%d sum=%.2f min=%.2f p50=%.2f p90=%.2f p99=%.2f max=%.2f\n",
-				k, h.Count, h.Sum, h.Min, h.P50, h.P90, h.P99, h.Max)
-		}
-	}
-	return nil
 }
 
 func sortedKeys[V any](m map[string]V) []string {

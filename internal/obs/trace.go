@@ -41,19 +41,21 @@ type SpanRecord struct {
 // Duration returns the span's wall time.
 func (r SpanRecord) Duration() time.Duration { return time.Duration(r.DurationNs) }
 
+// phaseSeconds is the histogram every ended span observes its wall time
+// into, labeled by span name.
+const phaseSeconds = "phase_seconds"
+
 // tracer records phase spans. Parentage follows the start/end nesting
 // order per track: a span started while another is open on the same track
-// becomes its child. Completed spans live in a bounded ring buffer so
-// long-lived processes (-serve) never grow without bound; overwritten
-// spans are counted in dropped.
+// becomes its child. Completed spans live in a bounded ring so long-lived
+// processes (-serve) never grow without bound; per-phase time lives in the
+// phase_seconds histograms, which a wrapped ring does not touch.
 type tracer struct {
-	mu      sync.Mutex
-	logger  *slog.Logger
-	max     int // ring capacity; < 0 means unbounded
-	stacks  map[int64][]string
-	spans   []SpanRecord
-	next    int // overwrite cursor once len(spans) == max
-	dropped int64
+	mu     sync.Mutex
+	logger *slog.Logger
+	stacks map[int64][]string
+	spans  ring[SpanRecord]
+	phases map[string]*Histogram // span name -> phase_seconds{phase=name}
 
 	tracks    map[int64]string // track id -> display name
 	trackByID map[string]int64 // display name -> track id
@@ -173,8 +175,9 @@ func normalizeAttr(v any) any {
 	}
 }
 
-// End closes the span, records it, and logs it when the scope has a
-// logger. It returns the measured wall time (0 on a nil span).
+// End closes the span, records it, observes its wall time into
+// phase_seconds{phase=<name>}, and logs it when the scope has a logger. It
+// returns the measured wall time (0 on a nil span).
 func (sp *Span) End() time.Duration {
 	if sp == nil {
 		return 0
@@ -199,9 +202,20 @@ func (sp *Span) End() time.Duration {
 		Attrs:         sp.attrs,
 		Events:        sp.events,
 	}
-	t.record(rec)
+	t.spans.push(rec)
+	// Lock order: the registry lookup takes Metrics.mu under t.mu, and
+	// nothing takes t.mu under Metrics.mu.
+	phase := t.phases[sp.name]
+	if phase == nil {
+		if t.phases == nil {
+			t.phases = make(map[string]*Histogram)
+		}
+		phase = sp.scope.metrics.histogram(phaseSeconds, []Label{{Key: "phase", Value: sp.name}})
+		t.phases[sp.name] = phase
+	}
 	logger := t.logger
 	t.mu.Unlock()
+	phase.Observe(d.Seconds())
 	sp.scope.afterSpan(rec)
 	if logger != nil {
 		if sp.parent != "" {
@@ -213,26 +227,6 @@ func (sp *Span) End() time.Duration {
 	return d
 }
 
-// record appends one completed span, overwriting the oldest record once
-// the ring is full. Callers hold t.mu.
-func (t *tracer) record(r SpanRecord) {
-	if t.max < 0 {
-		t.spans = append(t.spans, r)
-		return
-	}
-	max := t.max
-	if max == 0 {
-		max = DefaultMaxSpans
-	}
-	if len(t.spans) < max {
-		t.spans = append(t.spans, r)
-		return
-	}
-	t.spans[t.next] = r
-	t.next = (t.next + 1) % max
-	t.dropped++
-}
-
 // Spans returns the retained completed spans in end order, oldest first
 // (nil on a nil scope). When the ring buffer has wrapped, only the newest
 // MaxSpans records remain; SpansDropped counts the overwritten rest.
@@ -240,16 +234,9 @@ func (s *Scope) Spans() []SpanRecord {
 	if s == nil {
 		return nil
 	}
-	t := &s.tracer
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.dropped == 0 {
-		return append([]SpanRecord(nil), t.spans...)
-	}
-	out := make([]SpanRecord, 0, len(t.spans))
-	out = append(out, t.spans[t.next:]...)
-	out = append(out, t.spans[:t.next]...)
-	return out
+	s.tracer.mu.Lock()
+	defer s.tracer.mu.Unlock()
+	return s.tracer.spans.all()
 }
 
 // SpansDropped reports how many completed spans were overwritten by the
@@ -260,7 +247,7 @@ func (s *Scope) SpansDropped() int64 {
 	}
 	s.tracer.mu.Lock()
 	defer s.tracer.mu.Unlock()
-	return s.tracer.dropped
+	return s.tracer.spans.dropped
 }
 
 // TrackFor returns a stable virtual-track id for a display name,

@@ -3,19 +3,23 @@ package serve
 import (
 	"container/list"
 	"sync"
+
+	"powermap/internal/obs"
 )
 
 // cache is a bounded LRU over finished synthesis responses, keyed by the
 // content address of (netlist bytes, canonical options). Values are
 // *Response snapshots; the handler copies before mutating the per-request
-// fields (Cached, ElapsedMS).
+// fields (Cached, ElapsedMS). Hits, misses and evictions count into the
+// serve.cache_* counters of the scope (nil-safe handles: a scope-less
+// server counts nothing).
 type cache struct {
 	mu      sync.Mutex
 	max     int
 	order   *list.List // front = most recent
 	entries map[string]*list.Element
 
-	hits, misses, evictions int64
+	hits, misses, evictions *obs.Counter
 }
 
 type cacheEntry struct {
@@ -23,8 +27,15 @@ type cacheEntry struct {
 	val *Response
 }
 
-func newCache(max int) *cache {
-	return &cache{max: max, order: list.New(), entries: make(map[string]*list.Element)}
+func newCache(max int, sc *obs.Scope) *cache {
+	return &cache{
+		max:       max,
+		order:     list.New(),
+		entries:   make(map[string]*list.Element),
+		hits:      sc.Counter("serve.cache_hits"),
+		misses:    sc.Counter("serve.cache_misses"),
+		evictions: sc.Counter("serve.cache_evictions"),
+	}
 }
 
 func (c *cache) get(key string) (*Response, bool) {
@@ -32,10 +43,10 @@ func (c *cache) get(key string) (*Response, bool) {
 	defer c.mu.Unlock()
 	el, ok := c.entries[key]
 	if !ok {
-		c.misses++
+		c.misses.Inc()
 		return nil, false
 	}
-	c.hits++
+	c.hits.Inc()
 	c.order.MoveToFront(el)
 	return el.Value.(*cacheEntry).val, true
 }
@@ -54,15 +65,8 @@ func (c *cache) put(key string, val *Response) {
 		ent := oldest.Value.(*cacheEntry)
 		c.order.Remove(oldest)
 		delete(c.entries, ent.key)
-		c.evictions++
+		c.evictions.Inc()
 	}
-}
-
-// counters returns (hits, misses, evictions) since creation.
-func (c *cache) counters() (int64, int64, int64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.hits, c.misses, c.evictions
 }
 
 func (c *cache) len() int {

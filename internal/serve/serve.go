@@ -100,7 +100,7 @@ func New(cfg Config) *Server {
 	cfg = cfg.withDefaults()
 	s := &Server{
 		cfg:     cfg,
-		cache:   newCache(cfg.CacheSize),
+		cache:   newCache(cfg.CacheSize, cfg.Scope),
 		sem:     make(chan struct{}, cfg.MaxInflight),
 		drainCh: make(chan struct{}),
 	}
@@ -222,10 +222,6 @@ func (s *Server) handleSynth(w http.ResponseWriter, r *http.Request) {
 	}
 	sc.Counter("serve.requests").With("code", fmt.Sprint(status)).Inc()
 	sc.Histogram("serve.latency_ms").Observe(float64(time.Since(start)) / float64(time.Millisecond))
-	hits, misses, evictions := s.cache.counters()
-	sc.Gauge("serve.cache_hits").Set(float64(hits))
-	sc.Gauge("serve.cache_misses").Set(float64(misses))
-	sc.Gauge("serve.cache_evictions").Set(float64(evictions))
 	sc.Gauge("serve.cache_entries").Set(float64(s.cache.len()))
 }
 

@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"powermap/internal/network"
+	"powermap/internal/obs"
 )
 
 func postSynth(t *testing.T, h http.Handler, body string) (int, map[string]any) {
@@ -32,7 +33,8 @@ func postSynth(t *testing.T, h http.Handler, body string) (int, map[string]any) 
 // circuit synthesizes to a 200 with a positive power figure and a verified
 // netlist, and the identical re-request is served from the cache.
 func TestSynthesizeAndCacheHit(t *testing.T) {
-	s := New(Config{MaxInflight: 2})
+	sc := obs.New(obs.Config{})
+	s := New(Config{MaxInflight: 2, Scope: sc})
 	h := s.Handler()
 	body := `{"circuit": "cm42a", "options": {"method": "VI", "verify": true, "netlist": true}}`
 
@@ -63,7 +65,7 @@ func TestSynthesizeAndCacheHit(t *testing.T) {
 	if cached, _ := out["cached"].(bool); !cached {
 		t.Error("identical re-request missed the cache")
 	}
-	hits, misses, _ := s.cache.counters()
+	hits, misses := sc.Counter("serve.cache_hits").Value(), sc.Counter("serve.cache_misses").Value()
 	if hits != 1 || misses != 1 {
 		t.Errorf("cache counters = %d hits / %d misses, want 1/1", hits, misses)
 	}
@@ -79,6 +81,46 @@ func TestSynthesizeAndCacheHit(t *testing.T) {
 	}
 }
 
+// TestBusyDaemonStaysHealthy runs more spans than a small span ring holds
+// between two /healthz probes: six distinct cm42a misses (methods I–VI)
+// record 100-odd spans into a 32-span ring. The daemon must stay healthy,
+// and /metrics must still count every request's phases, because phase
+// time is recorded as each span ends, not summed from the ring.
+func TestBusyDaemonStaysHealthy(t *testing.T) {
+	sc := obs.New(obs.Config{MaxSpans: 32})
+	h := New(Config{MaxInflight: 1, Scope: sc}).Handler()
+	get := func(path string) (int, string) {
+		t.Helper()
+		rr := httptest.NewRecorder()
+		sc.Handler().ServeHTTP(rr, httptest.NewRequest("GET", path, nil))
+		return rr.Code, rr.Body.String()
+	}
+	if code, body := get("/healthz"); code != 200 {
+		t.Fatalf("/healthz before any request = %d:\n%s", code, body)
+	}
+	for _, m := range []string{"I", "II", "III", "IV", "V", "VI"} {
+		if code, out := postSynth(t, h, fmt.Sprintf(`{"circuit": "cm42a", "options": {"method": %q}}`, m)); code != 200 {
+			t.Fatalf("method %s = %d: %v", m, code, out)
+		}
+	}
+	if sc.SpansDropped() == 0 {
+		t.Fatal("the span ring did not wrap; the test no longer exercises a busy daemon")
+	}
+	if code, body := get("/healthz"); code != 200 {
+		t.Errorf("/healthz after six requests = %d, want 200:\n%s", code, body)
+	}
+	_, metrics := get("/metrics")
+	for _, want := range []string{
+		`powermap_phase_seconds_count{phase="map"} 6`,
+		`powermap_phase_seconds_count{phase="quick-opt"} 6`,
+		`powermap_serve_cache_misses 6`,
+	} {
+		if !strings.Contains(metrics, want+"\n") {
+			t.Errorf("/metrics missing %q", want)
+		}
+	}
+}
+
 // TestConcurrentSynthesisThroughAdmission sends concurrent requests
 // through admission into the real pipeline. Eight distinct (circuit,
 // method) keys fill both synthesis slots and the six-deep waiting room, so
@@ -86,7 +128,8 @@ func TestSynthesizeAndCacheHit(t *testing.T) {
 // then be served entirely from the cache with the same reports. Under
 // -race this also exercises the admission semaphore and the cache.
 func TestConcurrentSynthesisThroughAdmission(t *testing.T) {
-	s := New(Config{MaxInflight: 2, QueueDepth: 6})
+	sc := obs.New(obs.Config{})
+	s := New(Config{MaxInflight: 2, QueueDepth: 6, Scope: sc})
 	h := s.Handler()
 	var bodies []string
 	for _, c := range []string{"cm42a", "x2"} {
@@ -129,7 +172,7 @@ func TestConcurrentSynthesisThroughAdmission(t *testing.T) {
 				bodies[i], second[i].Report, second[i].Method, first[i].Report, first[i].Method)
 		}
 	}
-	if hits, misses, _ := s.cache.counters(); hits != 8 || misses != 8 {
+	if hits, misses := sc.Counter("serve.cache_hits").Value(), sc.Counter("serve.cache_misses").Value(); hits != 8 || misses != 8 {
 		t.Errorf("cache counters = %d hits / %d misses, want 8/8", hits, misses)
 	}
 }
@@ -413,7 +456,8 @@ func TestCanonicalKey(t *testing.T) {
 }
 
 func TestCacheLRUEviction(t *testing.T) {
-	c := newCache(2)
+	sc := obs.New(obs.Config{})
+	c := newCache(2, sc)
 	c.put("a", &Response{Circuit: "a"})
 	c.put("b", &Response{Circuit: "b"})
 	c.get("a") // a is now most recent
@@ -424,8 +468,7 @@ func TestCacheLRUEviction(t *testing.T) {
 	if _, ok := c.get("a"); !ok {
 		t.Error("recently-used entry was evicted")
 	}
-	_, _, evictions := c.counters()
-	if evictions != 1 {
+	if evictions := sc.Counter("serve.cache_evictions").Value(); evictions != 1 {
 		t.Errorf("evictions = %d, want 1", evictions)
 	}
 }
