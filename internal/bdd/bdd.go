@@ -572,27 +572,6 @@ func (m *Manager) Prob(f Ref, p1 []float64) (float64, error) {
 	return rec(f), nil
 }
 
-// CondProb returns P(f=1 | g=1) under independent variable probabilities,
-// computed as P(f·g)/P(g). It returns 0 when P(g)=0.
-func (m *Manager) CondProb(f, g Ref, p1 []float64) (float64, error) {
-	pg, err := m.Prob(g, p1)
-	if err != nil {
-		return 0, err
-	}
-	if pg == 0 {
-		return 0, nil
-	}
-	fg, err := m.And(f, g)
-	if err != nil {
-		return 0, err
-	}
-	pfg, err := m.Prob(fg, p1)
-	if err != nil {
-		return 0, err
-	}
-	return pfg / pg, nil
-}
-
 // SatCount returns the number of satisfying assignments of f over all
 // numVars variables.
 func (m *Manager) SatCount(f Ref) float64 {

@@ -48,14 +48,6 @@ func (b *tb) Prob(f Ref, p []float64) float64 {
 	}
 	return pr
 }
-func (b *tb) CondProb(f, g Ref, p []float64) float64 {
-	pr, err := b.m.CondProb(f, g, p)
-	if err != nil {
-		b.t.Helper()
-		b.t.Fatalf("CondProb failed: %v", err)
-	}
-	return pr
-}
 func (b *tb) Eval(f Ref, assign []bool) bool {
 	v, err := b.m.Eval(f, assign)
 	if err != nil {
@@ -236,9 +228,6 @@ func TestProbLenError(t *testing.T) {
 			t.Errorf("want ProbLenError{1,2}, got %v", err)
 		}
 	}
-	if _, err := m.CondProb(True, True, []float64{0.5, 0.5, 0.5}); err == nil {
-		t.Error("CondProb length mismatch should fail")
-	}
 }
 
 func TestProbReconvergence(t *testing.T) {
@@ -347,23 +336,6 @@ func TestSupport(t *testing.T) {
 	}
 	if len(m.m.Support(True)) != 0 {
 		t.Error("constant has support")
-	}
-}
-
-func TestCondProb(t *testing.T) {
-	m := wrap(t, New(2))
-	a, b := m.Var(0), m.Var(1)
-	p := []float64{0.5, 0.5}
-	// P(a | a&b) = 1.
-	if got := m.CondProb(a, m.And(a, b), p); math.Abs(got-1) > 1e-12 {
-		t.Errorf("P(a|ab) = %v", got)
-	}
-	// P(a | b) = P(a) for independent vars.
-	if got := m.CondProb(a, b, p); math.Abs(got-0.5) > 1e-12 {
-		t.Errorf("P(a|b) = %v", got)
-	}
-	if got := m.CondProb(a, False, p); got != 0 {
-		t.Errorf("P(a|0) = %v, want 0", got)
 	}
 }
 

@@ -7,11 +7,10 @@ import (
 	"powermap/internal/sim"
 )
 
-// activityFlags is the shared activity-engine flag set: which engine
+// activityFlags is powerest's activity-engine flag set: which engine
 // computes switching activities (exact BDDs, the bit-parallel sampling
 // engine, or the auto policy) and the sampling engine's budget and
-// confidence-interval tuning. Registered by every CLI that estimates
-// activities, mirroring the bddflags/mapflags idiom.
+// confidence-interval tuning.
 type activityFlags struct {
 	engine        *string
 	vectors       *int
@@ -21,24 +20,17 @@ type activityFlags struct {
 	trans         *float64
 }
 
-// addActivityFlags registers the shared -activity/-vectors/-auto-threshold
-// flags; detail additionally registers the estimation-only knobs (-ci,
-// -confidence, -trans) that pipeline tools leave at their defaults.
-func addActivityFlags(fs *flag.FlagSet, detail bool) *activityFlags {
-	a := &activityFlags{
+// addActivityFlags registers -activity, -vectors, -auto-threshold, -ci,
+// -confidence and -trans.
+func addActivityFlags(fs *flag.FlagSet) *activityFlags {
+	return &activityFlags{
 		engine:        fs.String("activity", "exact", "activity engine: exact (global BDDs), sample (bit-parallel Monte-Carlo), auto (exact below -auto-threshold nodes or on a node-limit failure, sampling otherwise)"),
 		vectors:       fs.Int("vectors", sim.DefaultSampleVectors, "sampling budget in vectors for -activity sample/auto"),
 		autoThreshold: fs.Int("auto-threshold", prob.DefaultAutoThreshold, "node count above which -activity auto samples instead of building exact BDDs"),
+		targetCI:      fs.Float64("ci", 0, "sample sequentially until every node's activity CI half-width is at most this target (0 = fixed -vectors budget)"),
+		confidence:    fs.Float64("confidence", sim.DefaultConfidence, "confidence level of the sampling engine's reported intervals"),
+		trans:         fs.Float64("trans", -1, "uniform per-PI lag-one toggle probability (forces sampling; negative = temporally independent inputs)"),
 	}
-	if detail {
-		a.targetCI = fs.Float64("ci", 0, "sample sequentially until every node's activity CI half-width is at most this target (0 = fixed -vectors budget)")
-		a.confidence = fs.Float64("confidence", sim.DefaultConfidence, "confidence level of the sampling engine's reported intervals")
-		a.trans = fs.Float64("trans", -1, "uniform per-PI lag-one toggle probability (forces sampling; negative = temporally independent inputs)")
-	} else {
-		zero, conf, off := 0.0, sim.DefaultConfidence, -1.0
-		a.targetCI, a.confidence, a.trans = &zero, &conf, &off
-	}
-	return a
 }
 
 // policy resolves the -activity/-auto-threshold pair.

@@ -86,15 +86,14 @@ func TestPmapWriteAndDot(t *testing.T) {
 
 // TestPmapVerifyModes runs pmap's default -verify (the internal/verify
 // oracle over the optimized network, subject graph and mapped netlist)
-// across the accounting, mapper and activity modes that change what gets
-// mapped or how it is priced.
+// across the accounting and mapper modes that change what gets mapped or
+// how it is priced.
 func TestPmapVerifyModes(t *testing.T) {
 	for _, mode := range [][]string{
 		{"-method2"},
 		{"-mapper", "tree"},
 		{"-mapper", "cuts"},
 		{"-mapper", "cuts", "-lut", "4"},
-		{"-activity", "sample"},
 	} {
 		var out, errOut bytes.Buffer
 		args := append([]string{"-circuit", "cm42a"}, mode...)
@@ -113,12 +112,24 @@ func TestPmapErrors(t *testing.T) {
 		{"-circuit", "cm42a", "-method", "VII"}, // bad method
 		{"-circuit", "cm42a", "-style", "ecl"},  // bad style
 		{"-blif", "/nonexistent", "-circuit", "cm42a"}, // both inputs
+		{"-circuit", "cm42a", "-activity", "sample"},   // powerest-only flag
+		{"-circuit", "cm42a", "-vectors", "1024"},      // powerest-only flag
 	}
 	for _, args := range cases {
 		var out, errOut bytes.Buffer
 		if err := Pmap(args, &out, &errOut); err == nil {
 			t.Errorf("args %v accepted", args)
 		}
+	}
+}
+
+// TestPmapRejectsNaNProbability: a NaN input probability is refused at the
+// input boundary with an error naming the range, before any tree is built.
+func TestPmapRejectsNaNProbability(t *testing.T) {
+	var out, errOut bytes.Buffer
+	err := Pmap([]string{"-circuit", "cm42a", "-prob", "NaN"}, &out, &errOut)
+	if err == nil || !strings.Contains(err.Error(), "outside [0,1]") {
+		t.Fatalf("pmap -prob NaN: err = %v, want a probability-range error", err)
 	}
 }
 

@@ -58,16 +58,11 @@ func Pmap(args []string, out, errOut io.Writer) error {
 	)
 	bddf := addBDDFlags(fs)
 	mapf := addMapFlags(fs)
-	actf := addActivityFlags(fs, false)
 	tel := addTelemetryFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 	backend, treeMode, lut, err := mapf.resolve(*tree)
-	if err != nil {
-		return err
-	}
-	activity, err := actf.policy()
 	if err != nil {
 		return err
 	}
@@ -126,23 +121,21 @@ func Pmap(args []string, out, errOut io.Writer) error {
 	ctx, cancel := timeoutContext(*timeout)
 	defer cancel()
 	res, err := core.SynthesizeContext(ctx, src, core.Options{
-		Method:          m,
-		Style:           st,
-		Exact:           *exact,
-		PIProb:          probs,
-		Relax:           relax,
-		Epsilon:         *epsilon,
-		Mapper:          backend,
-		LUT:             lut,
-		TreeMode:        treeMode,
-		PowerMethod2:    *method2,
-		Workers:         *workers,
-		Library:         lib,
-		Obs:             sc,
-		Journal:         jr,
-		BDD:             bddf.config(),
-		Activity:        activity,
-		ActivityVectors: *actf.vectors,
+		Method:       m,
+		Style:        st,
+		Exact:        *exact,
+		PIProb:       probs,
+		Relax:        relax,
+		Epsilon:      *epsilon,
+		Mapper:       backend,
+		LUT:          lut,
+		TreeMode:     treeMode,
+		PowerMethod2: *method2,
+		Workers:      *workers,
+		Library:      lib,
+		Obs:          sc,
+		Journal:      jr,
+		BDD:          bddf.config(),
 	})
 	if cerr := jr.Close(); cerr != nil && err == nil {
 		err = fmt.Errorf("journal: %w", cerr)

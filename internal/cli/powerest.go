@@ -56,7 +56,7 @@ func Powerest(args []string, out, errOut io.Writer) error {
 		memProf  = fs.String("memprofile", "", "write a heap profile to this file")
 	)
 	bddf := addBDDFlags(fs)
-	actf := addActivityFlags(fs, true)
+	actf := addActivityFlags(fs)
 	tel := addTelemetryFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		return err

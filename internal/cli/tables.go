@@ -33,16 +33,11 @@ func Tables(args []string, out, errOut io.Writer) error {
 	)
 	bddf := addBDDFlags(fs)
 	mapf := addMapFlags(fs)
-	actf := addActivityFlags(fs, false)
 	tel := addTelemetryFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 	backend, treeMode, lut, err := mapf.resolve(false)
-	if err != nil {
-		return err
-	}
-	activity, err := actf.policy()
 	if err != nil {
 		return err
 	}
@@ -63,17 +58,15 @@ func Tables(args []string, out, errOut io.Writer) error {
 	want := strings.ToLower(*table)
 	runAll := want == "all"
 	base := core.Options{
-		Style:           huffman.Static,
-		Relax:           relax,
-		Exact:           *exact,
-		Mapper:          backend,
-		LUT:             lut,
-		TreeMode:        treeMode,
-		Workers:         *workers,
-		Obs:             sc,
-		BDD:             bddf.config(),
-		Activity:        activity,
-		ActivityVectors: *actf.vectors,
+		Style:    huffman.Static,
+		Relax:    relax,
+		Exact:    *exact,
+		Mapper:   backend,
+		LUT:      lut,
+		TreeMode: treeMode,
+		Workers:  *workers,
+		Obs:      sc,
+		BDD:      bddf.config(),
 	}
 
 	if runAll || want == "1" {

@@ -27,7 +27,6 @@ import (
 	"powermap/internal/obs"
 	"powermap/internal/opt"
 	"powermap/internal/power"
-	"powermap/internal/prob"
 )
 
 // Method is one of the paper's six decomposition×mapping combinations.
@@ -165,23 +164,14 @@ type Options struct {
 	// worker per CPU; 1 reproduces the sequential pipeline exactly. Results
 	// are identical for every worker count.
 	Workers int
-	// BDD tunes the kernel behind every exact probability model and
-	// equivalence check in the run: node limit (an over-wide network then
-	// surfaces as a wrapped bdd.ErrNodeLimit, never a panic), GC
-	// thresholds, and dynamic variable reordering by sifting. The zero
+	// BDD tunes the kernel behind the run's probability model and every
+	// equivalence check: node limit (an over-wide network then surfaces as
+	// a wrapped bdd.ErrNodeLimit, never a panic), GC thresholds, and
+	// dynamic variable reordering by sifting. The decomposition's one model
+	// holds the source, AND/OR and subject-graph functions under that
+	// limit, and the mapped-netlist self-check builds into it too. The zero
 	// value keeps the kernel defaults.
 	BDD bdd.Config
-	// Activity selects the engine measuring the decomposition's switching-
-	// activity objective (decomp's AND/OR activity model): exact BDDs (the
-	// zero value), bit-parallel Monte-Carlo sampling, or auto (exact below
-	// the policy's node threshold, sampling above or on a BDD node-limit
-	// failure). The synthesis models the mapper prices and verifies with
-	// remain exact regardless.
-	Activity prob.Policy
-	// ActivityVectors overrides the sampling budget of that measurement
-	// (0 selects the decomp default). The seed is fixed, so the objective
-	// is deterministic either way.
-	ActivityVectors int
 }
 
 // Float64 returns a pointer to v, for optional fields like Options.Relax.
@@ -262,17 +252,15 @@ func SynthesizeContext(ctx context.Context, nw *network.Network, o Options) (_ *
 	span = sc.StartCtx(ctx, "decompose")
 	span.SetAttr("strategy", o.Method.Decomposition().String()).SetAttr("circuit", work.Name)
 	d, err := decomp.Decompose(ctx, work, decomp.Options{
-		Strategy:        o.Method.Decomposition(),
-		Style:           o.Style,
-		Exact:           o.Exact,
-		PIProb:          o.PIProb,
-		Strash:          o.Strash,
-		Obs:             sc,
-		Journal:         o.Journal,
-		Workers:         o.Workers,
-		BDD:             o.BDD,
-		Activity:        o.Activity,
-		ActivityVectors: o.ActivityVectors,
+		Strategy: o.Method.Decomposition(),
+		Style:    o.Style,
+		Exact:    o.Exact,
+		PIProb:   o.PIProb,
+		Strash:   o.Strash,
+		Obs:      sc,
+		Journal:  o.Journal,
+		Workers:  o.Workers,
+		BDD:      o.BDD,
 	})
 	if err != nil {
 		// The typed failure lands on the span as an event, so the flight

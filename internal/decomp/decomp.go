@@ -35,7 +35,6 @@ import (
 	"powermap/internal/obs"
 	netopt "powermap/internal/opt"
 	"powermap/internal/prob"
-	"powermap/internal/sim"
 	"powermap/internal/sop"
 	"powermap/internal/timing"
 )
@@ -105,31 +104,17 @@ type Options struct {
 	// plans with one worker (the shared BDD manager is not safe for
 	// concurrent use). Plans are identical for every worker count.
 	Workers int
-	// BDD tunes the kernel behind every probability model this run builds:
-	// node limit (an over-wide network then surfaces as a wrapped
-	// bdd.ErrNodeLimit, never a panic), GC thresholds, and dynamic
-	// variable reordering by sifting. The zero value keeps the defaults.
+	// BDD tunes the kernel behind the run's probability model: node limit
+	// (an over-wide network then surfaces as a wrapped bdd.ErrNodeLimit,
+	// never a panic), GC thresholds, and dynamic variable reordering by
+	// sifting. The limit bounds the one manager that holds the source, the
+	// AND/OR and the subject-graph functions. The zero value keeps the
+	// defaults.
 	BDD bdd.Config
-	// Activity selects the engine measuring the AND/OR network's total
-	// switching activity (the Section 2 objective value): exact BDDs (the
-	// zero value), the bit-parallel sampling engine, or auto. Sampling
-	// uses a fixed seed and budget, so the objective stays deterministic
-	// for every worker count. Only the objective measurement is affected;
-	// the planning and final models the mapper consumes stay exact.
-	Activity prob.Policy
-	// ActivityVectors overrides the sampling budget of the objective
-	// measurement (0 selects the fixed default).
-	ActivityVectors int
 }
 
-// activitySampleVectors is the fixed sampling budget of the objective
-// measurement when Activity selects the sampling engine; together with the
-// fixed seed it keeps TotalActivity deterministic across runs and worker
-// counts.
-const activitySampleVectors = 1 << 14
-
-// flushBDDStats folds one BDD manager's work counters into the metrics
-// registry. Call it exactly once per manager, after its last use.
+// flushBDDStats folds the BDD manager's work counters into the metrics
+// registry. Call it once, after the decomposition's last use of it.
 func flushBDDStats(sc *obs.Scope, m *bdd.Manager) {
 	if sc == nil || m == nil {
 		return
@@ -153,9 +138,12 @@ type Result struct {
 	// Network is the NAND2/INV subject graph (plus PIs).
 	Network *network.Network
 	// Model holds exact probabilities/activities for every subject node.
+	// It is the model the run priced the source network with, extended
+	// over the AND/OR level and then the subject graph.
 	Model *prob.Model
 	// TotalActivity is the decomposition objective: the sum of switching
-	// activities over all internal subject-graph nodes.
+	// activities over the internal nodes of the AND/OR level, before the
+	// NAND/INV conversion.
 	TotalActivity float64
 	// Depth is the unit-delay depth of the subject graph.
 	Depth float64
@@ -358,16 +346,30 @@ func Decompose(ctx context.Context, nw *network.Network, opt Options) (*Result, 
 		}
 	}
 	span.End()
+	// One model serves the whole run. Decomposition never changes the
+	// function of a node the model already holds: materialize keeps each
+	// original node as the root of its tree, toNandInv rewrites AND2 as
+	// INV(NAND2) and OR2 as NAND2(INV, INV) on the same node, and the
+	// buffer/inverter sweep, Strash and Sweep only rewire or delete nodes.
+	// So each Extend builds only the nodes that are new, and every held
+	// global BDD and annotation stays exact.
+	//
 	// The decomposition objective (total internal switching activity,
 	// Section 2) is measured on the AND/OR tree level: after the NAND/INV
 	// conversion every AND node contributes a complementary NAND+INV pair
 	// whose domino activities sum to exactly 1, which would make the
 	// metric degenerate.
 	span = sc.StartCtx(ctx, "decomp.activity")
-	totalActivity, err := andOrActivity(ctx, cp, opt)
+	err = model.Extend(ctx, cp)
 	span.End()
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("decomp: AND/OR activities: %w", err)
+	}
+	totalActivity := 0.0
+	for _, n := range cp.TopoOrder() {
+		if n.Kind == network.Internal {
+			totalActivity += n.Activity
+		}
 	}
 	// Phase 3: convert to the NAND2/INV basis and clean up.
 	span = sc.StartCtx(ctx, "decomp.nand-convert")
@@ -389,12 +391,12 @@ func Decompose(ctx context.Context, nw *network.Network, opt Options) (*Result, 
 	}
 
 	span = sc.StartCtx(ctx, "decomp.final-probabilities")
-	final, err := prob.ComputeWith(ctx, cp, opt.PIProb, opt.Style, opt.BDD)
+	err = model.Extend(ctx, cp)
 	span.End()
 	if err != nil {
 		return nil, fmt.Errorf("decomp: final probabilities: %w", err)
 	}
-	res := &Result{Network: cp, Model: final, Redecompositions: redecomps, TotalActivity: totalActivity}
+	res := &Result{Network: cp, Model: model, Redecompositions: redecomps, TotalActivity: totalActivity}
 	// Unit-delay depth (and, via obs, worst slack) of the subject graph.
 	// PORequired is deliberately not forwarded: the bounded strategy's
 	// required times live in the planned AND-OR unit-delay domain, not the
@@ -414,41 +416,7 @@ func Decompose(ctx context.Context, nw *network.Network, opt Options) (*Result, 
 		Redecompositions: redecomps,
 	})
 	flushBDDStats(sc, model.Manager())
-	flushBDDStats(sc, final.Manager())
 	return res, nil
-}
-
-// andOrActivity sums the switching activity over the internal nodes of
-// the materialized AND/OR network (the Section 2 objective value). The
-// Activity policy picks the engine: exact BDDs, the bit-parallel sampling
-// engine (fixed seed and budget, so the objective is deterministic), or
-// auto with a sampling fallback when exact BDDs exceed the node limit.
-func andOrActivity(ctx context.Context, cp *network.Network, opt Options) (float64, error) {
-	vectors := opt.ActivityVectors
-	if vectors <= 0 {
-		vectors = activitySampleVectors
-	}
-	ares, err := sim.Annotate(ctx, cp, opt.PIProb, sim.AnnotateOptions{
-		Policy:   opt.Activity,
-		Style:    opt.Style,
-		BDD:      opt.BDD,
-		Sampling: sim.BitwiseOptions{Vectors: vectors, Seed: 1, Workers: opt.Workers},
-		Obs:      opt.Obs,
-		Journal:  opt.Journal,
-	})
-	if err != nil {
-		return 0, fmt.Errorf("decomp: AND/OR activities: %w", err)
-	}
-	if ares.Model != nil {
-		flushBDDStats(opt.Obs, ares.Model.Manager())
-	}
-	total := 0.0
-	for _, n := range cp.TopoOrder() {
-		if n.Kind == network.Internal {
-			total += n.Activity
-		}
-	}
-	return total, nil
 }
 
 // makePlan chooses tree shapes for one node under the configured strategy

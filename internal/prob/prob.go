@@ -30,12 +30,14 @@ import (
 	"powermap/internal/network"
 )
 
-// Model holds the global BDDs and probabilities of one network.
+// Model holds the global BDDs and probabilities of one network. Extend
+// grows it over nodes added later, so one manager (and one variable order)
+// can serve a network through every rewrite that preserves the functions
+// of the nodes it already holds.
 type Model struct {
 	Style   huffman.Style
 	mgr     *bdd.Manager
 	global  map[*network.Node]bdd.Ref
-	pis     []*network.Node
 	piProb  []float64
 	piIndex map[*network.Node]int
 }
@@ -54,25 +56,18 @@ const wideHint = "network too wide for exact global BDDs; raise the node limit, 
 // reordering (ComputeWith with Config.Reorder) can improve it further at
 // run time.
 func Compute(nw *network.Network, piProb map[string]float64, style huffman.Style) (*Model, error) {
-	return ComputeContext(context.Background(), nw, piProb, style)
+	return ComputeWith(context.Background(), nw, piProb, style, bdd.Config{})
 }
 
-// ComputeContext is Compute with cancellation: the per-node BDD build loop
-// checks ctx between nodes, so a deadline aborts the estimate promptly even
-// on wide networks. One BDD manager is shared across the whole model, so
-// the build itself stays sequential.
-func ComputeContext(ctx context.Context, nw *network.Network, piProb map[string]float64, style huffman.Style) (*Model, error) {
-	return ComputeWith(ctx, nw, piProb, style, bdd.Config{})
-}
-
-// ComputeWith is ComputeContext with an explicit BDD kernel configuration
-// (node limit, GC thresholds, dynamic reordering).
+// ComputeWith is Compute with cancellation and an explicit BDD kernel
+// configuration (node limit, GC thresholds, dynamic reordering). The
+// per-node build loop checks ctx between nodes, so a deadline aborts the
+// estimate promptly even on wide networks.
 func ComputeWith(ctx context.Context, nw *network.Network, piProb map[string]float64, style huffman.Style, cfg bdd.Config) (*Model, error) {
 	m := &Model{
 		Style:   style,
 		mgr:     bdd.NewWith(len(nw.PIs), cfg),
 		global:  make(map[*network.Node]bdd.Ref),
-		pis:     append([]*network.Node(nil), nw.PIs...),
 		piIndex: make(map[*network.Node]int),
 		piProb:  make([]float64, len(nw.PIs)),
 	}
@@ -82,24 +77,41 @@ func ComputeWith(ctx context.Context, nw *network.Network, piProb map[string]flo
 		if !ok {
 			p = 0.5
 		}
-		if p < 0 || p > 1 {
+		if !(p >= 0 && p <= 1) {
 			return nil, fmt.Errorf("prob: P(%s)=%v outside [0,1]", pi.Name, p)
 		}
 		m.piProb[level] = p
 	}
+	if err := m.Extend(ctx, nw); err != nil {
+		return nil, err
+	}
+	return m, nil
+}
+
+// Extend builds, roots and annotates every node reachable from the outputs
+// of nw that the model does not hold yet, in topological order; nodes it
+// already holds keep their global BDD and annotation. That is sound only
+// while each held node still computes the function it was built with, so
+// callers extend a model over rewrites that add nodes or rewire fanouts
+// between equivalent signals, never over one that changes a held node's
+// function. nw's primary inputs must be those the model was computed over.
+func (m *Model) Extend(ctx context.Context, nw *network.Network) error {
 	for _, n := range nw.TopoOrder() {
+		if _, ok := m.global[n]; ok {
+			continue
+		}
 		if err := ctx.Err(); err != nil {
-			return nil, fmt.Errorf("prob: %w", err)
+			return fmt.Errorf("prob: %w", err)
 		}
 		if err := m.build(n); err != nil {
-			return nil, err
+			return err
 		}
 		// All node globals are rooted, so housekeeping between nodes is
 		// safe: GC reclaims only build intermediates, reordering (when
 		// enabled) preserves every Ref's function.
 		m.mgr.Maintain()
 	}
-	return m, nil
+	return nil
 }
 
 // build constructs and roots n's global BDD and annotates the node.
@@ -108,7 +120,11 @@ func (m *Model) build(n *network.Node) error {
 	var err error
 	switch n.Kind {
 	case network.PI:
-		r, err = m.mgr.Var(m.piIndex[n])
+		level, ok := m.piIndex[n]
+		if !ok {
+			return fmt.Errorf("prob: primary input %s is not a variable of the model", n.Name)
+		}
+		r, err = m.mgr.Var(level)
 	default:
 		inputs := make([]bdd.Ref, len(n.Fanin))
 		for i, f := range n.Fanin {
@@ -189,7 +205,7 @@ func (m *Model) activityOf(p1 float64) float64 {
 func (m *Model) Manager() *bdd.Manager { return m.mgr }
 
 // Global returns the global BDD of a node, or false when the node was not
-// reachable when the model was computed.
+// reachable when the model was computed or last extended.
 func (m *Model) Global(n *network.Node) (bdd.Ref, bool) {
 	r, ok := m.global[n]
 	return r, ok
@@ -221,64 +237,4 @@ func (m *Model) Prob1OfRef(r bdd.Ref) float64 {
 		panic(err)
 	}
 	return p
-}
-
-// JointProb returns P(a=1 ∧ b=1) exactly, used to seed the correlated
-// decomposition algebra with pairwise joints of a node's fanins.
-func (m *Model) JointProb(a, b *network.Node) (float64, error) {
-	ra, ok := m.global[a]
-	if !ok {
-		return 0, fmt.Errorf("prob: node %s has no global BDD", a.Name)
-	}
-	rb, ok := m.global[b]
-	if !ok {
-		return 0, fmt.Errorf("prob: node %s has no global BDD", b.Name)
-	}
-	ab, err := m.mgr.And(ra, rb)
-	if err != nil {
-		return 0, wideErr(fmt.Sprintf("joint of %s and %s", a.Name, b.Name), err)
-	}
-	return m.mgr.Prob(ab, m.piProb)
-}
-
-// PIProbs returns the per-PI probability vector in PI declaration order.
-// The internal vector is indexed by BDD variable (DFS encounter order from
-// the outputs), which generally differs from declaration order, so each
-// entry is remapped through the variable index.
-func (m *Model) PIProbs() []float64 {
-	out := make([]float64, len(m.pis))
-	for i, pi := range m.pis {
-		out[i] = m.piProb[m.piIndex[pi]]
-	}
-	return out
-}
-
-// Register makes the model aware of a node created after Compute, whose
-// global function is the AND/OR combination of nodes already known to the
-// model. It returns the node's global BDD. This is how technology
-// decomposition keeps exact probabilities for the tree nodes it creates.
-func (m *Model) Register(n *network.Node) (bdd.Ref, error) {
-	if r, ok := m.global[n]; ok {
-		return r, nil
-	}
-	inputs := make([]bdd.Ref, len(n.Fanin))
-	for i, f := range n.Fanin {
-		r, ok := m.global[f]
-		if !ok {
-			// Recurse: the fanin may itself be freshly created.
-			var err error
-			r, err = m.Register(f)
-			if err != nil {
-				return 0, fmt.Errorf("prob: registering %s: %w", n.Name, err)
-			}
-		}
-		inputs[i] = r
-	}
-	if n.Func == nil {
-		return 0, fmt.Errorf("prob: node %s has no function to register", n.Name)
-	}
-	if err := m.build(n); err != nil {
-		return 0, err
-	}
-	return m.global[n], nil
 }

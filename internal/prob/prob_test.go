@@ -1,10 +1,13 @@
 package prob
 
 import (
+	"context"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
+	"powermap/internal/bdd"
 	"powermap/internal/blif"
 	"powermap/internal/huffman"
 	"powermap/internal/network"
@@ -112,60 +115,74 @@ func TestDefaultProbability(t *testing.T) {
 
 func TestBadProbability(t *testing.T) {
 	nw := mustParse(t, andOrBlif)
-	if _, err := Compute(nw, map[string]float64{"a": 1.5}, huffman.Static); err == nil {
-		t.Error("out-of-range probability accepted")
+	for _, p := range []float64{1.5, -0.1, math.NaN()} {
+		if _, err := Compute(nw, map[string]float64{"a": p}, huffman.Static); err == nil {
+			t.Errorf("probability %v accepted", p)
+		}
 	}
 }
 
-func TestJointProb(t *testing.T) {
+func TestExtend(t *testing.T) {
+	ctx := context.Background()
 	nw := mustParse(t, andOrBlif)
-	m, err := Compute(nw, nil, huffman.Static)
+	m, err := Compute(nw, map[string]float64{"c": 0.3}, huffman.Static)
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, b := nw.NodeByName("a"), nw.NodeByName("b")
-	jab, err := m.JointProb(a, b)
-	if err != nil {
+	// Extending an unchanged network builds nothing and leaves every held
+	// annotation alone.
+	y := nw.NodeByName("y")
+	y.Prob1 = -1
+	allocs := m.Manager().Stats().Allocs
+	if err := m.Extend(ctx, nw); err != nil {
 		t.Fatal(err)
 	}
-	if math.Abs(jab-0.25) > 1e-12 {
-		t.Errorf("P(a,b) = %v, want 0.25", jab)
+	if got := m.Manager().Stats().Allocs; got != allocs {
+		t.Errorf("extending an unchanged network allocated %d BDD nodes", got-allocs)
 	}
-	// Joint of t with a: t implies a, so P(t,a) = P(t) = 0.25.
-	tn := nw.NodeByName("t")
-	jta, err := m.JointProb(tn, a)
-	if err != nil {
-		t.Fatal(err)
+	if y.Prob1 != -1 {
+		t.Errorf("Extend re-annotated held node y: Prob1 = %v", y.Prob1)
 	}
-	if math.Abs(jta-0.25) > 1e-12 {
-		t.Errorf("P(t,a) = %v, want 0.25", jta)
-	}
-}
 
-func TestRegister(t *testing.T) {
-	nw := mustParse(t, andOrBlif)
-	m, err := Compute(nw, nil, huffman.Static)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Add a new AND node over a and c after the model was computed.
+	// A node added after Compute, and one over it, get globals and
+	// annotations once they are reachable.
+	a, c := nw.NodeByName("a"), nw.NodeByName("c")
 	and := sop.NewCover(2)
 	and.AddCube(sop.Cube{sop.Pos, sop.Pos})
-	n := nw.AddNode("late", []*network.Node{nw.NodeByName("a"), nw.NodeByName("c")}, and)
-	if _, err := m.Register(n); err != nil {
+	late := nw.AddNode("late", []*network.Node{a, c}, and)
+	late2 := nw.AddNode("late2", []*network.Node{late}, sop.FromLiteral(1, 0, false))
+	nw.MarkOutput("z", late2)
+	if err := m.Extend(ctx, nw); err != nil {
 		t.Fatal(err)
 	}
-	if math.Abs(n.Prob1-0.25) > 1e-12 {
-		t.Errorf("registered node prob = %v, want 0.25", n.Prob1)
+	for _, tc := range []struct {
+		n    *network.Node
+		want float64
+	}{{late, 0.15}, {late2, 0.85}} {
+		if _, ok := m.Global(tc.n); !ok {
+			t.Fatalf("%s has no global BDD after Extend", tc.n.Name)
+		}
+		if math.Abs(tc.n.Prob1-tc.want) > 1e-12 {
+			t.Errorf("%s: Prob1 = %v, want %v", tc.n.Name, tc.n.Prob1, tc.want)
+		}
+		if want := 2 * tc.want * (1 - tc.want); math.Abs(tc.n.Activity-want) > 1e-12 {
+			t.Errorf("%s: Activity = %v, want %v", tc.n.Name, tc.n.Activity, want)
+		}
 	}
-	// Chained registration: node over the fresh node.
-	inv := sop.FromLiteral(1, 0, false)
-	n2 := nw.AddNode("late2", []*network.Node{n}, inv)
-	if _, err := m.Register(n2); err != nil {
+	ga, _ := m.Global(a)
+	gc, _ := m.Global(c)
+	want, err := m.Manager().FromCover(and, []bdd.Ref{ga, gc})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if math.Abs(n2.Prob1-0.75) > 1e-12 {
-		t.Errorf("chained registered node prob = %v, want 0.75", n2.Prob1)
+	if got, _ := m.Global(late); got != want {
+		t.Errorf("global of late = %v, want the AND of a and c (%v)", got, want)
+	}
+
+	// A primary input the model was not computed over is rejected.
+	nw.MarkOutput("w", nw.AddPI("foreign"))
+	if err := m.Extend(ctx, nw); err == nil || !strings.Contains(err.Error(), "foreign") {
+		t.Errorf("Extend over a foreign primary input: err = %v", err)
 	}
 }
 
@@ -230,20 +247,10 @@ func TestModelAccessors(t *testing.T) {
 	if got := m.ActivityOfRef(ref); math.Abs(got-2*p*(1-p)) > 1e-12 {
 		t.Errorf("ActivityOfRef = %v", got)
 	}
-	pp := m.PIProbs()
-	if len(pp) != 3 {
-		t.Errorf("PIProbs len %d", len(pp))
-	}
 	// Accessors on an unknown node fail cleanly.
 	other := mustParse(t, andOrBlif)
 	if _, err := m.Prob1(other.NodeByName("y")); err == nil {
 		t.Error("foreign node accepted by Prob1")
-	}
-	if _, err := m.JointProb(y, other.NodeByName("y")); err == nil {
-		t.Error("foreign node accepted by JointProb")
-	}
-	if _, err := m.JointProb(other.NodeByName("y"), y); err == nil {
-		t.Error("foreign node accepted by JointProb (first arg)")
 	}
 	if _, ok := m.Global(other.NodeByName("y")); ok {
 		t.Error("foreign node has a global BDD")
@@ -253,32 +260,48 @@ func TestModelAccessors(t *testing.T) {
 func TestPIProbsDeclarationOrder(t *testing.T) {
 	// PIs are declared a, b, c but the output cover lists them c, b, a, so
 	// the DFS-from-outputs variable order is the reverse of declaration
-	// order. PIProbs must still come back in declaration order; before the
-	// remap through piIndex it returned the level-ordered vector verbatim.
+	// order. Each PI must still carry its own probability, not the one of
+	// the PI declared at its variable's position.
 	nw := mustParse(t, ".model p\n.inputs a b c\n.outputs y\n.names c b a y\n111 1\n.end\n")
-	m, err := Compute(nw, map[string]float64{"a": 0.1, "b": 0.2, "c": 0.3}, huffman.Static)
+	want := map[string]float64{"a": 0.1, "b": 0.2, "c": 0.3}
+	m, err := Compute(nw, want, huffman.Static)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := []float64{0.1, 0.2, 0.3}
-	got := m.PIProbs()
-	for i := range want {
-		if math.Abs(got[i]-want[i]) > 1e-15 {
-			t.Fatalf("PIProbs = %v, want %v (declaration order)", got, want)
-		}
-	}
+	checkPIProbs(t, m, nw, want)
 }
 
 func TestDFSOrderCoversUnreachablePIs(t *testing.T) {
-	// An unreachable PI must still get a variable level.
+	// An unreachable PI must still get a variable level of its own, so a
+	// node over it that appears later prices it with its own probability.
 	nw := mustParse(t, andOrBlif)
-	nw.AddPI("unused")
-	m, err := Compute(nw, nil, huffman.Static)
+	unused := nw.AddPI("unused")
+	want := map[string]float64{"a": 0.1, "b": 0.2, "c": 0.7, "unused": 0.3}
+	m, err := Compute(nw, want, huffman.Static)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := len(m.PIProbs()); got != 4 {
-		t.Errorf("PIProbs len %d, want 4", got)
+	if got := m.Manager().NumVars(); got != 4 {
+		t.Errorf("manager has %d variables, want 4", got)
+	}
+	nw.MarkOutput("u", unused)
+	if err := m.Extend(context.Background(), nw); err != nil {
+		t.Fatal(err)
+	}
+	checkPIProbs(t, m, nw, want)
+}
+
+// checkPIProbs asserts every PI's model probability and annotation.
+func checkPIProbs(t *testing.T, m *Model, nw *network.Network, want map[string]float64) {
+	t.Helper()
+	for _, pi := range nw.PIs {
+		got, err := m.Prob1(pi)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != want[pi.Name] || pi.Prob1 != want[pi.Name] {
+			t.Errorf("PI %s: Prob1 = %v, annotation %v, want %v", pi.Name, got, pi.Prob1, want[pi.Name])
+		}
 	}
 }
 

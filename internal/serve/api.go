@@ -18,7 +18,6 @@ import (
 	"powermap/internal/core"
 	"powermap/internal/huffman"
 	"powermap/internal/mapper"
-	"powermap/internal/prob"
 )
 
 // Request is the POST /synth payload: one circuit (a bundled benchmark
@@ -32,8 +31,7 @@ type Request struct {
 }
 
 // Options mirrors the pmap flag surface over JSON. Zero values take the
-// CLI defaults (method VI, static style, dag mapper, exact activities,
-// uniform P(pi=1)=0.5).
+// CLI defaults (method VI, static style, dag mapper, uniform P(pi=1)=0.5).
 type Options struct {
 	// Method is the paper method, "I".."VI".
 	Method string `json:"method,omitempty"`
@@ -43,10 +41,6 @@ type Options struct {
 	Mapper string `json:"mapper,omitempty"`
 	// LUT maps k-feasible cuts to generic k-LUTs (2..6, implies cuts).
 	LUT int `json:"lut,omitempty"`
-	// Activity selects the activity engine: exact, sample or auto.
-	Activity string `json:"activity,omitempty"`
-	// Vectors is the sampling budget for sample/auto.
-	Vectors int `json:"vectors,omitempty"`
 	// PIProb is the uniform P(pi=1); 0 means the default 0.5.
 	PIProb float64 `json:"pi_prob,omitempty"`
 	// BDDLimit caps live BDD nodes for this request; an over-budget
@@ -103,8 +97,6 @@ type resolved struct {
 	backend  mapper.Backend
 	treeMode bool
 	lut      int
-	activity prob.Policy
-	vectors  int
 	piProb   float64
 	bddLimit int
 	reorder  bool
@@ -118,7 +110,6 @@ type resolved struct {
 func (o Options) resolve() (resolved, error) {
 	r := resolved{
 		lut:      o.LUT,
-		vectors:  o.Vectors,
 		piProb:   o.PIProb,
 		bddLimit: o.BDDLimit,
 		reorder:  o.Reorder,
@@ -135,16 +126,6 @@ func (o Options) resolve() (resolved, error) {
 	}
 	if r.backend, r.treeMode, err = mapper.ParseBackend(o.Mapper, o.LUT); err != nil {
 		return r, err
-	}
-	if r.activity.Engine, err = prob.ParseEngine(o.Activity); err != nil {
-		return r, err
-	}
-	if o.Vectors < 0 {
-		return r, fmt.Errorf("vectors must be >= 0")
-	}
-	if r.activity.Engine == prob.Exact {
-		// The sampling budget is inert under the exact engine.
-		r.vectors = 0
 	}
 	if o.PIProb == 0 {
 		r.piProb = 0.5

@@ -58,7 +58,7 @@ func TestSynthesizeAndCacheHit(t *testing.T) {
 
 	// The same computation spelled with explicit defaults hits the cache.
 	code, out = postSynth(t, h,
-		`{"circuit": "cm42a", "options": {"method": "vi", "style": "static", "mapper": "dag", "activity": "exact", "pi_prob": 0.5, "verify": true, "netlist": true, "timeout_ms": 9999}}`)
+		`{"circuit": "cm42a", "options": {"method": "vi", "style": "static", "mapper": "dag", "pi_prob": 0.5, "verify": true, "netlist": true, "timeout_ms": 9999}}`)
 	if code != 200 {
 		t.Fatalf("re-request = %d: %v", code, out)
 	}
@@ -193,7 +193,6 @@ func TestBadRequests(t *testing.T) {
 		{"bad style", `{"circuit": "cm42a", "options": {"style": "cmos"}}`},
 		{"bad mapper", `{"circuit": "cm42a", "options": {"mapper": "magic"}}`},
 		{"lut with tree", `{"circuit": "cm42a", "options": {"mapper": "tree", "lut": 4}}`},
-		{"bad activity", `{"circuit": "cm42a", "options": {"activity": "guess"}}`},
 		{"bad prob", `{"circuit": "cm42a", "options": {"pi_prob": 1.5}}`},
 		{"negative timeout", `{"circuit": "cm42a", "options": {"timeout_ms": -1}}`},
 		// LUT arity is range-checked before any synthesis runs.
@@ -210,6 +209,15 @@ func TestBadRequests(t *testing.T) {
 		}
 		if msg, _ := out["error"].(string); msg == "" {
 			t.Errorf("%s: no error message", c.name)
+		}
+	}
+	// The activity-engine options are gone from the synthesis path; the
+	// strict decoder refuses each by name.
+	for _, field := range []string{"activity", "vectors"} {
+		code, out := postSynth(t, h, `{"circuit": "cm42a", "options": {"`+field+`": 1}}`)
+		msg, _ := out["error"].(string)
+		if code != 400 || !strings.Contains(msg, `unknown field "`+field+`"`) {
+			t.Errorf("options.%s: code = %d, error %q; want 400 naming the field", field, code, msg)
 		}
 	}
 	// GET is not part of the API surface.
@@ -303,7 +311,7 @@ func TestOverBudget422(t *testing.T) {
 	s := New(Config{MaxInflight: 1})
 	h := s.Handler()
 
-	code, out := postSynth(t, h, `{"circuit": "s344", "options": {"bdd_limit": 64, "activity": "exact"}}`)
+	code, out := postSynth(t, h, `{"circuit": "s344", "options": {"bdd_limit": 64}}`)
 	if code != 422 {
 		t.Fatalf("over-budget request = %d (%v), want 422", code, out)
 	}
@@ -433,8 +441,8 @@ func TestCanonicalKey(t *testing.T) {
 	}
 	sparse := cacheKey("cm42a", "", Options{})
 	explicit := cacheKey("cm42a", "", Options{
-		Method: "vi", Style: "Static", Mapper: "dag", Activity: "EXACT",
-		PIProb: 0.5, TimeoutMS: 12345, Vectors: 4096,
+		Method: "vi", Style: "Static", Mapper: "dag",
+		PIProb: 0.5, TimeoutMS: 12345,
 	})
 	if sparse != explicit {
 		t.Error("defaulted and explicit spellings of one computation hash differently")
@@ -447,11 +455,6 @@ func TestCanonicalKey(t *testing.T) {
 	}
 	if cacheKey("", ".model m\n.end\n", Options{}) == cacheKey("", ".model n\n.end\n", Options{}) {
 		t.Error("different BLIF bodies hash identically")
-	}
-	// Vectors matter under the sampling engine (they change the result).
-	if cacheKey("cm42a", "", Options{Activity: "sample", Vectors: 64}) ==
-		cacheKey("cm42a", "", Options{Activity: "sample", Vectors: 128}) {
-		t.Error("sampling budgets hash identically")
 	}
 }
 

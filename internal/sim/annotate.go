@@ -44,8 +44,6 @@ type AnnotateOptions struct {
 type AnnotateResult struct {
 	// Engine is the engine that produced the annotations (never Auto).
 	Engine prob.Engine
-	// Model is the exact probability model (nil when sampling ran).
-	Model *prob.Model
 	// Sampled is the sampling engine's result (nil when exact ran).
 	Sampled *BitwiseResult
 	// Vectors is the sampled vector count (0 when exact ran).
@@ -71,7 +69,7 @@ func Annotate(ctx context.Context, nw *network.Network, piProb map[string]float6
 	}
 	if engine == prob.Exact {
 		span := sc.StartCtx(ctx, "sim.annotate-exact")
-		model, err := prob.ComputeWith(ctx, nw, piProb, o.Style, o.BDD)
+		_, err := prob.ComputeWith(ctx, nw, piProb, o.Style, o.BDD)
 		span.End()
 		if err == nil {
 			sc.Counter("sim.engine_exact").Add(1)
@@ -79,7 +77,6 @@ func Annotate(ctx context.Context, nw *network.Network, piProb map[string]float6
 				"engine": prob.Exact.String(), "circuit": nw.Name,
 			})
 			res.Engine = prob.Exact
-			res.Model = model
 			return res, nil
 		}
 		if o.Policy.Engine != prob.Auto || !bdd.IsNodeLimit(err) {

@@ -36,7 +36,7 @@ func LagOneSource(nw *network.Network, piProb, piTrans map[string]float64, seed 
 		if !ok {
 			p = 0.5
 		}
-		if p < 0 || p > 1 {
+		if !(p >= 0 && p <= 1) {
 			return nil, fmt.Errorf("sim: P(%s=1) = %v out of [0,1]", pi.Name, p)
 		}
 		a, ok := piTrans[pi.Name]
@@ -47,7 +47,7 @@ func LagOneSource(nw *network.Network, piProb, piTrans map[string]float64, seed 
 		if 2*(1-p) < limit {
 			limit = 2 * (1 - p)
 		}
-		if a < 0 || a > limit {
+		if !(a >= 0 && a <= limit) {
 			return nil, fmt.Errorf("sim: toggle probability %v of %s out of [0, 2·min(p,1-p)] = [0, %v] for p = %v",
 				a, pi.Name, limit, p)
 		}

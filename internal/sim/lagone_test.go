@@ -88,6 +88,8 @@ func TestLagOneValidation(t *testing.T) {
 		{"toggle above limit", map[string]float64{"a": 0.1}, map[string]float64{"a": 0.5}},
 		{"negative toggle", nil, map[string]float64{"a": -0.1}},
 		{"prob above one", map[string]float64{"a": 1.5}, nil},
+		{"NaN toggle", nil, map[string]float64{"a": math.NaN()}},
+		{"NaN prob", map[string]float64{"a": math.NaN()}, nil},
 	}
 	for _, c := range cases {
 		if _, err := LagOneSource(nw, c.prob, c.trans, 1); err == nil {

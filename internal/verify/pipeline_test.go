@@ -3,6 +3,8 @@ package verify
 import (
 	"context"
 	"errors"
+	"fmt"
+	"math/rand"
 	"testing"
 
 	"powermap/internal/bdd"
@@ -17,7 +19,9 @@ import (
 // networks and proves every run end to end: source ≡ optimized ≡ decomposed
 // ≡ mapped, report self-consistent, every curve non-inferior. Modes cycle
 // through DAG/tree partitioning × worker counts {1, 8} and all six methods
-// (covering unbounded and height-bounded decomposition).
+// (covering unbounded and height-bounded decomposition), then through
+// exact (BDD-priced) decomposition, strashed subject graphs and skewed
+// per-PI probabilities.
 func TestSynthesizePropertyFuzz(t *testing.T) {
 	runs := 200
 	if testing.Short() {
@@ -41,18 +45,32 @@ func TestSynthesizePropertyFuzz(t *testing.T) {
 		if seed%4 >= 2 {
 			workers = 8
 		}
+		exact := seed/6%2 == 1
+		strash := seed/12%2 == 1
+		var piProb map[string]float64
+		if seed/24%2 == 1 {
+			r := rand.New(rand.NewSource(int64(seed)))
+			piProb = make(map[string]float64)
+			for _, name := range src.PINames() {
+				piProb[name] = 0.05 + 0.9*r.Float64()
+			}
+		}
 		var audit CurveAuditor
 		res, err := core.SynthesizeContext(ctx, src, core.Options{
 			Method:     methods[seed%len(methods)],
+			Exact:      exact,
+			Strash:     strash,
+			PIProb:     piProb,
 			TreeMode:   tree,
 			Workers:    workers,
 			CurveAudit: audit.Hook(),
 		})
+		mode := fmt.Sprintf("tree=%v workers=%d exact=%v strash=%v skewed=%v", tree, workers, exact, strash, piProb != nil)
 		if err != nil {
-			t.Fatalf("seed %d (tree=%v workers=%d): synthesize: %v", seed, tree, workers, err)
+			t.Fatalf("seed %d (%s): synthesize: %v", seed, mode, err)
 		}
 		if err := CheckResult(ctx, src, res); err != nil {
-			t.Fatalf("seed %d (tree=%v workers=%d): %v", seed, tree, workers, err)
+			t.Fatalf("seed %d (%s): %v", seed, mode, err)
 		}
 		if audit.Err() != nil {
 			t.Fatalf("seed %d: curve invariant: %v", seed, audit.Err())

@@ -245,15 +245,9 @@ func EstimateActivities(nw *Network, piProb map[string]float64, style Style) (*p
 	return prob.Compute(nw, piProb, style)
 }
 
-// Activity-engine re-exports (see internal/sim and internal/prob): the
-// bit-parallel sampling estimator and the exact/sampling policy consumed
-// by Options.Activity.
+// Sampling-engine re-exports (see internal/sim): the bit-parallel
+// Monte-Carlo activity estimator.
 type (
-	// ActivityPolicy picks the engine that measures switching activities
-	// (exact BDDs, bit-parallel sampling, or auto); the zero value is exact.
-	ActivityPolicy = prob.Policy
-	// ActivityEngine is one of ActivityExact/ActivitySampling/ActivityAuto.
-	ActivityEngine = prob.Engine
 	// SamplingOptions configures SampleActivities (budget, seed, workers,
 	// confidence level, sequential CI target).
 	SamplingOptions = sim.BitwiseOptions
@@ -262,13 +256,6 @@ type (
 	SamplingResult = sim.BitwiseResult
 	// ActivityEstimate is one node's sampled estimate.
 	ActivityEstimate = sim.Estimate
-)
-
-// Activity engines selectable via ActivityPolicy.
-const (
-	ActivityExact    = prob.Exact
-	ActivitySampling = prob.Sampling
-	ActivityAuto     = prob.Auto
 )
 
 // SampleActivities estimates signal probabilities and switching activities
