@@ -1,7 +1,7 @@
 // Command pexplain queries the decision-provenance journals written by
-// pmap/powerest/pcheck -journal, tables -journal-dir and pbench
-// -journal-dir: JSONL files recording every decomposition tree, mapper
-// match and per-gate power attribution of a synthesis run.
+// pmap/powerest/pcheck/tables -journal: JSONL files recording every
+// decomposition tree, mapper match and per-gate power attribution of a
+// synthesis run.
 //
 // Usage:
 //

@@ -19,8 +19,8 @@ import (
 // (-sample-interval), per-phase SLO budgets (-budget, repeatable), and the
 // uniform structured-logging controls (-log-level, -log-json). It is
 // registered by addTelemetryFlags on the four commands that share the
-// telemetry bundle, and directly by pbench (whose -run-id flag predates
-// the bundle).
+// telemetry bundle, and directly by pserve, which serves its scope for
+// its whole life instead of exporting it after one run.
 type obsFlags struct {
 	flight         *string
 	sampleInterval *time.Duration

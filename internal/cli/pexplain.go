@@ -12,7 +12,7 @@ import (
 )
 
 // Pexplain runs the pexplain command: querying and diffing the decision
-// journals written by pmap/tables/pbench -journal. Three subcommands:
+// journals written by pmap/powerest/pcheck/tables -journal. Three subcommands:
 //
 //	pexplain top  [-n 20] [-json] run.jsonl        where do the microwatts go
 //	pexplain why  -gate NAME [-json] run.jsonl     why this gate: attribution -> match -> tree

@@ -2,6 +2,7 @@ package eval
 
 import (
 	"context"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -328,5 +329,58 @@ func TestRunSuiteJournaled(t *testing.T) {
 	}
 	if got := sn.Counters["mapper.sites_selected"]; got != int64(sites) {
 		t.Errorf("mapper.sites_selected = %d, journals hold %d map.site events", got, sites)
+	}
+}
+
+// TestRunJournalCrossCheck checks the journal of a single-method,
+// single-worker suite against the scope's counters of the same run: one
+// file for the reference run and one for the method, one decomp.node
+// event per planned node and one map.site event per selected gate. With
+// the method's file gone the totals no longer agree, so the agreement is
+// not vacuous.
+func TestRunJournalCrossCheck(t *testing.T) {
+	dir := t.TempDir()
+	sc := obs.New(obs.Config{})
+	if _, err := RunSuiteJournaled(context.Background(), []core.Method{core.MethodI},
+		core.Options{Obs: sc, Workers: 1}, []string{"x2"}, JournalConfig{Dir: dir}); err != nil {
+		t.Fatal(err)
+	}
+	// totals sums the decomp.node and map.site events of every journal in dir.
+	totals := func() (files int, nodes, sites int64) {
+		entries, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, e := range entries {
+			if filepath.Ext(e.Name()) != ".jsonl" {
+				continue
+			}
+			run, err := journal.ReadRunFile(filepath.Join(dir, e.Name()))
+			if err != nil {
+				t.Fatalf("%s: %v", e.Name(), err)
+			}
+			files++
+			nodes += int64(run.Counts[journal.TypeDecompNode])
+			sites += int64(run.Counts[journal.TypeMapSite])
+		}
+		return files, nodes, sites
+	}
+	sn := sc.Snapshot()
+	planned, selected := sn.Counters["decomp.nodes_planned"], sn.Counters["mapper.sites_selected"]
+	if selected <= 0 {
+		t.Fatalf("mapper.sites_selected = %d, want > 0", selected)
+	}
+	files, nodes, sites := totals()
+	if files != 2 { // x2-ref.jsonl + x2-I.jsonl
+		t.Errorf("journal dir holds %d .jsonl files, want 2", files)
+	}
+	if nodes != planned || sites != selected {
+		t.Errorf("journals hold %d decomp.node / %d map.site events, counters %d / %d", nodes, sites, planned, selected)
+	}
+	if err := os.Remove(filepath.Join(dir, "x2-I.jsonl")); err != nil {
+		t.Fatal(err)
+	}
+	if _, nodes, sites = totals(); nodes == planned && sites == selected {
+		t.Error("journal totals still match the counters with x2-I.jsonl missing")
 	}
 }

@@ -10,7 +10,9 @@
 //     output order never depends on scheduling.
 //   - The first failure (lowest item index) wins: its error is returned
 //     and the shared context is cancelled so in-flight siblings can stop
-//     early. Items not yet claimed are skipped.
+//     early. Items after the failing one are skipped. A sibling's
+//     context.Canceled that only echoes that cancel never wins over the
+//     failure that caused it.
 //   - A panic in a worker is captured and re-raised in the caller's
 //     goroutine (lowest index first), preserving the sequential contract
 //     that a panicking item takes the whole call down.
@@ -97,6 +99,7 @@ func ForEach(ctx context.Context, workers, n int, fn func(ctx context.Context, i
 	defer cancel()
 	var (
 		next   atomic.Int64 // next unclaimed item
+		failed atomic.Int64 // lowest failed item so far; n while none has
 		wg     sync.WaitGroup
 		mu     sync.Mutex
 		errs   = map[int]error{}
@@ -116,9 +119,18 @@ func ForEach(ctx context.Context, workers, n int, fn func(ctx context.Context, i
 	// labeled pools; the health layer's runtime sampler picks it up like any
 	// other gauge, so a hung pool is visible as a flat non-zero track.
 	inflight := sc.Gauge("exec.inflight")
-	record := func(i int, err error) {
+	failed.Store(int64(n))
+	// record stores item i's error or panic and cancels its siblings.
+	record := func(i int, err error, p *capturedPanic) {
 		mu.Lock()
-		errs[i] = err
+		if p != nil {
+			panics[i] = *p
+		} else {
+			errs[i] = err
+		}
+		if int64(i) < failed.Load() {
+			failed.Store(int64(i))
+		}
 		mu.Unlock()
 		cancel()
 	}
@@ -140,11 +152,10 @@ func ForEach(ctx context.Context, workers, n int, fn func(ctx context.Context, i
 			span.End()
 		}()
 		for {
+			// Items behind a failure are skipped, but one claimed before it
+			// still runs: its own failure is what a sequential run reports.
 			i := int(next.Add(1)) - 1
-			if i >= n {
-				return
-			}
-			if wctx.Err() != nil {
+			if i >= n || int64(i) > failed.Load() || ctx.Err() != nil {
 				return
 			}
 			items++
@@ -153,14 +164,11 @@ func ForEach(ctx context.Context, workers, n int, fn func(ctx context.Context, i
 					if r := recover(); r != nil {
 						stack := make([]byte, 64<<10)
 						stack = stack[:runtime.Stack(stack, false)]
-						mu.Lock()
-						panics[i] = capturedPanic{value: r, stack: stack}
-						mu.Unlock()
-						cancel()
+						record(i, nil, &capturedPanic{value: r, stack: stack})
 					}
 				}()
 				if err := fn(ictx, i); err != nil {
-					record(i, err)
+					record(i, err, nil)
 				}
 			}()
 		}
@@ -171,41 +179,31 @@ func ForEach(ctx context.Context, workers, n int, fn func(ctx context.Context, i
 	}
 	wg.Wait()
 
-	// Re-raise the lowest-index panic unless a lower index failed first.
-	panicIdx, errIdx := lowestKey(panics), lowestKey(errs)
-	if panicIdx >= 0 && (errIdx < 0 || panicIdx < errIdx) {
-		p := panics[panicIdx]
-		panic(fmt.Sprintf("exec: worker panic on item %d: %v\n\nworker stack:\n%s", panicIdx, p.value, p.stack))
+	first := int(failed.Load())
+	if first == n {
+		return ctx.Err()
 	}
-	if errIdx >= 0 {
-		// Prefer the lowest-index intrinsic failure over cancellation noise
-		// from siblings that observed the first error's cancel: the error
-		// identity then matches what a sequential run would report.
-		for i := errIdx; ; i++ {
-			err, ok := errs[i]
-			if !ok {
-				continue
-			}
-			if !errors.Is(err, context.Canceled) || ctx.Err() != nil {
-				return err
-			}
-			if i >= n-1 {
-				break
-			}
+	// The lowest-index intrinsic failure wins: a panic, or an error that is
+	// not cancellation noise from a sibling that observed an earlier
+	// failure's cancel. The failure identity then matches what a sequential
+	// run would report. If every error is noise, the lowest one is returned.
+	var noise error
+	for i := first; i < n; i++ {
+		if p, ok := panics[i]; ok {
+			panic(fmt.Sprintf("exec: worker panic on item %d: %v\n\nworker stack:\n%s", i, p.value, p.stack))
 		}
-		return errs[errIdx]
-	}
-	return ctx.Err()
-}
-
-func lowestKey[V any](m map[int]V) int {
-	best := -1
-	for k := range m {
-		if best < 0 || k < best {
-			best = k
+		err, ok := errs[i]
+		if !ok {
+			continue
+		}
+		if !errors.Is(err, context.Canceled) || ctx.Err() != nil {
+			return err
+		}
+		if noise == nil {
+			noise = err
 		}
 	}
-	return best
+	return noise
 }
 
 // Map runs fn over [0, n) like ForEach and collects the results in item

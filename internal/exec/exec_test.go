@@ -119,6 +119,85 @@ func TestForEachPanicPropagates(t *testing.T) {
 	}
 }
 
+// forEachWithin runs ForEach on another goroutine and fails the test if it
+// does not return within five seconds, so a busy-looping failure scan fails
+// the test instead of hanging it. A panic from ForEach comes back as its
+// recovered value.
+func forEachWithin(t *testing.T, workers, n int, fn func(ctx context.Context, i int) error) (panicked any, err error) {
+	t.Helper()
+	type outcome struct {
+		err      error
+		panicked any
+	}
+	done := make(chan outcome, 1)
+	go func() {
+		var o outcome
+		defer func() {
+			o.panicked = recover()
+			done <- o
+		}()
+		o.err = ForEach(context.Background(), workers, n, fn)
+	}()
+	select {
+	case o := <-done:
+		return o.panicked, o.err
+	case <-time.After(5 * time.Second):
+		t.Fatal("ForEach did not return within 5s")
+		return nil, nil
+	}
+}
+
+// A panic behind a lower-index sibling that only returned its cancelled
+// context's error must still take the call down: the sibling's
+// context.Canceled is noise caused by the panic, not a failure of its own.
+func TestForEachPanicBehindCanceledSibling(t *testing.T) {
+	r, err := forEachWithin(t, 2, 2, func(ctx context.Context, i int) error {
+		if i == 1 {
+			panic("kaboom")
+		}
+		<-ctx.Done()
+		return ctx.Err()
+	})
+	msg, ok := r.(string)
+	if !ok || !strings.Contains(msg, "item 1") || !strings.Contains(msg, "kaboom") {
+		t.Errorf("panic = %v, err = %v; want item 1's panic re-raised", r, err)
+	}
+}
+
+// When every error is context.Canceled on a live caller context, ForEach
+// returns the lowest-index one.
+func TestForEachOnlyCancellationErrors(t *testing.T) {
+	own := fmt.Errorf("item 1: %w", context.Canceled)
+	// Item 1 fails with cancellation alone.
+	r, err := forEachWithin(t, 2, 4, func(_ context.Context, i int) error {
+		if i == 1 {
+			return own
+		}
+		return nil
+	})
+	if r != nil || err != own {
+		t.Errorf("lone cancellation: err = %v, panic = %v; want item 1's error", err, r)
+	}
+	// Item 0 then echoes the cancel that item 1's error caused. Item 1
+	// fails only once item 0 is running, so both errors are recorded.
+	started := make(chan struct{})
+	r, err = forEachWithin(t, 2, 4, func(ctx context.Context, i int) error {
+		switch i {
+		case 0:
+			close(started)
+			<-ctx.Done()
+			return ctx.Err()
+		case 1:
+			<-started
+			return own
+		}
+		return nil
+	})
+	if r != nil || err != context.Canceled {
+		t.Errorf("all cancellation: err = %v, panic = %v; want item 0's context.Canceled", err, r)
+	}
+}
+
 // A worker-count of 1 must not spawn goroutines and must stop at the
 // first error without touching later items, like a plain loop.
 func TestSequentialPathStopsAtError(t *testing.T) {

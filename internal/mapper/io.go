@@ -131,6 +131,9 @@ func ReadMappedBLIF(r io.Reader, lib *genlib.Library) (*network.Network, error) 
 				if name == "\\" {
 					continue
 				}
+				if nw.NodeByName(name) != nil {
+					return nil, fmt.Errorf("mapper: line %d: duplicate input %s", lineNo, name)
+				}
 				nw.AddPI(name)
 			}
 		case ".outputs":
@@ -203,6 +206,9 @@ func ReadMappedBLIF(r io.Reader, lib *genlib.Library) (*network.Network, error) 
 		g := &gates[i]
 		if byOutput[g.output] != nil {
 			return nil, fmt.Errorf("mapper: line %d: signal %s driven twice", g.line, g.output)
+		}
+		if nw.NodeByName(g.output) != nil {
+			return nil, fmt.Errorf("mapper: line %d: gate drives primary input %s", g.line, g.output)
 		}
 		byOutput[g.output] = g
 	}

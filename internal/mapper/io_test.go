@@ -50,6 +50,8 @@ func TestReadMappedBLIFErrors(t *testing.T) {
 		{"double-drive", ".model m\n.inputs a b\n.outputs y\n.gate nand2 a=a b=b O=y\n.gate nand2 a=b b=a O=y\n.end\n", "driven twice"},
 		{"bad-binding", ".model m\n.inputs a b\n.outputs y\n.gate nand2 a b O=y\n.end\n", "malformed binding"},
 		{"bad-pin", ".model m\n.inputs a b\n.outputs y\n.gate nand2 x=a b=b O=y\n.end\n", "no pin"},
+		{"duplicate-input", ".model m\n.inputs a a\n.outputs y\n.gate nand2 a=a b=a O=y\n.end\n", "duplicate input"},
+		{"gate-drives-input", ".model m\n.inputs a b\n.outputs a\n.gate nand2 a=a b=b O=a\n.end\n", "drives primary input"},
 	}
 	for _, tc := range cases {
 		if _, err := ReadMappedBLIF(strings.NewReader(tc.text), lib); err == nil || !strings.Contains(err.Error(), tc.want) {
@@ -64,6 +66,24 @@ func TestReadMappedBLIFCycle(t *testing.T) {
 	if _, err := ReadMappedBLIF(strings.NewReader(text), lib); err == nil || !strings.Contains(err.Error(), "cycle") {
 		t.Errorf("cycle not detected: %v", err)
 	}
+}
+
+// FuzzReadMappedBLIF feeds arbitrary text to the mapped-BLIF decoder: it
+// must return an error, never panic, and any network it accepts must pass
+// the structural checker. The seed corpus in
+// testdata/fuzz/FuzzReadMappedBLIF holds cm42a's WriteBLIF output, a
+// duplicated input and a gate driving a declared input.
+func FuzzReadMappedBLIF(f *testing.F) {
+	lib := genlib.Lib2()
+	f.Fuzz(func(t *testing.T, text string) {
+		nw, err := ReadMappedBLIF(strings.NewReader(text), lib)
+		if err != nil {
+			return
+		}
+		if err := nw.Check(); err != nil {
+			t.Fatalf("accepted network fails Check: %v\ninput:\n%s", err, text)
+		}
+	})
 }
 
 func TestNetlistWriteDot(t *testing.T) {

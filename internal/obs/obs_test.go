@@ -52,7 +52,7 @@ func TestHistogramConcurrent(t *testing.T) {
 		t.Errorf("concurrent histogram count = %d, want 8000", got)
 	}
 	// Spans ended concurrently all reach phase_seconds, whatever the ring kept.
-	if got := sc.Snapshot().PhaseSeconds()["phase"].Count; got != 8000 {
+	if got := sc.Snapshot().Histograms[`phase_seconds{phase="phase"}`].Count; got != 8000 {
 		t.Errorf("concurrent phase_seconds count = %d, want 8000", got)
 	}
 }

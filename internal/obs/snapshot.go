@@ -5,8 +5,6 @@ import (
 	"fmt"
 	"io"
 	"sort"
-	"strconv"
-	"strings"
 )
 
 // Snapshot is a self-contained export of a Scope at one instant: all
@@ -79,23 +77,6 @@ func (s *Scope) Snapshot() *Snapshot {
 		sn.Histograms[k] = h.Stats()
 	}
 	return sn
-}
-
-// PhaseSeconds returns the phase_seconds histogram of every phase that
-// ended a span, keyed by span name. Unlike Spans, it counts every span
-// the scope ever ended, however far the span ring wrapped.
-func (sn *Snapshot) PhaseSeconds() map[string]HistogramStats {
-	out := make(map[string]HistogramStats)
-	for key, st := range sn.Histograms {
-		label, ok := strings.CutPrefix(key, phaseSeconds+"{phase=")
-		if !ok {
-			continue
-		}
-		if name, err := strconv.Unquote(strings.TrimSuffix(label, "}")); err == nil {
-			out[name] = st
-		}
-	}
-	return out
 }
 
 // WriteJSON writes the snapshot as indented JSON.

@@ -60,3 +60,40 @@ func TestReorderInvariance(t *testing.T) {
 		})
 	}
 }
+
+// TestWideWorkload checks that sifting pays on s344, the suite circuit
+// whose DFS variable order is measurably improvable: built twice under
+// 256-node GC thresholds, once in the fixed order and once with sifting,
+// GC and reordering both fire and the peak live-node count falls (2137
+// to 1376).
+func TestWideWorkload(t *testing.T) {
+	ctx := context.Background()
+	b, err := circuits.ByName("s344")
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func(cfg bdd.Config) bdd.Stats {
+		t.Helper()
+		model, err := prob.ComputeWith(ctx, b.Build(), nil, huffman.Static, cfg)
+		if err != nil {
+			t.Fatalf("compute (reorder=%v): %v", cfg.Reorder, err)
+		}
+		return model.Manager().Stats()
+	}
+	fixed := run(bdd.Config{GCThreshold: 256})
+	sifted := run(reorderCfg)
+	t.Logf("%s: peak %d live nodes fixed order, %d sifted (%d reorder runs, %d swaps)",
+		b.Name, fixed.PeakLive, sifted.PeakLive, sifted.ReorderRuns, sifted.ReorderSwaps)
+	if fixed.PeakLive <= 0 || sifted.PeakLive <= 0 {
+		t.Fatalf("peaks not recorded: fixed %d, sifted %d", fixed.PeakLive, sifted.PeakLive)
+	}
+	if sifted.PeakLive >= fixed.PeakLive {
+		t.Errorf("sifting did not lower peak live nodes: %d fixed order vs %d sifted", fixed.PeakLive, sifted.PeakLive)
+	}
+	if fixed.GCRuns == 0 {
+		t.Errorf("fixed-order build never triggered GC: %+v", fixed)
+	}
+	if sifted.ReorderRuns == 0 {
+		t.Errorf("sifted build never triggered reordering: %+v", sifted)
+	}
+}
