@@ -35,10 +35,10 @@ benchmark:
 		bash benchmark/run.sh --workload $$w --trace 0 || exit 1; \
 	done
 
-# Brief fuzzing of the same nine targets as the CI fuzz job: the four
+# Brief fuzzing of the same ten targets as the CI fuzz job: the four
 # parsers, the activity engines, curve pruning, NPN canonicalization, the
-# mapped-BLIF decoder and the equivalence oracle (seed corpora run in plain
-# `make test`).
+# mapped-BLIF decoder, the equivalence oracle and the journal reader (seed
+# corpora run in plain `make test`).
 fuzz:
 	$(GO) test -run='^$$' -fuzz='^FuzzParse$$' -fuzztime=30s ./internal/blif/
 	$(GO) test -run='^$$' -fuzz='^FuzzParseCover$$' -fuzztime=20s ./internal/sop/
@@ -49,6 +49,7 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz='^FuzzCanonical$$' -fuzztime=20s ./internal/npn/
 	$(GO) test -run='^$$' -fuzz='^FuzzReadMappedBLIF$$' -fuzztime=20s ./internal/mapper/
 	$(GO) test -run='^$$' -fuzz='^FuzzEquivalent$$' -fuzztime=20s ./internal/verify/equiv/
+	$(GO) test -run='^$$' -fuzz='^FuzzReadRun$$' -fuzztime=20s ./internal/journal/
 
 # Regenerate every table/figure of the paper (see EXPERIMENTS.md).
 tables:

@@ -69,9 +69,6 @@ func New() *Graph {
 // Len returns the number of nodes, including the constant and PIs.
 func (g *Graph) Len() int { return len(g.kind) }
 
-// NumPIs returns the number of primary inputs.
-func (g *Graph) NumPIs() int { return g.numPIs }
-
 // NumAnds returns the number of AND nodes.
 func (g *Graph) NumAnds() int { return len(g.kind) - 1 - g.numPIs }
 
@@ -87,17 +84,6 @@ func (g *Graph) AddPI() Lit {
 	g.fanin1 = append(g.fanin1, 0)
 	g.numPIs++
 	return MakeLit(id, false)
-}
-
-// IsPI reports whether the node is a primary input.
-func (g *Graph) IsPI(node uint32) bool { return g.kind[node] == kindPI }
-
-// IsAnd reports whether the node is an AND node.
-func (g *Graph) IsAnd(node uint32) bool { return g.kind[node] == kindAnd }
-
-// Fanins returns the two fanin literals of an AND node.
-func (g *Graph) Fanins(node uint32) (Lit, Lit) {
-	return g.fanin0[node], g.fanin1[node]
 }
 
 // And returns a literal for a & b, folding constants and identities and

@@ -33,8 +33,8 @@ func TestFoldingAndStrash(t *testing.T) {
 	if g.Dedup() != 1 {
 		t.Fatalf("dedup counter = %d, want 1", g.Dedup())
 	}
-	if g.NumAnds() != 1 || g.NumPIs() != 2 || g.Len() != 4 {
-		t.Fatalf("unexpected sizes: %d nodes, %d PIs, %d ANDs", g.Len(), g.NumPIs(), g.NumAnds())
+	if g.NumAnds() != 1 || g.numPIs != 2 || g.Len() != 4 {
+		t.Fatalf("unexpected sizes: %d nodes, %d PIs, %d ANDs", g.Len(), g.numPIs, g.NumAnds())
 	}
 }
 
@@ -71,8 +71,8 @@ func TestFromNetwork(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.G.NumPIs() != 4 {
-		t.Fatalf("PIs = %d, want 4", s.G.NumPIs())
+	if s.G.numPIs != 4 {
+		t.Fatalf("PIs = %d, want 4", s.G.numPIs)
 	}
 	// Every network node must have a literal and be its own phase's
 	// representative or share one created earlier.
@@ -117,7 +117,7 @@ func TestCutsMatchConeFunctions(t *testing.T) {
 	g := s.G
 	cuts := g.EnumerateCuts(4, 8)
 	// Evaluate the whole graph for each PI assignment.
-	nPI := g.NumPIs()
+	nPI := g.numPIs
 	values := make([][]bool, g.Len())
 	for v := range values {
 		values[v] = make([]bool, 1<<uint(nPI))
@@ -126,11 +126,11 @@ func TestCutsMatchConeFunctions(t *testing.T) {
 		pi := 0
 		for v := uint32(0); int(v) < g.Len(); v++ {
 			switch {
-			case g.IsPI(v):
+			case g.kind[v] == kindPI:
 				values[v][asg] = asg>>uint(pi)&1 == 1
 				pi++
-			case g.IsAnd(v):
-				f0, f1 := g.Fanins(v)
+			case g.kind[v] == kindAnd:
+				f0, f1 := g.fanin0[v], g.fanin1[v]
 				a := values[f0.Node()][asg] != f0.Neg()
 				b := values[f1.Node()][asg] != f1.Neg()
 				values[v][asg] = a && b
@@ -139,7 +139,7 @@ func TestCutsMatchConeFunctions(t *testing.T) {
 	}
 	checked := 0
 	for v := uint32(0); int(v) < g.Len(); v++ {
-		if !g.IsAnd(v) {
+		if g.kind[v] != kindAnd {
 			continue
 		}
 		for _, c := range cuts[v] {
@@ -185,7 +185,7 @@ func TestCutLimitAndDominance(t *testing.T) {
 		if len(cs) > limit {
 			t.Fatalf("node %d: %d cuts exceeds limit %d", v, len(cs), limit)
 		}
-		if s.G.IsAnd(v) {
+		if s.G.kind[v] == kindAnd {
 			last := cs[len(cs)-1]
 			if len(last.Leaves) != 1 || last.Leaves[0] != v {
 				t.Fatalf("node %d: trivial cut missing or misplaced: %v", v, cs)

@@ -22,11 +22,7 @@
 // The manager is not safe for concurrent use.
 package bdd
 
-import (
-	"math"
-
-	"powermap/internal/sop"
-)
+import "powermap/internal/sop"
 
 // Ref identifies a BDD node within a Manager. The constants False and True
 // are valid in every manager.
@@ -216,15 +212,8 @@ func NewWith(numVars int, cfg Config) *Manager {
 	return m
 }
 
-// SetNodeLimit overrides the live-node limit. Operations that would exceed
-// it return a wrapped ErrNodeLimit.
-func (m *Manager) SetNodeLimit(n int) { m.limit = n }
-
 // NumVars returns the number of variables in the manager's order.
 func (m *Manager) NumVars() int { return m.numVars }
-
-// NumNodes returns the number of live nodes, including the two terminals.
-func (m *Manager) NumNodes() int { return m.live + 2 }
 
 // Stats returns the work counters accumulated since creation.
 func (m *Manager) Stats() Stats {
@@ -254,14 +243,6 @@ func (m *Manager) Var(v int) (Ref, error) {
 		return False, &VarRangeError{Var: v, NumVars: m.numVars}
 	}
 	return m.mk(int32(v), False, True)
-}
-
-// NVar returns the BDD for the negation of variable v.
-func (m *Manager) NVar(v int) (Ref, error) {
-	if v < 0 || v >= m.numVars {
-		return False, &VarRangeError{Var: v, NumVars: m.numVars}
-	}
-	return m.mk(int32(v), True, False)
 }
 
 // mk returns the canonical node (v, lo, hi), reusing the unique table and
@@ -459,49 +440,6 @@ func (m *Manager) Ite(f, g, h Ref) (Ref, error) {
 	return r, nil
 }
 
-// Restrict returns f with variable v fixed to the given value.
-func (m *Manager) Restrict(f Ref, v int, value bool) (Ref, error) {
-	if v < 0 || v >= m.numVars {
-		return False, &VarRangeError{Var: v, NumVars: m.numVars}
-	}
-	cut := m.var2level[v]
-	memo := make(map[Ref]Ref)
-	var rec func(g Ref) (Ref, error)
-	rec = func(g Ref) (Ref, error) {
-		if m.level(g) > cut {
-			return g, nil
-		}
-		if r, ok := memo[g]; ok {
-			return r, nil
-		}
-		n := m.nodes[g]
-		var r Ref
-		if n.varID == int32(v) {
-			if value {
-				r = n.hi
-			} else {
-				r = n.lo
-			}
-		} else {
-			lo, err := rec(n.lo)
-			if err != nil {
-				return False, err
-			}
-			hi, err := rec(n.hi)
-			if err != nil {
-				return False, err
-			}
-			r, err = m.mk(n.varID, lo, hi)
-			if err != nil {
-				return False, err
-			}
-		}
-		memo[g] = r
-		return r, nil
-	}
-	return rec(f)
-}
-
 // FromCover builds the BDD of an SOP cover where cover variable i is
 // represented by inputs[i] (an arbitrary function, enabling composition of
 // a local function with its fanins' global functions).
@@ -570,31 +508,6 @@ func (m *Manager) Prob(f Ref, p1 []float64) (float64, error) {
 		return p
 	}
 	return rec(f), nil
-}
-
-// SatCount returns the number of satisfying assignments of f over all
-// numVars variables.
-func (m *Manager) SatCount(f Ref) float64 {
-	memo := make(map[Ref]float64)
-	var rec func(g Ref, level int32) float64
-	rec = func(g Ref, level int32) float64 {
-		if g == False {
-			return 0
-		}
-		gl := m.level(g)
-		skip := math.Exp2(float64(gl - level))
-		if g == True {
-			return skip
-		}
-		if c, ok := memo[g]; ok {
-			return skip * c
-		}
-		n := m.nodes[g]
-		c := rec(n.lo, gl+1) + rec(n.hi, gl+1)
-		memo[g] = c
-		return skip * c
-	}
-	return rec(f, 0)
 }
 
 // Support returns the ascending variable indices appearing in f.

@@ -28,15 +28,11 @@ func (b *tb) ok(r Ref, err error) Ref {
 }
 
 func (b *tb) Var(v int) Ref       { return b.ok(b.m.Var(v)) }
-func (b *tb) NVar(v int) Ref      { return b.ok(b.m.NVar(v)) }
 func (b *tb) Not(f Ref) Ref       { return b.ok(b.m.Not(f)) }
 func (b *tb) And(f, g Ref) Ref    { return b.ok(b.m.And(f, g)) }
 func (b *tb) Or(f, g Ref) Ref     { return b.ok(b.m.Or(f, g)) }
 func (b *tb) Xor(f, g Ref) Ref    { return b.ok(b.m.Xor(f, g)) }
 func (b *tb) Ite(f, g, h Ref) Ref { return b.ok(b.m.Ite(f, g, h)) }
-func (b *tb) Restrict(f Ref, v int, val bool) Ref {
-	return b.ok(b.m.Restrict(f, v, val))
-}
 func (b *tb) FromCover(c *sop.Cover, inputs []Ref) Ref {
 	return b.ok(b.m.FromCover(c, inputs))
 }
@@ -79,9 +75,6 @@ func TestVarBasics(t *testing.T) {
 	if m.Xor(x, x) != False {
 		t.Error("x ^ x != 0")
 	}
-	if m.NVar(0) != m.Not(x) {
-		t.Error("NVar != Not(Var)")
-	}
 }
 
 func TestVarRangeError(t *testing.T) {
@@ -94,11 +87,8 @@ func TestVarRangeError(t *testing.T) {
 			t.Errorf("want VarRangeError{3,3}, got %v", err)
 		}
 	}
-	if _, err := m.NVar(-1); err == nil {
-		t.Error("NVar(-1) should fail")
-	}
-	if _, err := m.Restrict(True, 7, true); err == nil {
-		t.Error("Restrict out-of-range variable should fail")
+	if _, err := m.Var(-1); err == nil {
+		t.Error("Var(-1) should fail")
 	}
 }
 
@@ -122,21 +112,6 @@ func TestDeMorgan(t *testing.T) {
 	a, b := m.Var(0), m.Var(1)
 	if m.Not(m.And(a, b)) != m.Or(m.Not(a), m.Not(b)) {
 		t.Error("De Morgan violated")
-	}
-}
-
-func TestRestrict(t *testing.T) {
-	m := wrap(t, New(3))
-	a, b, c := m.Var(0), m.Var(1), m.Var(2)
-	f := m.Or(m.And(a, b), c)
-	if m.Restrict(f, 0, true) != m.Or(b, c) {
-		t.Error("restrict a=1 wrong")
-	}
-	if m.Restrict(f, 0, false) != c {
-		t.Error("restrict a=0 wrong")
-	}
-	if m.Restrict(f, 2, true) != True {
-		t.Error("restrict c=1 wrong")
 	}
 }
 
@@ -310,23 +285,6 @@ func TestProbBounds(t *testing.T) {
 	}
 }
 
-func TestSatCount(t *testing.T) {
-	m := wrap(t, New(3))
-	a, b := m.Var(0), m.Var(1)
-	if got := m.m.SatCount(m.And(a, b)); got != 2 { // c free
-		t.Errorf("satcount(ab) = %v, want 2", got)
-	}
-	if got := m.m.SatCount(True); got != 8 {
-		t.Errorf("satcount(1) = %v, want 8", got)
-	}
-	if got := m.m.SatCount(False); got != 0 {
-		t.Errorf("satcount(0) = %v, want 0", got)
-	}
-	if got := m.m.SatCount(m.Xor(a, b)); got != 4 {
-		t.Errorf("satcount(a^b) = %v, want 4", got)
-	}
-}
-
 func TestSupport(t *testing.T) {
 	m := wrap(t, New(4))
 	f := m.And(m.Var(0), m.Or(m.Var(2), m.Var(3)))
@@ -359,8 +317,7 @@ func TestIteIdentities(t *testing.T) {
 }
 
 func TestNodeLimitError(t *testing.T) {
-	m := New(8)
-	m.SetNodeLimit(4) // absurdly small: building the conjunction trips it
+	m := NewWith(8, Config{NodeLimit: 4}) // absurdly small: building the conjunction trips it
 	f := True
 	var err error
 	for i := 0; i < 8 && err == nil; i++ {
@@ -397,7 +354,7 @@ func TestGCReclaimsToRootedSet(t *testing.T) {
 	f := xorChain(m, 8)
 	root := m.m.Protect(f)
 	m.m.GC() // drop the chain's intermediate prefixes
-	rootedSize := m.m.NumNodes()
+	rootedSize := m.m.live
 
 	// Pile up garbage: conjunction trees that nothing roots.
 	for trial := 0; trial < 4; trial++ {
@@ -407,12 +364,12 @@ func TestGCReclaimsToRootedSet(t *testing.T) {
 		}
 		_ = g
 	}
-	if m.m.NumNodes() <= rootedSize {
+	if m.m.live <= rootedSize {
 		t.Fatal("expected garbage growth before GC")
 	}
 	m.m.GC()
-	if got := m.m.NumNodes(); got != rootedSize {
-		t.Errorf("after GC: %d nodes, want rooted set %d", got, rootedSize)
+	if got := m.m.live; got != rootedSize {
+		t.Errorf("after GC: %d live nodes, want rooted set %d", got, rootedSize)
 	}
 	st := m.m.Stats()
 	if st.GCRuns != 2 || st.NodesFreed == 0 {
@@ -427,8 +384,8 @@ func TestGCReclaimsToRootedSet(t *testing.T) {
 	// Releasing the root lets GC take everything.
 	root.Release()
 	m.m.GC()
-	if got := m.m.NumNodes(); got != 2 {
-		t.Errorf("after releasing root: %d nodes, want 2 terminals", got)
+	if got := m.m.live; got != 0 {
+		t.Errorf("after releasing root: %d live nodes, want 0", got)
 	}
 }
 
@@ -451,19 +408,19 @@ func TestRootRefcounting(t *testing.T) {
 	f := m.And(m.Var(0), m.Var(1))
 	r1 := m.m.Protect(f)
 	r2 := m.m.Protect(f)
-	if m.m.NumRoots() != 1 {
-		t.Errorf("NumRoots = %d, want 1 distinct", m.m.NumRoots())
+	if got := len(m.m.roots); got != 1 {
+		t.Errorf("%d roots, want 1 distinct", got)
 	}
 	r1.Release()
 	m.m.GC()
 	// Still protected through r2.
-	if m.m.NumNodes() <= 2 {
+	if m.m.live == 0 {
 		t.Error("node collected while still rooted")
 	}
 	r2.Release()
 	r2.Release() // double release is a no-op
 	m.m.GC()
-	if m.m.NumNodes() != 2 {
+	if m.m.live != 0 {
 		t.Error("node survived after all roots released")
 	}
 }
@@ -521,15 +478,15 @@ func TestReorderShrinksOrderSensitiveFunction(t *testing.T) {
 	root := m.m.Protect(f)
 	defer root.Release()
 	m.m.GC()
-	before := m.m.NumNodes()
+	before := m.m.live
 	m.m.Reorder()
-	after := m.m.NumNodes()
+	after := m.m.live
 	if after >= before {
 		t.Errorf("sifting did not shrink: %d -> %d nodes", before, after)
 	}
-	// Optimal size for the paired order is 2 nodes per pair + terminals.
-	if after > 3*pairs+2 {
-		t.Errorf("sifting left %d nodes, want near-linear (<= %d)", after, 3*pairs+2)
+	// Optimal size for the paired order is 2 internal nodes per pair.
+	if after > 3*pairs {
+		t.Errorf("sifting left %d nodes, want near-linear (<= %d)", after, 3*pairs)
 	}
 	if st := m.m.Stats(); st.ReorderRuns != 1 || st.ReorderSwaps == 0 {
 		t.Errorf("reorder stats: %+v", st)
@@ -676,7 +633,7 @@ func TestNodeLimitDuringReorderIsSafe(t *testing.T) {
 	rt := m.m.Protect(f)
 	defer rt.Release()
 	m.m.GC()
-	m.m.SetNodeLimit(m.m.NumNodes() - 2) // no headroom at all
+	m.m.limit = m.m.live // no headroom at all
 	m.m.Reorder()
 	assign := make([]bool, 8)
 	assign[1], assign[5] = true, true

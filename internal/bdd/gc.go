@@ -32,9 +32,6 @@ func (rt *Root) Release() {
 	}
 }
 
-// NumRoots returns the number of distinct protected references.
-func (m *Manager) NumRoots() int { return len(m.roots) }
-
 // GC reclaims every node unreachable from the root set by mark-and-sweep,
 // clears the computed table (its entries may name dead nodes), and rebuilds
 // internal reference counts for the survivors. Refs of unrooted functions

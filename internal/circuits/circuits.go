@@ -219,13 +219,6 @@ func randomCover(r *rand.Rand, k int) *sop.Cover {
 	}
 }
 
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
 // Decoder10 builds the exact cm42a function: a 4-to-10 BCD decoder with
 // active outputs d0..d9 (output i is the minterm of BCD value i).
 func Decoder10() *network.Network {
@@ -334,29 +327,4 @@ func Figure1() (*network.Network, map[string]float64) {
 	y := nw.AddNode("y", ins, f)
 	nw.MarkOutput("y", y)
 	return nw, map[string]float64{"a": 0.3, "b": 0.4, "c": 0.7, "d": 0.5}
-}
-
-// Parity builds an n-input parity tree (used by examples and tests as a
-// high-activity workload).
-func Parity(n int) *network.Network {
-	nw := network.New(fmt.Sprintf("parity%d", n))
-	var pool []*network.Node
-	for i := 0; i < n; i++ {
-		pool = append(pool, nw.AddPI(fmt.Sprintf("x%d", i)))
-	}
-	xor2 := func() *sop.Cover {
-		f := sop.NewCover(2)
-		f.AddCube(sop.Cube{sop.Pos, sop.Neg})
-		f.AddCube(sop.Cube{sop.Neg, sop.Pos})
-		return f
-	}
-	i := 0
-	for len(pool) > 1 {
-		a, b := pool[0], pool[1]
-		pool = pool[2:]
-		pool = append(pool, nw.AddNode(fmt.Sprintf("p%d", i), []*network.Node{a, b}, xor2()))
-		i++
-	}
-	nw.MarkOutput("parity", pool[0])
-	return nw
 }

@@ -143,24 +143,6 @@ func TestFigure1Probabilities(t *testing.T) {
 	}
 }
 
-func TestParity(t *testing.T) {
-	nw := Parity(5)
-	for bits := 0; bits < 32; bits++ {
-		assign := map[string]bool{}
-		ones := 0
-		for i := 0; i < 5; i++ {
-			v := bits>>i&1 == 1
-			assign["x"+string(rune('0'+i))] = v
-			if v {
-				ones++
-			}
-		}
-		if nw.Eval(assign)["parity"] != (ones%2 == 1) {
-			t.Fatalf("parity(%05b) wrong", bits)
-		}
-	}
-}
-
 func TestRandomRespectsInterface(t *testing.T) {
 	nw := Random("t", 7, 12, 9, 50)
 	s := nw.Stats()

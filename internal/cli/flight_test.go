@@ -2,6 +2,7 @@ package cli
 
 import (
 	"bytes"
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"strings"
@@ -31,9 +32,9 @@ func TestPowerestFlightRecordOnFailure(t *testing.T) {
 		t.Fatalf("no flight record despite failure: %v\nstderr:\n%s", ferr, errOut.String())
 	}
 	defer f.Close()
-	fr, perr := obs.ParseFlightRecord(f)
-	if perr != nil {
-		t.Fatal(perr)
+	var fr obs.FlightRecord
+	if err := json.NewDecoder(f).Decode(&fr); err != nil {
+		t.Fatal(err)
 	}
 	if fr.Schema != obs.FlightSchemaVersion || fr.Reason != "powerest.annotate" {
 		t.Errorf("record header wrong: schema=%d reason=%q", fr.Schema, fr.Reason)

@@ -179,13 +179,13 @@ func Pmap(args []string, out, errOut io.Writer) error {
 			rep.Vectors, rep.PowerUW, rep.ZeroDelayPowerUW)
 	}
 	if *dot != "" {
-		if err := writeFile(*dot, res.Netlist.WriteDot); err != nil {
+		if err := writeTo(*dot, res.Netlist.WriteDot); err != nil {
 			return err
 		}
 		fmt.Fprintf(out, "netlist graph written to %s\n", *dot)
 	}
 	if *write != "" {
-		if err := writeFile(*write, res.Netlist.WriteBLIF); err != nil {
+		if err := writeTo(*write, res.Netlist.WriteBLIF); err != nil {
 			return err
 		}
 		fmt.Fprintf(out, "mapped netlist written to %s\n", *write)
@@ -238,18 +238,6 @@ func timeoutError(d time.Duration, err error) error {
 		return fmt.Errorf("run exceeded -timeout %v: %w", d, err)
 	}
 	return err
-}
-
-func writeFile(path string, write func(io.Writer) error) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := write(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }
 
 func loadLibrary(path string) (*genlib.Library, error) {

@@ -136,6 +136,10 @@ func Powerest(args []string, out, errOut io.Writer) error {
 		// leave a flight record beside the journal, like core.Synthesize.
 		sc.Flight().CaptureFailure("powerest.annotate", err,
 			"circuit", nw.Name, "node_limit", bdd.IsNodeLimit(err))
+		if bdd.IsNodeLimit(err) {
+			// Only powerest can trade exact activities for sampled ones.
+			err = fmt.Errorf("%w (or sample activities with -activity auto)", err)
+		}
 		return timeoutError(*timeout, err)
 	}
 	approximated := ares.Engine == prob.Sampling

@@ -42,16 +42,8 @@ func startProfiles(cpuPath, memPath string) (stop func() error, err error) {
 			}
 		}
 		if memPath != "" {
-			f, err := os.Create(memPath)
-			if err != nil {
-				return err
-			}
 			runtime.GC() // publish up-to-date allocation statistics
-			if err := pprof.WriteHeapProfile(f); err != nil {
-				f.Close()
-				return err
-			}
-			return f.Close()
+			return writeTo(memPath, pprof.WriteHeapProfile)
 		}
 		return nil
 	}, nil

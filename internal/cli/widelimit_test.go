@@ -2,6 +2,7 @@ package cli
 
 import (
 	"bytes"
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"strings"
@@ -9,6 +10,7 @@ import (
 
 	"powermap/internal/bdd"
 	"powermap/internal/blif"
+	"powermap/internal/obs"
 	"powermap/internal/verify"
 )
 
@@ -36,7 +38,8 @@ func writeWideBlif(t *testing.T) string {
 
 // TestPmapTooWideFailsCleanly drives the full pmap flow into the BDD node
 // limit and demands a diagnostic error, never a panic: the limit must
-// surface as bdd.ErrNodeLimit end to end with the fallback hint attached.
+// surface as bdd.ErrNodeLimit end to end with the remedy hint attached,
+// and the hint must offer only what pmap can do.
 func TestPmapTooWideFailsCleanly(t *testing.T) {
 	path := writeWideBlif(t)
 	var out, errOut bytes.Buffer
@@ -47,8 +50,11 @@ func TestPmapTooWideFailsCleanly(t *testing.T) {
 	if !bdd.IsNodeLimit(err) {
 		t.Fatalf("error does not carry bdd.ErrNodeLimit: %v", err)
 	}
-	if !strings.Contains(err.Error(), "node limit") {
-		t.Errorf("diagnostic missing from error: %v", err)
+	if !strings.Contains(err.Error(), "raise the node limit") {
+		t.Errorf("remedy missing from error: %v", err)
+	}
+	if strings.Contains(err.Error(), "approximate activities") {
+		t.Errorf("synthesis has no approximate fallback, but the error offers one: %v", err)
 	}
 }
 
@@ -81,6 +87,9 @@ func TestPowerestApproxFallback(t *testing.T) {
 	}
 	if !bdd.IsNodeLimit(err) {
 		t.Fatalf("error does not carry bdd.ErrNodeLimit: %v", err)
+	}
+	if !strings.Contains(err.Error(), "-activity auto") {
+		t.Errorf("exact-engine error does not offer the sampling fallback: %v", err)
 	}
 
 	out.Reset()
@@ -146,14 +155,38 @@ func TestPowerestAutoSampling(t *testing.T) {
 	}
 }
 
-// TestPmapReorderFlag runs a real benchmark with -reorder to confirm the
-// flag is plumbed end to end and the reordering flow still verifies.
+// TestPmapReorderFlag runs x3, the one bundled circuit whose global BDDs
+// reach bdd.DefaultReorderThreshold live nodes, so -reorder really sifts:
+// the run must record a reorder and map exactly as the run without it.
 func TestPmapReorderFlag(t *testing.T) {
-	var out, errOut bytes.Buffer
-	if err := Pmap([]string{"-circuit", "cm42a", "-method", "I", "-reorder"}, &out, &errOut); err != nil {
-		t.Fatalf("pmap -reorder: %v\n%s", err, errOut.String())
+	mapped := func(args ...string) string {
+		t.Helper()
+		var out, errOut bytes.Buffer
+		if err := Pmap(append([]string{"-circuit", "x3", "-method", "I"}, args...), &out, &errOut); err != nil {
+			t.Fatalf("pmap %v: %v\n%s", args, err, errOut.String())
+		}
+		for _, line := range strings.Split(out.String(), "\n") {
+			if strings.HasPrefix(line, "mapped:") {
+				return line
+			}
+		}
+		t.Fatalf("pmap %v: missing mapped report:\n%s", args, out.String())
+		return ""
 	}
-	if !strings.Contains(out.String(), "mapped:") {
-		t.Errorf("missing mapped report:\n%s", out.String())
+	statsPath := filepath.Join(t.TempDir(), "stats.json")
+	got := mapped("-reorder", "-stats", "-stats-out", statsPath)
+	if want := mapped(); got != want {
+		t.Errorf("-reorder changed the mapping:\n got %s\nwant %s", got, want)
+	}
+	raw, err := os.ReadFile(statsPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sn obs.Snapshot
+	if err := json.Unmarshal(raw, &sn); err != nil {
+		t.Fatal(err)
+	}
+	if runs := sn.Counters["bdd.reorder_runs"]; runs < 1 {
+		t.Errorf("bdd.reorder_runs = %d, want at least one sifting pass", runs)
 	}
 }

@@ -2,7 +2,6 @@ package genlib
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 )
 
@@ -259,12 +258,4 @@ func (e *Expr) String() string {
 		}
 		return strings.Join(parts, "+")
 	}
-}
-
-// sortedVars returns the sorted distinct variable names (test helper shared
-// across files).
-func (e *Expr) sortedVars() []string {
-	vs := e.Vars()
-	sort.Strings(vs)
-	return vs
 }

@@ -14,7 +14,6 @@ import (
 	"bufio"
 	"fmt"
 	"io"
-	"math"
 	"sort"
 	"strconv"
 	"strings"
@@ -68,18 +67,6 @@ func (c *Cell) PinIndex(name string) int {
 
 // NumInputs returns the number of input pins.
 func (c *Cell) NumInputs() int { return len(c.Pins) }
-
-// MaxDrive returns the largest per-unit-load delay over the cell's pins,
-// used when shifting delay curves for load changes (Subsection 3.2.3).
-func (c *Cell) MaxDrive() float64 {
-	d := 0.0
-	for i := range c.Pins {
-		if c.Pins[i].Drive > d {
-			d = c.Pins[i].Drive
-		}
-	}
-	return d
-}
 
 // Library is a set of cells plus cached lookups used by the mapper.
 type Library struct {
@@ -383,27 +370,4 @@ func exprCover(e *Expr, pinIdx map[string]int, n int) *sop.Cover {
 		f.Minimize()
 		return f
 	}
-}
-
-// AverageInputLoad returns the mean input pin capacitance of the cell.
-func (c *Cell) AverageInputLoad() float64 {
-	if len(c.Pins) == 0 {
-		return 0
-	}
-	s := 0.0
-	for i := range c.Pins {
-		s += c.Pins[i].Load
-	}
-	return s / float64(len(c.Pins))
-}
-
-// WorstBlock returns the maximum intrinsic delay over the cell's pins.
-func (c *Cell) WorstBlock() float64 {
-	d := math.Inf(-1)
-	for i := range c.Pins {
-		if c.Pins[i].Block > d {
-			d = c.Pins[i].Block
-		}
-	}
-	return d
 }

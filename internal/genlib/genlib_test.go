@@ -205,15 +205,8 @@ func TestParseErrors(t *testing.T) {
 
 func TestCellHelpers(t *testing.T) {
 	lib := Lib2()
-	nd := lib.CellByName("nand2")
-	if nd.MaxDrive() != 0.9 {
-		t.Errorf("MaxDrive = %v", nd.MaxDrive())
-	}
-	if math.Abs(nd.AverageInputLoad()-1.0) > 1e-12 {
-		t.Errorf("AverageInputLoad = %v", nd.AverageInputLoad())
-	}
-	if nd.WorstBlock() != 0.45 {
-		t.Errorf("WorstBlock = %v", nd.WorstBlock())
+	if nd := lib.CellByName("nand2"); nd == nil || nd.Name != "nand2" {
+		t.Errorf("CellByName(nand2) = %v", nd)
 	}
 	if lib.CellByName("definitely-missing") != nil {
 		t.Error("CellByName on missing cell should return nil")

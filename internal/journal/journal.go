@@ -75,7 +75,6 @@ type Header struct {
 	Style     string `json:"style,omitempty"`
 	Stage     string `json:"stage,omitempty"`
 	Workers   int    `json:"workers,omitempty"`
-	Note      string `json:"note,omitempty"`
 }
 
 // TreeLeaf is one leaf of a decomposition tree: the power-cost input the
@@ -212,8 +211,6 @@ type Journal struct {
 	runID  string
 	seq    int
 	err    error
-	counts map[string]int
-	obs    *obs.Scope
 	events *obs.Counter
 	bytes  *obs.Counter
 	byType map[string]*obs.Counter
@@ -251,7 +248,7 @@ func New(w io.Writer, h Header) *Journal {
 			GoVersion: runtime.Version(),
 		}
 	}
-	j := &Journal{w: w, runID: h.RunID, counts: make(map[string]int)}
+	j := &Journal{w: w, runID: h.RunID}
 	j.emit(TypeHeader, h)
 	return j
 }
@@ -280,7 +277,6 @@ func (j *Journal) SetObs(sc *obs.Scope) {
 	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	j.obs = sc
 	j.events = sc.Counter("journal.events")
 	j.bytes = sc.Counter("journal.bytes")
 	j.byType = make(map[string]*obs.Counter)
@@ -331,9 +327,6 @@ func (j *Journal) emit(typ string, payload any) {
 		return
 	}
 	j.seq++
-	if typ != TypeHeader {
-		j.counts[typ]++
-	}
 	if j.events != nil {
 		c := j.byType[typ]
 		if c == nil {
@@ -363,21 +356,6 @@ func (j *Journal) Report(e Report) { j.emit(TypeReport, e) }
 // Event records a free-form named event.
 func (j *Journal) Event(name string, attrs map[string]any) {
 	j.emit(TypeEvent, Generic{Name: name, Attrs: attrs})
-}
-
-// EventCounts returns the number of events emitted so far by type
-// (excluding the header). Nil-safe.
-func (j *Journal) EventCounts() map[string]int {
-	if j == nil {
-		return nil
-	}
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	out := make(map[string]int, len(j.counts))
-	for k, v := range j.counts {
-		out[k] = v
-	}
-	return out
 }
 
 // Err returns the first write or encode error, if any.

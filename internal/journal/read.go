@@ -55,13 +55,14 @@ func (r *Run) Gate(signal string) *GatePower {
 	return nil
 }
 
-// ReadRun parses one journal stream. The first line must be a header with
-// a schema version this reader understands.
+// ReadRun parses one journal stream. Blank lines are skipped; the first
+// other line must be a header with a schema version this reader
+// understands.
 func ReadRun(r io.Reader) (*Run, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
 	run := &Run{Counts: make(map[string]int)}
-	lineNo := 0
+	lineNo, header := 0, false
 	for sc.Scan() {
 		line := sc.Bytes()
 		lineNo++
@@ -72,9 +73,9 @@ func ReadRun(r io.Reader) (*Run, error) {
 		if err := json.Unmarshal(line, &env); err != nil {
 			return nil, fmt.Errorf("journal: line %d: %w", lineNo, err)
 		}
-		if lineNo == 1 {
+		if !header {
 			if env.Type != TypeHeader {
-				return nil, fmt.Errorf("journal: line 1: expected a %q record, got %q", TypeHeader, env.Type)
+				return nil, fmt.Errorf("journal: line %d: expected a %q record, got %q", lineNo, TypeHeader, env.Type)
 			}
 			if err := json.Unmarshal(line, &run.Header); err != nil {
 				return nil, fmt.Errorf("journal: header: %w", err)
@@ -82,6 +83,7 @@ func ReadRun(r io.Reader) (*Run, error) {
 			if run.Header.Schema > SchemaVersion {
 				return nil, fmt.Errorf("journal: schema version %d is newer than this reader (%d)", run.Header.Schema, SchemaVersion)
 			}
+			header = true
 			continue
 		}
 		run.Counts[env.Type]++
@@ -125,7 +127,7 @@ func ReadRun(r io.Reader) (*Run, error) {
 	if err := sc.Err(); err != nil {
 		return nil, fmt.Errorf("journal: %w", err)
 	}
-	if lineNo == 0 {
+	if !header {
 		return nil, fmt.Errorf("journal: empty stream")
 	}
 	return run, nil

@@ -38,9 +38,6 @@ type Netlist struct {
 	piArrival  map[string]float64
 }
 
-// GateAt returns the gate whose output is the given subject node, or nil.
-func (nl *Netlist) GateAt(n *network.Node) *Gate { return nl.gateByRoot[n] }
-
 // Arrival returns the computed arrival time at a mapped signal.
 func (nl *Netlist) Arrival(n *network.Node) float64 { return nl.arrival[n] }
 

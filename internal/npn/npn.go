@@ -320,9 +320,3 @@ func Reduce(f uint64, n int) (uint64, []int) {
 	}
 	return g, sup
 }
-
-// OnesCount reports the number of minterms of an n-input table — handy for
-// sanity checks and deterministic tie-breaking in callers.
-func OnesCount(f uint64, n int) int {
-	return bits.OnesCount64(f & Mask(n))
-}

@@ -89,7 +89,7 @@ func TestPerfettoStructure(t *testing.T) {
 	wspan.End()
 
 	var buf bytes.Buffer
-	if err := WriteTraceEvents(&buf, sc); err != nil {
+	if err := sc.Snapshot().WriteTraceEvents(&buf); err != nil {
 		t.Fatal(err)
 	}
 	var tf struct {
@@ -432,7 +432,7 @@ func TestHandlerEndpoints(t *testing.T) {
 func TestNilScopeExports(t *testing.T) {
 	var sc *Scope
 	var buf bytes.Buffer
-	if err := WriteTraceEvents(&buf, sc); err != nil {
+	if err := sc.Snapshot().WriteTraceEvents(&buf); err != nil {
 		t.Fatalf("nil-scope trace export: %v", err)
 	}
 	if !json.Valid(buf.Bytes()) {

@@ -35,8 +35,7 @@ type FlightLogRecord struct {
 
 // FlightRecord is a self-contained post-mortem capture: the last spans,
 // log records and runtime samples retained at the capture instant, plus
-// the SLO breach ledger and the health status. It is schema-versioned and
-// round-trips through ParseFlightRecord.
+// the SLO breach ledger and the health status. It is schema-versioned.
 type FlightRecord struct {
 	Schema int    `json:"schema"`
 	RunID  string `json:"run_id,omitempty"`
@@ -58,19 +57,6 @@ func (fr *FlightRecord) WriteJSON(w io.Writer) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(fr)
-}
-
-// ParseFlightRecord reads a record previously written by WriteJSON. It
-// rejects records from a newer schema.
-func ParseFlightRecord(r io.Reader) (*FlightRecord, error) {
-	fr := &FlightRecord{}
-	if err := json.NewDecoder(r).Decode(fr); err != nil {
-		return nil, fmt.Errorf("obs: parse flight record: %w", err)
-	}
-	if fr.Schema > FlightSchemaVersion {
-		return nil, fmt.Errorf("obs: flight record schema v%d is newer than supported v%d", fr.Schema, FlightSchemaVersion)
-	}
-	return fr, nil
 }
 
 // FlightRecorder is the scope's black box: a bounded ring of recent slog
@@ -107,17 +93,6 @@ func (f *FlightRecorder) SetAutoDump(path string) {
 	f.mu.Lock()
 	f.dump = path
 	f.mu.Unlock()
-}
-
-// AutoDumpPath returns the configured auto-dump destination ("" on nil or
-// when unset).
-func (f *FlightRecorder) AutoDumpPath() string {
-	if f == nil {
-		return ""
-	}
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.dump
 }
 
 // addLog appends one captured slog record to the bounded ring.

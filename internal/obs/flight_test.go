@@ -3,6 +3,7 @@ package obs
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"log/slog"
@@ -92,8 +93,8 @@ func TestFlightRoundTrip(t *testing.T) {
 	if err := goldenFlightRecord().WriteJSON(&buf); err != nil {
 		t.Fatal(err)
 	}
-	fr, err := ParseFlightRecord(&buf)
-	if err != nil {
+	var fr FlightRecord
+	if err := json.NewDecoder(&buf).Decode(&fr); err != nil {
 		t.Fatal(err)
 	}
 	if fr.Schema != FlightSchemaVersion || fr.Reason != "core.synthesize" {
@@ -113,13 +114,6 @@ func TestFlightRoundTrip(t *testing.T) {
 	}
 }
 
-func TestFlightRejectsNewerSchema(t *testing.T) {
-	in := strings.NewReader(fmt.Sprintf(`{"schema": %d, "reason": "x"}`, FlightSchemaVersion+1))
-	if _, err := ParseFlightRecord(in); err == nil {
-		t.Fatal("newer-schema record was accepted")
-	}
-}
-
 // TestCaptureFailure checks the black-box assembly path: the record carries
 // the span tail, a synthetic trailing ERROR log record, the health verdict,
 // and is retained as Last(); the auto-dump file holds the FIRST failure even
@@ -128,8 +122,8 @@ func TestCaptureFailure(t *testing.T) {
 	dump := filepath.Join(t.TempDir(), "flight.json")
 	sc := New(Config{RunID: "run-cf"})
 	sc.Flight().SetAutoDump(dump)
-	if got := sc.Flight().AutoDumpPath(); got != dump {
-		t.Fatalf("AutoDumpPath = %q, want %q", got, dump)
+	if got := sc.Flight().dump; got != dump {
+		t.Fatalf("auto-dump path = %q, want %q", got, dump)
 	}
 	span := sc.Start("decompose")
 	span.End()
@@ -163,8 +157,8 @@ func TestCaptureFailure(t *testing.T) {
 		t.Fatalf("auto-dump file missing: %v", err)
 	}
 	defer f.Close()
-	dumped, err := ParseFlightRecord(f)
-	if err != nil {
+	var dumped FlightRecord
+	if err := json.NewDecoder(f).Decode(&dumped); err != nil {
 		t.Fatal(err)
 	}
 	if dumped.Reason != "core.synthesize" {
@@ -239,9 +233,6 @@ func TestFlightNilSafety(t *testing.T) {
 		t.Fatal("nil scope returned a live recorder")
 	}
 	fl.SetAutoDump("x") // must not panic
-	if fl.AutoDumpPath() != "" {
-		t.Error("nil recorder has a dump path")
-	}
 	if fl.Capture("r", nil) != nil || fl.CaptureFailure("r", errors.New("e")) != nil || fl.Last() != nil {
 		t.Error("nil recorder captured something")
 	}

@@ -112,25 +112,6 @@ func (s *Scope) SetBudgets(budgets []Budget) {
 	}
 }
 
-// Budgets returns the configured budgets sorted by phase (nil on a nil or
-// unbudgeted scope).
-func (s *Scope) Budgets() []Budget {
-	if s == nil {
-		return nil
-	}
-	h := &s.health
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if len(h.budgets) == 0 {
-		return nil
-	}
-	out := make([]Budget, 0, len(h.budgets))
-	for _, k := range sortedKeys(h.budgets) {
-		out = append(out, h.budgets[k])
-	}
-	return out
-}
-
 // Breaches returns the retained breach records, oldest first (nil on a nil
 // scope or when nothing breached). The ledger is bounded at maxBreaches;
 // BreachCount and the slo.breaches counter series keep the full tally.

@@ -194,7 +194,7 @@ func TestHealthNilScope(t *testing.T) {
 		t.Errorf("nil scope must report healthy+ready: %+v", st)
 	}
 	sc.SetBudgets([]Budget{{Phase: "p", MaxDur: time.Second}}) // must not panic
-	if sc.Budgets() != nil || sc.Breaches() != nil || sc.BreachCount() != 0 {
+	if sc.Breaches() != nil || sc.BreachCount() != 0 {
 		t.Error("nil scope has SLO state")
 	}
 }
@@ -271,8 +271,8 @@ func TestDebugFlightEndpoint(t *testing.T) {
 	if rr.Code != 200 {
 		t.Fatalf("on-demand capture = %d", rr.Code)
 	}
-	fr, err := ParseFlightRecord(rr.Body)
-	if err != nil {
+	var fr FlightRecord
+	if err := json.NewDecoder(rr.Body).Decode(&fr); err != nil {
 		t.Fatal(err)
 	}
 	if fr.Reason != "on-demand" || fr.RunID != "run-df" || len(fr.Spans) != 1 {
@@ -285,7 +285,8 @@ func TestDebugFlightEndpoint(t *testing.T) {
 	if rr.Code != 200 {
 		t.Fatalf("?last=1 after failure = %d", rr.Code)
 	}
-	if fr, err = ParseFlightRecord(rr.Body); err != nil || fr.Reason != "core.synthesize" {
+	fr = FlightRecord{}
+	if err := json.NewDecoder(rr.Body).Decode(&fr); err != nil || fr.Reason != "core.synthesize" {
 		t.Errorf("retained capture wrong: %v, %+v", err, fr)
 	}
 }

@@ -158,22 +158,6 @@ func (c *Counter) With(kv ...string) *Counter {
 	return c.reg.counter(c.name, mergeLabels(c.labels, kv))
 }
 
-// Name returns the series' metric name ("" on nil).
-func (c *Counter) Name() string {
-	if c == nil {
-		return ""
-	}
-	return c.name
-}
-
-// Labels returns the series' sorted label set (nil on nil).
-func (c *Counter) Labels() []Label {
-	if c == nil {
-		return nil
-	}
-	return c.labels
-}
-
 // Add adds delta; no-op on a nil counter.
 func (c *Counter) Add(delta int64) {
 	if c != nil {

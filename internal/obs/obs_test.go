@@ -3,6 +3,7 @@ package obs
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
 	"log/slog"
 	"math"
@@ -186,8 +187,8 @@ func TestSnapshotJSONRoundTrip(t *testing.T) {
 	if err := sn.WriteJSON(&buf); err != nil {
 		t.Fatal(err)
 	}
-	back, err := ParseSnapshot(bytes.NewReader(buf.Bytes()))
-	if err != nil {
+	var back Snapshot
+	if err := json.Unmarshal(buf.Bytes(), &back); err != nil {
 		t.Fatal(err)
 	}
 	if len(back.Spans) != 2 || back.Spans[0].Name != "plan-trees" || back.Spans[0].Parent != "decompose" {

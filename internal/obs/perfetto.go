@@ -131,10 +131,3 @@ func (sn *Snapshot) WriteTraceEvents(w io.Writer) error {
 	enc.SetIndent("", " ")
 	return enc.Encode(traceFile{TraceEvents: events, DisplayTimeUnit: "ms"})
 }
-
-// WriteTraceEvents writes a scope snapshot in Chrome/Perfetto trace-event
-// JSON; see Snapshot.WriteTraceEvents. Safe on a nil scope (an empty but
-// valid trace).
-func WriteTraceEvents(w io.Writer, s *Scope) error {
-	return s.Snapshot().WriteTraceEvents(w)
-}

@@ -2,7 +2,6 @@ package obs
 
 import (
 	"encoding/json"
-	"fmt"
 	"io"
 	"sort"
 )
@@ -11,8 +10,7 @@ import (
 // retained spans and the current value of every metric series. Labeled
 // series appear under their Prometheus-style key, name{k="v",...}, with
 // label keys sorted; unlabeled series under the bare name. It marshals to
-// stable JSON (map keys sort on encoding) and round-trips through
-// ParseSnapshot.
+// stable JSON (map keys sort on encoding).
 type Snapshot struct {
 	// RunID is the identifier the scope was configured with (Config.RunID),
 	// tying this snapshot to the journals and traces of the same run.
@@ -84,15 +82,6 @@ func (sn *Snapshot) WriteJSON(w io.Writer) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(sn)
-}
-
-// ParseSnapshot reads a snapshot previously written by WriteJSON.
-func ParseSnapshot(r io.Reader) (*Snapshot, error) {
-	sn := &Snapshot{}
-	if err := json.NewDecoder(r).Decode(sn); err != nil {
-		return nil, fmt.Errorf("obs: parse snapshot: %w", err)
-	}
-	return sn, nil
 }
 
 func sortedKeys[V any](m map[string]V) []string {

@@ -44,7 +44,7 @@ type Model struct {
 
 // wideHint is appended to node-limit errors everywhere the prob layer can
 // hit one, so CLI users see the remedy, not just the failure.
-const wideHint = "network too wide for exact global BDDs; raise the node limit, enable reordering, or fall back to approximate activities"
+const wideHint = "network too wide for exact global BDDs; raise the node limit"
 
 // Compute builds global BDDs for every node reachable from the outputs of
 // nw and annotates each node's Prob1 and Activity fields. piProb supplies

@@ -22,29 +22,15 @@ const (
 	DefaultShutdownGrace = 10 * time.Second
 )
 
-// HTTPOptions configures ListenAndServe's http.Server and its shutdown.
-// Zero fields take the defaults above.
+// HTTPOptions configures ListenAndServe's shutdown.
 type HTTPOptions struct {
-	ReadHeaderTimeout time.Duration
-	IdleTimeout       time.Duration
-	ShutdownGrace     time.Duration
+	// ShutdownGrace is how long in-flight responses get once the context
+	// is cancelled; zero selects DefaultShutdownGrace.
+	ShutdownGrace time.Duration
 	// OnShutdown, when non-nil, runs as soon as the context is cancelled,
 	// before Shutdown stops accepting connections — the place to flip
 	// /readyz to draining and wait out in-flight synthesis work.
 	OnShutdown func()
-}
-
-func (o HTTPOptions) withDefaults() HTTPOptions {
-	if o.ReadHeaderTimeout == 0 {
-		o.ReadHeaderTimeout = DefaultReadHeaderTimeout
-	}
-	if o.IdleTimeout == 0 {
-		o.IdleTimeout = DefaultIdleTimeout
-	}
-	if o.ShutdownGrace == 0 {
-		o.ShutdownGrace = DefaultShutdownGrace
-	}
-	return o
 }
 
 // ListenAndServe serves h on ln with read-header and idle timeouts until
@@ -54,11 +40,13 @@ func (o HTTPOptions) withDefaults() HTTPOptions {
 // is the intended way to stop, not an error); anything else is the serve
 // or shutdown failure.
 func ListenAndServe(ctx context.Context, ln net.Listener, h http.Handler, opts HTTPOptions) error {
-	opts = opts.withDefaults()
+	if opts.ShutdownGrace == 0 {
+		opts.ShutdownGrace = DefaultShutdownGrace
+	}
 	srv := &http.Server{
 		Handler:           h,
-		ReadHeaderTimeout: opts.ReadHeaderTimeout,
-		IdleTimeout:       opts.IdleTimeout,
+		ReadHeaderTimeout: DefaultReadHeaderTimeout,
+		IdleTimeout:       DefaultIdleTimeout,
 	}
 	// The watcher goroutine must always be released, including when Serve
 	// fails on its own (bad listener): cancelling on return guarantees it.

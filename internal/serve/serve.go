@@ -108,9 +108,6 @@ func New(cfg Config) *Server {
 	return s
 }
 
-// Draining reports whether Drain has started.
-func (s *Server) Draining() bool { return s.draining.Load() }
-
 // Drain stops admitting work (new synthesis requests and queued waiters
 // get 503, /readyz flips to 503) and blocks until every in-flight request
 // finished. Idempotent; concurrent callers all block until the first

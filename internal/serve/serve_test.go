@@ -385,7 +385,7 @@ func TestDrainNoLeak(t *testing.T) {
 	<-started // request is inside the run function
 
 	cancel() // the SIGTERM
-	waitFor(t, "drain flag", func() bool { return s.Draining() })
+	waitFor(t, "drain flag", s.draining.Load)
 
 	resp, err := http.Get(base + "/readyz")
 	if err != nil {

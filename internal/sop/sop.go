@@ -441,49 +441,6 @@ func (f *Cover) And(g *Cover) *Cover {
 	return h
 }
 
-// IsSingleCube reports whether f consists of exactly one cube (a pure AND of
-// literals).
-func (f *Cover) IsSingleCube() bool { return len(f.Cubes) == 1 }
-
-// CommonCube returns the largest cube dividing every cube of f (the product
-// of literals shared by all cubes), or an all-DC cube when none is shared.
-func (f *Cover) CommonCube() Cube {
-	if len(f.Cubes) == 0 {
-		return NewCube(f.NumVars)
-	}
-	common := f.Cubes[0].Clone()
-	for _, c := range f.Cubes[1:] {
-		for v := range common {
-			if common[v] != DC && common[v] != c[v] {
-				common[v] = DC
-			}
-		}
-	}
-	return common
-}
-
-// DivideByCube factors out cube d from f: it returns the quotient (cubes of
-// f containing d, with d's literals erased) and the remainder (cubes not
-// containing d), so that f = d*quotient + remainder.
-func (f *Cover) DivideByCube(d Cube) (quotient, remainder *Cover) {
-	quotient = NewCover(f.NumVars)
-	remainder = NewCover(f.NumVars)
-	for _, c := range f.Cubes {
-		if d.Contains(c) {
-			q := c.Clone()
-			for v, l := range d {
-				if l != DC {
-					q[v] = DC
-				}
-			}
-			quotient.Cubes = append(quotient.Cubes, q)
-		} else {
-			remainder.Cubes = append(remainder.Cubes, c.Clone())
-		}
-	}
-	return quotient, remainder
-}
-
 // IsTautology reports whether f ≡ 1, using the classic unate-recursive
 // paradigm: unate covers are tautologies exactly when they contain the
 // all-don't-care cube, and binate covers split on their most binate
@@ -532,12 +489,6 @@ func (f *Cover) mostBinateVar() (int, bool) {
 		return best, true
 	}
 	return f.mostFrequentVar(), false
-}
-
-// Implies reports whether f ⇒ g semantically (every minterm of f is in g),
-// via tautology of g ∪ ¬f.
-func (f *Cover) Implies(g *Cover) bool {
-	return g.Or(f.Complement()).IsTautology()
 }
 
 // Complement returns the complement of f as an SOP, computed by recursive

@@ -174,38 +174,6 @@ func TestSupportAndLiterals(t *testing.T) {
 	}
 }
 
-func TestCommonCube(t *testing.T) {
-	f := coverOf(4, "110-", "1-01")
-	cc := f.CommonCube()
-	if cc.String() != "1-0-" {
-		t.Errorf("common cube = %s, want 1-0-", cc)
-	}
-	g := coverOf(2, "10", "01")
-	if g.CommonCube().NumLiterals() != 0 {
-		t.Errorf("xor common cube = %s, want all-DC", g.CommonCube())
-	}
-}
-
-func TestDivideByCube(t *testing.T) {
-	f := coverOf(3, "110", "101", "011")
-	q, r := f.DivideByCube(cube("1--"))
-	if len(q.Cubes) != 2 || len(r.Cubes) != 1 {
-		t.Fatalf("divide: q=%v r=%v", q, r)
-	}
-	// f must equal cube*q + r.
-	rebuilt := r.Clone()
-	for _, c := range q.Cubes {
-		x, ok := c.Intersect(cube("1--"))
-		if !ok {
-			t.Fatal("quotient cube conflicts with divisor")
-		}
-		rebuilt.AddCube(x)
-	}
-	if !rebuilt.Equal(f) {
-		t.Errorf("d*q+r = %v != f = %v", rebuilt, f)
-	}
-}
-
 func TestEqualSemantics(t *testing.T) {
 	// x0 XOR written two ways.
 	a := coverOf(2, "10", "01")
@@ -328,20 +296,6 @@ func TestIsTautologyMatchesEnumeration(t *testing.T) {
 	}
 }
 
-func TestImplies(t *testing.T) {
-	a := FromLiteral(2, 0, true)
-	ab := coverOf(2, "11")
-	if !ab.Implies(a) {
-		t.Error("ab must imply a")
-	}
-	if a.Implies(ab) {
-		t.Error("a must not imply ab")
-	}
-	if !a.Implies(One(2)) || !Zero(2).Implies(a) {
-		t.Error("constant implication broken")
-	}
-}
-
 func TestComplementConstants(t *testing.T) {
 	if !Zero(2).Complement().IsOne() {
 		t.Error("!0 != 1")
@@ -443,28 +397,5 @@ func TestQuickIntersectSound(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestDivideRebuildProperty(t *testing.T) {
-	r := rand.New(rand.NewSource(3))
-	for trial := 0; trial < 100; trial++ {
-		f := randomCover(r, 5, 1+r.Intn(6))
-		d := NewCube(5)
-		for v := range d {
-			d[v] = Lit(r.Intn(3))
-		}
-		q, rem := f.DivideByCube(d)
-		rebuilt := rem.Clone()
-		for _, c := range q.Cubes {
-			if x, ok := c.Intersect(d); ok {
-				rebuilt.AddCube(x)
-			} else {
-				t.Fatal("quotient conflicts with divisor")
-			}
-		}
-		if !rebuilt.Equal(f) {
-			t.Fatalf("divide/rebuild mismatch for %v / %v", f, d)
-		}
 	}
 }

@@ -16,7 +16,7 @@ import (
 	"powermap/internal/obs"
 )
 
-// UnitOptions configures AnnotateUnit.
+// UnitOptions configures AnnotateUnitContext.
 type UnitOptions struct {
 	// Obs receives timing metrics (annotate runs, nodes visited, network
 	// depth, worst slack). Nil disables instrumentation.
@@ -34,16 +34,11 @@ type UnitOptions struct {
 	DefaultRequired float64
 }
 
-// AnnotateUnit computes unit-delay Arrival and Required annotations for
-// every node reachable from the outputs and returns the maximum arrival
-// time over the primary outputs (the network delay).
-func AnnotateUnit(nw *network.Network, opt UnitOptions) float64 {
-	return AnnotateUnitContext(context.Background(), nw, opt)
-}
-
-// AnnotateUnitContext is AnnotateUnit with the caller's context, so the
-// timing span files under the context's telemetry track and labels (the
-// computation itself is context-free and never blocks).
+// AnnotateUnitContext computes unit-delay Arrival and Required annotations
+// for every node reachable from the outputs and returns the maximum arrival
+// time over the primary outputs (the network delay). The timing span files
+// under the context's telemetry track and labels (the computation itself is
+// context-free and never blocks).
 func AnnotateUnitContext(ctx context.Context, nw *network.Network, opt UnitOptions) float64 {
 	span := opt.Obs.StartCtx(ctx, "timing.annotate")
 	defer span.End()
@@ -126,7 +121,7 @@ func AnnotateUnitContext(ctx context.Context, nw *network.Network, opt UnitOptio
 }
 
 // WorstSlack returns the minimum slack over all annotated nodes reachable
-// from the outputs. Call AnnotateUnit first.
+// from the outputs. Call AnnotateUnitContext first.
 func WorstSlack(nw *network.Network) float64 {
 	worst := math.Inf(1)
 	for _, n := range nw.TopoOrder() {

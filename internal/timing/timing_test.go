@@ -1,6 +1,7 @@
 package timing
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -34,7 +35,7 @@ const chainBlif = `
 
 func TestAnnotateUnitArrival(t *testing.T) {
 	nw := mustParse(t, chainBlif)
-	delay := AnnotateUnit(nw, UnitOptions{})
+	delay := AnnotateUnitContext(context.Background(), nw, UnitOptions{})
 	if delay != 3 {
 		t.Errorf("network delay = %v, want 3", delay)
 	}
@@ -48,7 +49,7 @@ func TestAnnotateUnitArrival(t *testing.T) {
 
 func TestAnnotateUnitSlack(t *testing.T) {
 	nw := mustParse(t, chainBlif)
-	AnnotateUnit(nw, UnitOptions{})
+	AnnotateUnitContext(context.Background(), nw, UnitOptions{})
 	// With default required = max arrival = 3, the chain is critical.
 	for _, name := range []string{"t1", "t2", "y"} {
 		if s := nw.NodeByName(name).Slack(); math.Abs(s) > 1e-12 {
@@ -66,7 +67,7 @@ func TestAnnotateUnitSlack(t *testing.T) {
 
 func TestAnnotateUnitNegativeSlack(t *testing.T) {
 	nw := mustParse(t, chainBlif)
-	AnnotateUnit(nw, UnitOptions{PORequired: map[string]float64{"y": 2, "z": 2}})
+	AnnotateUnitContext(context.Background(), nw, UnitOptions{PORequired: map[string]float64{"y": 2, "z": 2}})
 	if s := nw.NodeByName("y").Slack(); math.Abs(s-(-1)) > 1e-12 {
 		t.Errorf("slack(y) = %v, want -1", s)
 	}
@@ -77,7 +78,7 @@ func TestAnnotateUnitNegativeSlack(t *testing.T) {
 
 func TestAnnotateUnitPIArrival(t *testing.T) {
 	nw := mustParse(t, chainBlif)
-	delay := AnnotateUnit(nw, UnitOptions{PIArrival: map[string]float64{"d": 5}})
+	delay := AnnotateUnitContext(context.Background(), nw, UnitOptions{PIArrival: map[string]float64{"d": 5}})
 	// d arrives at 5, so y arrives at 6.
 	if delay != 6 {
 		t.Errorf("delay = %v, want 6", delay)
@@ -86,7 +87,7 @@ func TestAnnotateUnitPIArrival(t *testing.T) {
 
 func TestAnnotateUnitDefaultRequired(t *testing.T) {
 	nw := mustParse(t, chainBlif)
-	AnnotateUnit(nw, UnitOptions{DefaultRequired: 10})
+	AnnotateUnitContext(context.Background(), nw, UnitOptions{DefaultRequired: 10})
 	if s := nw.NodeByName("y").Slack(); math.Abs(s-7) > 1e-12 {
 		t.Errorf("slack(y) = %v, want 7", s)
 	}
@@ -96,7 +97,7 @@ func TestAnnotateUnitNoOutputs(t *testing.T) {
 	// A network with no outputs has zero delay by definition.
 	nw := network.New("empty")
 	nw.AddPI("a")
-	if delay := AnnotateUnit(nw, UnitOptions{}); delay != 0 {
+	if delay := AnnotateUnitContext(context.Background(), nw, UnitOptions{}); delay != 0 {
 		t.Errorf("delay = %v, want 0", delay)
 	}
 }
@@ -106,7 +107,7 @@ func TestSlackDistributionMixedRequired(t *testing.T) {
 	// default (latest arrival), so slack distributes per output cone:
 	// the y cone carries the explicit -1 violation while z stays relaxed.
 	nw := mustParse(t, chainBlif)
-	AnnotateUnit(nw, UnitOptions{PORequired: map[string]float64{"y": 2}})
+	AnnotateUnitContext(context.Background(), nw, UnitOptions{PORequired: map[string]float64{"y": 2}})
 	for name, want := range map[string]float64{"y": -1, "t2": -1, "t1": -1, "z": 2} {
 		if s := nw.NodeByName(name).Slack(); math.Abs(s-want) > 1e-12 {
 			t.Errorf("slack(%s) = %v, want %v", name, s, want)
@@ -138,7 +139,7 @@ func TestRequiredMinOverFanouts(t *testing.T) {
 .end
 `
 	nw := mustParse(t, text)
-	AnnotateUnit(nw, UnitOptions{})
+	AnnotateUnitContext(context.Background(), nw, UnitOptions{})
 	// t arrives at 1; y at 2, z at 3; default required = 3.
 	// Required(t) = min(required(y)-1, required(u)-1) = min(2, 1) = 1.
 	tn := nw.NodeByName("t")

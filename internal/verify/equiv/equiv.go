@@ -95,7 +95,7 @@ func Equivalent(ctx context.Context, ref, impl *network.Network, cfg bdd.Config)
 			}
 			if err != nil {
 				if bdd.IsNodeLimit(err) {
-					return nil, fmt.Errorf("verify: building BDD of %s: %w (networks too wide for the equivalence oracle; raise the node limit or enable reordering)", n.Name, err)
+					return nil, fmt.Errorf("verify: building BDD of %s: %w (networks too wide for the equivalence oracle; raise the node limit)", n.Name, err)
 				}
 				return nil, fmt.Errorf("verify: building BDD of %s: %w", n.Name, err)
 			}

@@ -286,11 +286,5 @@ func RunSuite(methods []Method, base Options, names []string) ([]CircuitRow, err
 	return eval.RunSuite(context.Background(), methods, base, names)
 }
 
-// RunSuiteContext is RunSuite with cancellation: on expiry the error
-// reports how many of the suite's runs completed.
-func RunSuiteContext(ctx context.Context, methods []Method, base Options, names []string) ([]CircuitRow, error) {
-	return eval.RunSuite(ctx, methods, base, names)
-}
-
 // Summarize computes the Section 4 summary ratios from six-method rows.
 func Summarize(rows []CircuitRow) Summary { return eval.Summarize(rows) }
