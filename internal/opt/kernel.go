@@ -1,6 +1,8 @@
 package opt
 
 import (
+	"context"
+	"fmt"
 	"sort"
 	"strings"
 
@@ -243,15 +245,18 @@ const maxKernelsPerNode = 40
 // ExtractKernels greedily extracts the most valuable multi-cube divisor
 // shared across the network (or used repeatedly inside one node), creating
 // one new node per extraction. Returns the number of extractions.
-func ExtractKernels(nw *network.Network, maxIters int) int {
+func ExtractKernels(ctx context.Context, nw *network.Network, maxIters int) (int, error) {
 	extracted := 0
 	for iter := 0; iter < maxIters; iter++ {
+		if err := ctx.Err(); err != nil {
+			return extracted, fmt.Errorf("opt: %w", err)
+		}
 		if !extractBestKernel(nw) {
 			break
 		}
 		extracted++
 	}
-	return extracted
+	return extracted, nil
 }
 
 func extractBestKernel(nw *network.Network) bool {

@@ -84,7 +84,10 @@ func TestExtractKernelsSharedDivisor(t *testing.T) {
 	nw := mustParse(t, text)
 	ref := nw.Duplicate()
 	before := nw.Stats().Literals
-	n := ExtractKernels(nw, 10)
+	n, err := ExtractKernels(context.Background(), nw, 10)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if n == 0 {
 		t.Fatal("no kernel extracted")
 	}
@@ -113,7 +116,10 @@ func TestExtractKernelsWithinOneNode(t *testing.T) {
 	nw := mustParse(t, text)
 	ref := nw.Duplicate()
 	before := nw.Stats().Literals
-	n := ExtractKernels(nw, 10)
+	n, err := ExtractKernels(context.Background(), nw, 10)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if n == 0 {
 		t.Fatal("no kernel extracted")
 	}
@@ -134,8 +140,8 @@ func TestExtractKernelsNoCandidates(t *testing.T) {
 .end
 `
 	nw := mustParse(t, text)
-	if n := ExtractKernels(nw, 10); n != 0 {
-		t.Errorf("extracted %d kernels from a kernel-free network", n)
+	if n, err := ExtractKernels(context.Background(), nw, 10); err != nil || n != 0 {
+		t.Errorf("extracted %d kernels from a kernel-free network (err %v)", n, err)
 	}
 }
 
@@ -144,7 +150,9 @@ func TestExtractKernelsRandomPreservesFunction(t *testing.T) {
 	for trial := 0; trial < 15; trial++ {
 		nw := randomNetwork(r, 5, 8)
 		ref := nw.Duplicate()
-		ExtractKernels(nw, 20)
+		if _, err := ExtractKernels(context.Background(), nw, 20); err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
+		}
 		if err := nw.Check(); err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}

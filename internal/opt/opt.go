@@ -10,7 +10,9 @@
 //     "eliminate" with a literal-growth threshold);
 //   - ExtractCubes: greedy common-cube extraction across nodes, a reduced
 //     fast_extract that leaves networks with the same "small simple
-//     nodes" character the paper attributes to its starting points.
+//     nodes" character the paper attributes to its starting points;
+//   - ExtractKernels: greedy multi-cube (kernel) extraction, the other
+//     half of fast_extract.
 //
 // Optimize runs them as a fixed script. All passes preserve every primary
 // output function exactly (tested with BDD equivalence).
@@ -55,8 +57,9 @@ type Stats struct {
 }
 
 // Optimize runs the full script on the network in place. The script
-// mutates nw as it goes, but every pass leaves the network consistent, so
-// a ctx expiry between passes aborts with nw still usable.
+// mutates nw as it goes, but every elimination and extraction leaves the
+// network consistent, so a ctx expiry, which the passes check once per
+// step, aborts with nw still usable.
 func Optimize(ctx context.Context, nw *network.Network, opt Options) (Stats, error) {
 	if opt.MaxExtractIterations == 0 {
 		opt.MaxExtractIterations = 100
@@ -84,18 +87,24 @@ func Optimize(ctx context.Context, nw *network.Network, opt Options) (Stats, err
 			Simplify(nw)
 		}
 		if opt.EliminateThreshold >= 0 {
-			e, err := Eliminate(nw, opt.EliminateThreshold, opt.MaxNodeLiterals)
+			e, err := Eliminate(ctx, nw, opt.EliminateThreshold, opt.MaxNodeLiterals)
+			st.NodesEliminated += e
 			if err != nil {
 				return st, err
 			}
-			st.NodesEliminated += e
 			changed = changed || e > 0
 		}
-		x := ExtractCubes(nw, opt.MaxExtractIterations)
+		x, err := ExtractCubes(ctx, nw, opt.MaxExtractIterations)
 		st.CubesExtracted += x
+		if err != nil {
+			return st, err
+		}
 		changed = changed || x > 0
-		kx := ExtractKernels(nw, opt.MaxExtractIterations)
+		kx, err := ExtractKernels(ctx, nw, opt.MaxExtractIterations)
 		st.KernelsExtracted += kx
+		if err != nil {
+			return st, err
+		}
 		changed = changed || kx > 0
 		if !changed {
 			break
@@ -316,15 +325,27 @@ func flipVar(f *sop.Cover, v int) {
 
 // Eliminate collapses nodes whose substitution into all fanouts grows the
 // network by at most threshold literals (and keeps every affected fanout
-// under maxNodeLiterals). Returns the number of nodes eliminated.
-func Eliminate(nw *network.Network, threshold, maxNodeLiterals int) (int, error) {
+// under maxNodeLiterals). Each step collapses the first node of nw.Nodes
+// with the least value. Returns the number of nodes eliminated.
+//
+// Values are memoized for the call. A node's value reads only its own
+// cover and fanins and its fanouts' covers and fanins, so collapsing c
+// into its fanouts F can change only the values of c, of each member of F,
+// and of each member's fanins after the collapse; exactly those entries
+// are dropped, and every pick equals a full recompute's.
+func Eliminate(ctx context.Context, nw *network.Network, threshold, maxNodeLiterals int) (int, error) {
+	e := eliminator{nw: nw, threshold: threshold, maxNodeLiterals: maxNodeLiterals,
+		memo: map[*network.Node]elimValue{}}
 	eliminated := 0
 	for {
-		candidate := pickEliminationCandidate(nw, threshold, maxNodeLiterals)
-		if candidate == nil {
+		if err := ctx.Err(); err != nil {
+			return eliminated, fmt.Errorf("opt: %w", err)
+		}
+		c := e.pick()
+		if c == nil {
 			break
 		}
-		if err := collapseInto(nw, candidate); err != nil {
+		if err := e.collapse(c); err != nil {
 			return eliminated, err
 		}
 		eliminated++
@@ -333,26 +354,54 @@ func Eliminate(nw *network.Network, threshold, maxNodeLiterals int) (int, error)
 	return eliminated, nw.Check()
 }
 
-func pickEliminationCandidate(nw *network.Network, threshold, maxNodeLiterals int) *network.Node {
+// eliminator holds one Eliminate call's settings and value memo.
+type eliminator struct {
+	nw                         *network.Network
+	threshold, maxNodeLiterals int
+	memo                       map[*network.Node]elimValue
+}
+
+type elimValue struct {
+	value int
+	ok    bool
+}
+
+// pick returns the first node of least value at most the threshold, or nil.
+func (e *eliminator) pick() *network.Node {
 	var best *network.Node
-	bestValue := threshold + 1
-	for _, n := range nw.Nodes {
-		if n.Kind != network.Internal || len(n.Fanout) == 0 || drivesOutput(nw, n) {
+	bestValue := e.threshold + 1
+	for _, n := range e.nw.Nodes {
+		if n.Kind != network.Internal || len(n.Fanout) == 0 || drivesOutput(e.nw, n) {
 			continue
 		}
-		value, ok := eliminationValue(nw, n, maxNodeLiterals)
-		if !ok {
-			continue
+		v, hit := e.memo[n]
+		if !hit {
+			v.value, v.ok = eliminationValue(n, e.maxNodeLiterals)
+			e.memo[n] = v
 		}
-		if value < bestValue {
-			bestValue = value
+		if v.ok && v.value < bestValue {
+			bestValue = v.value
 			best = n
 		}
 	}
-	if bestValue > threshold {
-		return nil
-	}
 	return best
+}
+
+// collapse substitutes c into its fanouts and drops the memo entries the
+// substitution can change.
+func (e *eliminator) collapse(c *network.Node) error {
+	fanouts := append([]*network.Node(nil), c.Fanout...)
+	if err := collapseInto(e.nw, c); err != nil {
+		return err
+	}
+	delete(e.memo, c)
+	for _, fo := range fanouts {
+		delete(e.memo, fo)
+		for _, fi := range fo.Fanin {
+			delete(e.memo, fi)
+		}
+	}
+	return nil
 }
 
 func drivesOutput(nw *network.Network, n *network.Node) bool {
@@ -368,11 +417,11 @@ func drivesOutput(nw *network.Network, n *network.Node) bool {
 // its fanouts (the SIS node value). It performs the substitutions on
 // scratch copies; ok=false when any fanout would exceed maxNodeLiterals or
 // the substitution is structurally impossible.
-func eliminationValue(nw *network.Network, n *network.Node, maxNodeLiterals int) (int, bool) {
-	before := n.Func.NumLiterals()
-	growth := -before
+func eliminationValue(n *network.Node, maxNodeLiterals int) (int, bool) {
+	growth := -n.Func.NumLiterals()
+	nc := n.Func.Complement()
 	for _, fo := range n.Fanout {
-		merged, err := substituted(fo, n)
+		merged, err := substituted(fo, n, nc)
 		if err != nil {
 			return 0, false
 		}
@@ -385,8 +434,9 @@ func eliminationValue(nw *network.Network, n *network.Node, maxNodeLiterals int)
 }
 
 // substituted returns fo's cover with node n's function substituted for its
-// variable, over the merged fanin space (fo.Fanin \ {n}) ∪ n.Fanin.
-func substituted(fo, n *network.Node) (*sop.Cover, error) {
+// variable, over the merged fanin space (fo.Fanin \ {n}) ∪ n.Fanin; nc is
+// n's complement.
+func substituted(fo, n *network.Node, nc *sop.Cover) (*sop.Cover, error) {
 	v := fo.FaninIndex(n)
 	if v < 0 {
 		return nil, fmt.Errorf("opt: %s does not read %s", fo.Name, n.Name)
@@ -439,7 +489,7 @@ func substituted(fo, n *network.Node) (*sop.Cover, error) {
 	fv := remapCover(fo.Func.Cofactor(v, true), remapFo)
 	fnv := remapCover(fo.Func.Cofactor(v, false), remapFo)
 	g := remapCover(n.Func, remapN)
-	gc := remapCover(n.Func.Complement(), remapN)
+	gc := remapCover(nc, remapN)
 	merged := g.And(fv).Or(gc.And(fnv))
 	merged.Minimize()
 	return merged, nil
@@ -447,8 +497,9 @@ func substituted(fo, n *network.Node) (*sop.Cover, error) {
 
 // collapseInto substitutes n into every fanout and leaves n for sweeping.
 func collapseInto(nw *network.Network, n *network.Node) error {
+	nc := n.Func.Complement()
 	for _, fo := range append([]*network.Node(nil), n.Fanout...) {
-		merged, err := substituted(fo, n)
+		merged, err := substituted(fo, n, nc)
 		if err != nil {
 			return err
 		}
@@ -478,15 +529,18 @@ func collapseInto(nw *network.Network, n *network.Node) error {
 // ExtractCubes greedily extracts common two-literal cubes shared by at
 // least three cubes across the network, creating a new node per divisor.
 // Returns the number of extractions performed.
-func ExtractCubes(nw *network.Network, maxIters int) int {
+func ExtractCubes(ctx context.Context, nw *network.Network, maxIters int) (int, error) {
 	extracted := 0
 	for iter := 0; iter < maxIters; iter++ {
+		if err := ctx.Err(); err != nil {
+			return extracted, fmt.Errorf("opt: %w", err)
+		}
 		if !extractBestCube(nw) {
 			break
 		}
 		extracted++
 	}
-	return extracted
+	return extracted, nil
 }
 
 // litKey identifies a literal globally: a driving node and a phase.

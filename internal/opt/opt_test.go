@@ -1,12 +1,16 @@
 package opt
 
 import (
+	"bytes"
 	"context"
+	"errors"
+	"fmt"
 	"math/rand"
 	"testing"
 
 	"powermap/internal/bdd"
 	"powermap/internal/blif"
+	"powermap/internal/circuits"
 	"powermap/internal/network"
 	"powermap/internal/sop"
 	"powermap/internal/verify/equiv"
@@ -168,7 +172,7 @@ func TestEliminateSmallNodes(t *testing.T) {
 `
 	nw := mustParse(t, text)
 	ref := nw.Duplicate()
-	n, err := Eliminate(nw, 10, 40)
+	n, err := Eliminate(context.Background(), nw, 10, 40)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,7 +202,7 @@ func TestEliminateRespectsThreshold(t *testing.T) {
 `
 	nw := mustParse(t, text)
 	before := len(nw.Nodes)
-	if _, err := Eliminate(nw, 0, 40); err != nil {
+	if _, err := Eliminate(context.Background(), nw, 0, 40); err != nil {
 		t.Fatal(err)
 	}
 	if nw.NodeByName("t") == nil {
@@ -223,7 +227,10 @@ func TestExtractCubes(t *testing.T) {
 	nw := mustParse(t, text)
 	ref := nw.Duplicate()
 	litsBefore := nw.Stats().Literals
-	n := ExtractCubes(nw, 10)
+	n, err := ExtractCubes(context.Background(), nw, 10)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if n == 0 {
 		t.Fatal("no cube extracted")
 	}
@@ -355,4 +362,177 @@ func randomNetwork(r *rand.Rand, npi, nnodes int) *network.Network {
 	nw.MarkOutput("o1", pool[len(pool)-1])
 	nw.MarkOutput("o2", pool[len(pool)-2])
 	return nw
+}
+
+// TestEliminateMemoMatchesRecompute runs Optimize's pass script with every
+// eliminate step checked against the full recompute (an empty memo): each
+// cached value must equal a fresh one, and the memoized pick must equal
+// the fresh pick.
+func TestEliminateMemoMatchesRecompute(t *testing.T) {
+	var srcs []*network.Network
+	for _, b := range circuits.Suite() {
+		srcs = append(srcs, b.Build())
+	}
+	for seed := int64(1); seed <= 40; seed++ {
+		npi := 4 + int(seed%12)
+		srcs = append(srcs, circuits.Random(fmt.Sprintf("r%d", seed), seed, npi, 2+int(seed%5), 15+int(seed*7%70)))
+	}
+	// Core's settings, then the other tests'.
+	for _, s := range []struct{ threshold, maxLits int }{{0, 6}, {3, 24}} {
+		for _, src := range srcs {
+			nw := src.Duplicate()
+			checkedOptimize(t, nw, s.threshold, s.maxLits)
+			// The checked script must be Optimize's own.
+			ref := src.Duplicate()
+			if _, err := Optimize(context.Background(), ref, Options{EliminateThreshold: s.threshold, MaxNodeLiterals: s.maxLits}); err != nil {
+				t.Fatal(err)
+			}
+			if got, want := blifText(t, nw), blifText(t, ref); got != want {
+				t.Fatalf("%s (%d, %d): checked script diverged from Optimize", src.Name, s.threshold, s.maxLits)
+			}
+		}
+	}
+}
+
+// checkedOptimize is Optimize's script at default extraction limits, with
+// checkedEliminate in place of Eliminate.
+func checkedOptimize(t *testing.T, nw *network.Network, threshold, maxLits int) {
+	t.Helper()
+	ctx := context.Background()
+	for pass := 0; pass < 4; pass++ {
+		c, b, err := Sweep(nw)
+		if err != nil {
+			t.Fatal(err)
+		}
+		Simplify(nw)
+		e := checkedEliminate(t, nw, threshold, maxLits)
+		x, err := ExtractCubes(ctx, nw, 100)
+		if err != nil {
+			t.Fatal(err)
+		}
+		kx, err := ExtractKernels(ctx, nw, 100)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if c+b+e+x+kx == 0 {
+			break
+		}
+	}
+	if _, _, err := Sweep(nw); err != nil {
+		t.Fatal(err)
+	}
+	Simplify(nw)
+	nw.Sweep()
+}
+
+func checkedEliminate(t *testing.T, nw *network.Network, threshold, maxLits int) int {
+	t.Helper()
+	memoized := eliminator{nw: nw, threshold: threshold, maxNodeLiterals: maxLits,
+		memo: map[*network.Node]elimValue{}}
+	for step := 0; ; step++ {
+		fresh := eliminator{nw: nw, threshold: threshold, maxNodeLiterals: maxLits,
+			memo: map[*network.Node]elimValue{}}
+		want := fresh.pick()
+		for n, cached := range memoized.memo {
+			v, ok := fresh.memo[n]
+			if !ok {
+				v.value, v.ok = eliminationValue(n, maxLits)
+			}
+			if cached != v {
+				t.Fatalf("%s step %d: cached value of %s is %+v, fresh %+v", nw.Name, step, n.Name, cached, v)
+			}
+		}
+		got := memoized.pick()
+		if got != want {
+			t.Fatalf("%s step %d: memoized pick %v, fresh pick %v", nw.Name, step, nodeName(got), nodeName(want))
+		}
+		if got == nil {
+			nw.Sweep()
+			if err := nw.Check(); err != nil {
+				t.Fatal(err)
+			}
+			return step
+		}
+		if err := memoized.collapse(got); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+func nodeName(n *network.Node) string {
+	if n == nil {
+		return "<none>"
+	}
+	return n.Name
+}
+
+func blifText(t *testing.T, nw *network.Network) string {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := blif.Write(&buf, nw); err != nil {
+		t.Fatal(err)
+	}
+	return buf.String()
+}
+
+// cancelAfterFirst is a context whose Err turns to context.Canceled after
+// its first call.
+type cancelAfterFirst struct {
+	context.Context
+	calls int
+}
+
+func (c *cancelAfterFirst) Err() error {
+	c.calls++
+	if c.calls > 1 {
+		return context.Canceled
+	}
+	return nil
+}
+
+func TestOptimizeStopsInsidePass(t *testing.T) {
+	// Optimize's pass-start check sees a live context; the cancellation
+	// must then stop the first pass at its next elimination or extraction,
+	// not at the start of the second pass.
+	b, err := circuits.ByName("s208")
+	if err != nil {
+		t.Fatal(err)
+	}
+	nw := b.Build()
+	st, err := Optimize(&cancelAfterFirst{Context: context.Background()}, nw, Options{MaxNodeLiterals: 6})
+	if !errors.Is(err, context.Canceled) || err.Error() != "opt: context canceled" {
+		t.Fatalf("err = %v, want opt: context canceled", err)
+	}
+	if st.NodesEliminated > 1 {
+		t.Errorf("%d nodes eliminated after cancellation, want at most 1", st.NodesEliminated)
+	}
+	if err := nw.Check(); err != nil {
+		t.Errorf("network left inconsistent: %v", err)
+	}
+}
+
+// BenchmarkOptimize runs quick-opt at core's settings over every bundled
+// circuit but x3, the circuits of the suite-dag workload.
+func BenchmarkOptimize(b *testing.B) {
+	var srcs []*network.Network
+	for _, c := range circuits.Suite() {
+		if c.Name != "x3" {
+			srcs = append(srcs, c.Build())
+		}
+	}
+	work := make([]*network.Network, len(srcs))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		for j, src := range srcs {
+			work[j] = src.Duplicate()
+		}
+		b.StartTimer()
+		for _, nw := range work {
+			if _, err := Optimize(context.Background(), nw, Options{MaxNodeLiterals: 6}); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
 }

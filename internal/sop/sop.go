@@ -313,10 +313,32 @@ func (f *Cover) mergeDistance1() bool {
 	return changed
 }
 
+// sortCubes orders the cubes as their PLA strings sort.
 func (f *Cover) sortCubes() {
-	sort.Slice(f.Cubes, func(i, j int) bool {
-		return f.Cubes[i].String() < f.Cubes[j].String()
-	})
+	sort.Slice(f.Cubes, func(i, j int) bool { return cubeLess(f.Cubes[i], f.Cubes[j]) })
+}
+
+// cubeLess reports whether a.String() < b.String(): literals compare in
+// PLA character order, "-" < "0" < "1" (DC < Neg < Pos), then the shorter
+// cube comes first.
+func cubeLess(a, b Cube) bool {
+	for i := 0; i < len(a) && i < len(b); i++ {
+		if ra, rb := plaRank(a[i]), plaRank(b[i]); ra != rb {
+			return ra < rb
+		}
+	}
+	return len(a) < len(b)
+}
+
+func plaRank(l Lit) int {
+	switch l {
+	case Neg:
+		return 1
+	case Pos:
+		return 2
+	default:
+		return 0
+	}
 }
 
 // MinimizeStrong applies an Espresso-style expand/irredundant pass: each

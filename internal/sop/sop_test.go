@@ -399,3 +399,31 @@ func TestQuickIntersectSound(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+func TestCubeLessMatchesPLAOrder(t *testing.T) {
+	// sortCubes must order cubes exactly as their PLA strings did, so
+	// Minimize keeps the same permutation.
+	r := rand.New(rand.NewSource(71))
+	randomCube := func(n int) Cube {
+		c := NewCube(n)
+		for i := range c {
+			c[i] = Lit(r.Intn(3))
+		}
+		return c
+	}
+	for trial := 0; trial < 20000; trial++ {
+		a := randomCube(r.Intn(8))
+		b := randomCube(len(a))
+		if trial%2 == 1 {
+			b = randomCube(r.Intn(8))
+		}
+		// Share a prefix half the time, so ties decide on later literals
+		// or on length.
+		if trial%4 >= 2 {
+			copy(b, a[:r.Intn(len(a)+1)])
+		}
+		if got, want := cubeLess(a, b), a.String() < b.String(); got != want {
+			t.Fatalf("cubeLess(%q, %q) = %v, want %v", a, b, got, want)
+		}
+	}
+}
