@@ -304,7 +304,8 @@ func BenchmarkDecomposeOnly(b *testing.B) {
 }
 
 func BenchmarkMapOnly(b *testing.B) {
-	// Raw mapping throughput on a prepared subject graph.
+	// Raw mapping throughput on a prepared subject graph, on one worker so
+	// it times the curve kernel rather than the pool.
 	bench, err := BenchmarkByName("s344")
 	if err != nil {
 		b.Fatal(err)
@@ -319,7 +320,7 @@ func BenchmarkMapOnly(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		nl, err := mapper.Map(context.Background(), d.Network, d.Model, mapper.Options{
-			Objective: mapper.PowerDelay, Library: lib, Relax: mapper.Float64(0.15),
+			Objective: mapper.PowerDelay, Library: lib, Relax: mapper.Float64(0.15), Workers: 1,
 		})
 		if err != nil {
 			b.Fatal(err)

@@ -133,6 +133,21 @@ func TestPmapRejectsNaNProbability(t *testing.T) {
 	}
 }
 
+// TestPmapRejectsBadEpsilonAndRelax: a non-finite -epsilon and a NaN or
+// negative -relax fail the run with an error naming the flag, instead of
+// silently turning off ε-merging or taking the fastest-point fallback.
+func TestPmapRejectsBadEpsilonAndRelax(t *testing.T) {
+	for _, args := range [][]string{
+		{"-epsilon", "NaN"}, {"-epsilon", "Inf"}, {"-relax", "NaN"}, {"-relax", "-2"},
+	} {
+		var out, errOut bytes.Buffer
+		err := Pmap(append([]string{"-circuit", "cm42a", "-verify=false"}, args...), &out, &errOut)
+		if err == nil || !strings.Contains(err.Error(), args[0][1:]) {
+			t.Errorf("pmap %v: err = %v, want an error naming %s", args, err, args[0])
+		}
+	}
+}
+
 // Flag-parse errors and usage must go to the error writer, never the
 // primary output (so piped reports and -stats - stay machine-readable).
 func TestPmapUsageGoesToErrWriter(t *testing.T) {

@@ -39,7 +39,7 @@ func Pmap(args []string, out, errOut io.Writer) error {
 		libPath  = fs.String("lib", "", "genlib library file (default: embedded lib2)")
 		exact    = fs.Bool("exact", false, "price decomposition merges with global BDDs")
 		relax    = fs.Float64("relax", 0.15, "timing slack fraction for defaulted required times")
-		epsilon  = fs.Float64("epsilon", 0, "power-delay curve epsilon pruning (ns)")
+		epsilon  = fs.Float64("epsilon", 0, "power-delay curve epsilon pruning width in ns (0 = 0.05 ns, negative = no epsilon pruning)")
 		tree     = fs.Bool("tree", false, "strict tree partitioning in the mapper")
 		piProb   = fs.Float64("prob", 0.5, "uniform P(pi=1) for all primary inputs")
 		gates    = fs.Bool("gates", false, "print the mapped gate list")

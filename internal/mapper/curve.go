@@ -3,6 +3,7 @@ package mapper
 import (
 	"math"
 	"slices"
+	"sort"
 	"sync"
 
 	"powermap/internal/genlib"
@@ -59,19 +60,27 @@ type candidate struct {
 	choice  int32
 }
 
-// candidateSet collects every candidate of one node, in match order and,
-// within a match, in ascending candidate time. It also carries the
-// scratch of the time merge and of prune, so a pooled set serves node
-// after node without allocating.
+// candidateSet collects the candidates of one node, in match order and,
+// within a match, in ascending candidate time, leaving out every candidate
+// that one already collected weakly dominates (matchCandidates). It also
+// carries the scratch of the time merge and of prune, so a pooled set
+// serves node after node without allocating.
 type candidateSet struct {
 	recs    []candidate
 	choices []int32
-	ins     []inputCtx
-	times   []float64
-	order   []int32
-	tmp     []int32
-	runs    []int
+	// front is the staircase of recs: ascending in arrival, strictly
+	// descending in cost, and weakly dominating every candidate in recs.
+	// extendFront merges into spare and swaps the two.
+	front, spare []frontPoint
+	ins          []inputCtx
+	times        []float64
+	order        []int32
+	tmp          []int32
+	runs         []int
 }
+
+// frontPoint is the (arrival, cost) of one candidate on the front.
+type frontPoint struct{ arrival, cost float64 }
 
 // candidateSets recycles candidate sets across nodes, workers and Map
 // calls.
@@ -80,8 +89,49 @@ var candidateSets = sync.Pool{New: func() any { return new(candidateSet) }}
 // getCandidateSet returns an empty set from the pool; release returns it.
 func getCandidateSet() *candidateSet {
 	cs := candidateSets.Get().(*candidateSet)
-	cs.recs, cs.choices = cs.recs[:0], cs.choices[:0]
+	cs.recs, cs.choices, cs.front = cs.recs[:0], cs.choices[:0], cs.front[:0]
 	return cs
+}
+
+// bound returns the earliest front arrival whose cost is at most cmin, or
+// +Inf when no front point is that cheap. A candidate costing at least
+// cmin that arrives at or after it is weakly dominated.
+func (cs *candidateSet) bound(cmin float64) float64 {
+	front := cs.front
+	k := sort.Search(len(front), func(k int) bool { return front[k].cost <= cmin })
+	if k == len(front) {
+		return math.Inf(1)
+	}
+	return front[k].arrival
+}
+
+// extendFront merges recs[from:], the candidates one match appended in
+// ascending arrival, into the front.
+func (cs *candidateSet) extendFront(from int) {
+	front, added := cs.front, cs.recs[from:]
+	if len(added) == 0 {
+		return
+	}
+	out, best := cs.spare[:0], math.Inf(1)
+	for i, j := 0, 0; i < len(front) || j < len(added); {
+		var p frontPoint
+		if j == len(added) || i < len(front) && front[i].arrival <= added[j].arrival {
+			p = front[i]
+			i++
+		} else {
+			p = frontPoint{added[j].arrival, added[j].cost}
+			j++
+		}
+		if p.cost < best {
+			best = p.cost
+			if k := len(out) - 1; k >= 0 && out[k].arrival == p.arrival {
+				out[k].cost = p.cost
+			} else {
+				out = append(out, p)
+			}
+		}
+	}
+	cs.front, cs.spare = out, front
 }
 
 // release returns cs to the pool, first dropping its references to input

@@ -1,15 +1,21 @@
 package mapper
 
 import (
+	"context"
+	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
 	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
 
+	"powermap/internal/circuits"
+	"powermap/internal/decomp"
 	"powermap/internal/genlib"
 	"powermap/internal/network"
+	"powermap/internal/prob"
 )
 
 // pruneReference is the stable-sort prune the candidate-index prune
@@ -81,6 +87,80 @@ func (c *Curve) cheapestAtOrBefore(t float64) int {
 		}
 	}
 	return idx
+}
+
+// matchCandidatesReference is the candidate loop without the dominance
+// bound, kept as its oracle: it appends every candidate of match m at n,
+// reading the installed input curves.
+func (s *state) matchCandidatesReference(cs *candidateSet, n *network.Node, mi int32, m Match) {
+	gateCost := 0.0
+	if s.opt.Objective == AreaDelay {
+		gateCost = m.Cell.Area
+	} else {
+		gateCost = areaTiebreak * m.Cell.Area
+		if s.opt.PowerMethod2 {
+			gateCost += s.env.GatePowerUW(s.cdef, n.Activity)
+		}
+	}
+	ins := cs.ins[:0]
+	for pin, node := range m.Inputs {
+		p := m.Cell.Pins[pin]
+		ic := inputCtx{
+			curve: s.curves[node],
+			delay: p.Block + p.Drive*s.cdef,
+			div:   s.fanoutDiv(node),
+			at:    -1,
+		}
+		if s.opt.Objective == PowerDelay && !s.opt.PowerMethod2 {
+			ic.fixed = s.env.GatePowerUW(p.Load, node.Activity)
+		}
+		ins = append(ins, ic)
+	}
+	cs.ins = ins
+	lower := math.Inf(-1)
+	for _, ic := range ins {
+		if len(ic.curve.Points) == 0 {
+			return
+		}
+		if a := ic.curve.Points[0].Arrival + ic.delay; a > lower {
+			lower = a
+		}
+	}
+	times, _ := mergeTimes(append(cs.times[:0], lower), ins, lower, math.Inf(1))
+	cs.times = times
+	spacing := s.opt.Epsilon / 2
+	kept := times[:0]
+	for i, t := range times {
+		if len(kept) == 0 || t-kept[len(kept)-1] > spacing || i == len(times)-1 {
+			kept = append(kept, t)
+		}
+	}
+	for _, t := range kept {
+		arrival := math.Inf(-1)
+		cost := gateCost
+		drive := 0.0
+		ok := true
+		for i := range ins {
+			ic := &ins[i]
+			if ic.seek(t) < 0 {
+				ok = false
+				break
+			}
+			pt := &ic.curve.Points[ic.at]
+			if a := pt.Arrival + ic.delay; a > arrival {
+				arrival = a
+				drive = m.Cell.Pins[i].Drive
+			}
+			cost += ic.fixed + pt.Cost/ic.div
+		}
+		if !ok {
+			continue
+		}
+		cs.recs = append(cs.recs, candidate{arrival: arrival, cost: cost, drive: drive, match: mi, choice: int32(len(cs.choices))})
+		for _, ic := range ins {
+			cs.choices = append(cs.choices, int32(ic.at))
+		}
+	}
 }
 
 // prunePoints runs the production prune over pts, taken as candidates in
@@ -377,7 +457,8 @@ func TestSeekMatchesCheapestAtOrBefore(t *testing.T) {
 // TestMergeTimesMatchesSort: merging the inputs' shifted arrivals yields
 // the sorted list the candidate times used to be built from — lower, then
 // every shifted arrival at or above it — including exact ties across
-// inputs and inputs lying wholly below lower.
+// inputs and inputs lying wholly below lower. A bound above lower cuts
+// that list before its first time at or above the bound.
 func TestMergeTimesMatchesSort(t *testing.T) {
 	r := rand.New(rand.NewSource(97))
 	for trial := 0; trial < 300; trial++ {
@@ -404,9 +485,30 @@ func TestMergeTimesMatchesSort(t *testing.T) {
 			}
 		}
 		sort.Float64s(want)
-		if got := mergeTimes([]float64{lower}, ins, lower); !slices.Equal(got, want) {
-			t.Fatalf("trial %d: merged %v, sorted %v", trial, got, want)
+		unbounded := slices.Clone(ins)
+		if got, cut := mergeTimes([]float64{lower}, unbounded, lower, math.Inf(1)); cut || !slices.Equal(got, want) {
+			t.Fatalf("trial %d: merged %v (cut %v), sorted %v", trial, got, cut, want)
 		}
+		bound := want[r.Intn(len(want))] + float64(r.Intn(2))/8
+		if bound <= lower {
+			continue
+		}
+		k := sort.SearchFloat64s(want, bound)
+		if got, cut := mergeTimes([]float64{lower}, ins, lower, bound); cut != (k < len(want)) || !slices.Equal(got, want[:k]) {
+			t.Fatalf("trial %d: bound %v merged %v (cut %v), want %v", trial, bound, got, cut, want[:k])
+		}
+	}
+	// Near 32 µs the rounding of t - delay exceeds seek's 1e-12 slack, so
+	// seek(t) misses the point t came from, and the candidate at t may
+	// arrive before t. That time must not cut the merge.
+	a := 32084.425611669558
+	ic := inputCtx{curve: &Curve{Points: []Point{{Arrival: a - 1}, {Arrival: a}}}, delay: 3.7064910261815385}
+	lower, tm := a-1+ic.delay, a+ic.delay
+	if ic.limit(tm) >= a {
+		t.Fatalf("limit(%v) = %v reaches %v", tm, ic.limit(tm), a)
+	}
+	if got, cut := mergeTimes([]float64{lower}, []inputCtx{ic}, lower, tm); cut || !slices.Equal(got, []float64{lower, lower, tm}) {
+		t.Fatalf("bound at a missed point: merged %v (cut %v), want every time", got, cut)
 	}
 }
 
@@ -462,4 +564,96 @@ func TestCheapestConsistentWithPrune(t *testing.T) {
 	if err := quick.Check(check, &quick.Config{MaxCount: 1000}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// checkBoundMatchesReference maps sub sequentially and, as each curve is
+// installed, rebuilds it from every candidate of the node's matches with
+// the unbounded reference loop over the installed input curves. It
+// returns the number of curves checked.
+func checkBoundMatchesReference(t *testing.T, label string, sub *network.Network, model *prob.Model, opt Options) int {
+	t.Helper()
+	ctx := context.Background()
+	opt.Library, opt.Workers = genlib.Lib2(), 1
+	var s *state
+	checked, mismatch := 0, ""
+	opt.CurveAudit = func(n *network.Node, c *Curve) {
+		matches := s.matcher.matchesAt(n)
+		cs := getCandidateSet()
+		defer cs.release()
+		for j, m := range matches {
+			s.matchCandidatesReference(cs, n, int32(j), m)
+		}
+		want := cs.curve(matches, s.opt.Epsilon)
+		if mismatch == "" && !reflect.DeepEqual(c.Points, want.Points) {
+			mismatch = fmt.Sprintf("node %s: %d points, reference %d", n.Name, len(c.Points), len(want.Points))
+		}
+		checked++
+	}
+	s, err := newState(ctx, sub, model, opt)
+	if err != nil {
+		t.Fatalf("%s: %v", label, err)
+	}
+	if err := s.postorder(ctx); err != nil {
+		t.Fatalf("%s: %v", label, err)
+	}
+	if mismatch != "" {
+		t.Errorf("%s: %s", label, mismatch)
+	}
+	return checked
+}
+
+// TestDominanceBoundMatchesReference: skipping the candidates an earlier
+// candidate of the node weakly dominates changes no curve. Every curve
+// installed is compared with the prune of the node's full candidate set.
+// All bundled circuits run the structural and LUT-4 backends under both
+// objectives with ε at its default; the small ones and random networks
+// also run the library cut matcher and ε off, the costliest settings.
+func TestDominanceBoundMatchesReference(t *testing.T) {
+	type net struct {
+		subjectNet
+		full bool // every backend and ε off too
+	}
+	var nets []net
+	decompose := func(name string, src *network.Network, strategy decomp.Strategy, full bool) {
+		sub, model := decomposed(t, src, strategy)
+		nets = append(nets, net{subjectNet{name, sub, model}, full})
+	}
+	for _, b := range circuits.Suite() {
+		decompose(b.Name, b.Build(), decomp.MinPower, b.Name == "cm42a" || b.Name == "s208" || b.Name == "x2")
+	}
+	for seed := int64(1); seed <= 6; seed++ {
+		name := fmt.Sprintf("random-%d", seed)
+		src := circuits.Random(name, seed, 5+int(seed%3), 2+int(seed%3), 10+3*int(seed))
+		decompose(name+"-conventional", src, decomp.Conventional, true)
+		decompose(name+"-minpower", src, decomp.MinPower, true)
+	}
+	modes := []struct {
+		name     string
+		backend  Backend
+		tree     bool
+		lut      int
+		everyNet bool
+	}{
+		{"dag", BackendStructural, false, 0, true},
+		{"tree", BackendStructural, true, 0, true},
+		{"cuts", BackendCuts, false, 0, false},
+		{"lut4", BackendCuts, false, 4, true},
+	}
+	curves := 0
+	for _, nt := range nets {
+		for _, md := range modes {
+			for _, obj := range []Objective{AreaDelay, PowerDelay} {
+				for _, eps := range []float64{0, -1} {
+					if !nt.full && (!md.everyNet || eps != 0) {
+						continue
+					}
+					label := fmt.Sprintf("%s %s %v eps=%v", nt.name, md.name, obj, eps)
+					curves += checkBoundMatchesReference(t, label, nt.sub, nt.model, Options{
+						Objective: obj, Backend: md.backend, TreeMode: md.tree, LUT: md.lut, Epsilon: eps,
+					})
+				}
+			}
+		}
+	}
+	t.Logf("%d curves on %d subject networks match the reference", curves, len(nets))
 }

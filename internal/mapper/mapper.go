@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"slices"
 
 	"powermap/internal/exec"
 	"powermap/internal/genlib"
@@ -103,8 +102,9 @@ type Options struct {
 	// of the subject network has no meaning.
 	TreeMode bool
 	// Epsilon is the curve ε-pruning width in ns (Section 3.1). Zero means
-	// the default 0.05 ns; a negative value disables ε-pruning and keeps
-	// every non-inferior point (exponentially expensive on large DAGs).
+	// the default 0.05 ns; a negative value disables ε-pruning, so a curve
+	// keeps every non-inferior point up to the 48-point cap. NaN and ±Inf
+	// are rejected.
 	Epsilon float64
 	// PIArrival gives arrival times at primary inputs (default 0).
 	PIArrival map[string]float64
@@ -113,7 +113,7 @@ type Options struct {
 	PORequired map[string]float64
 	// Relax loosens defaulted required times as a slack fraction of the
 	// fastest mapping. Nil selects DefaultRelax; Float64(0) demands the
-	// fastest mapping.
+	// fastest mapping. NaN, infinite and negative values are rejected.
 	Relax *float64
 	// PowerMethod2 switches the dynamic-power accounting of Section 3.1
 	// from Method 1 (each input's output charge is priced at its mapped
@@ -222,8 +222,40 @@ type state struct {
 // construction out across a pool with curves identical to a sequential
 // run.
 func Map(ctx context.Context, sub *network.Network, model *prob.Model, opt Options) (*Netlist, error) {
+	s, err := newState(ctx, sub, model, opt)
+	if err != nil {
+		return nil, err
+	}
+	span := opt.Obs.StartCtx(ctx, "mapper.curves")
+	span.SetAttr("workers", s.workers).SetAttr("tree_mode", opt.TreeMode).SetAttr("backend", opt.Backend.String())
+	err = s.postorder(ctx)
+	span.SetAttr("nodes", len(s.curves))
+	span.End()
+	if err != nil {
+		return nil, err
+	}
+	span = opt.Obs.StartCtx(ctx, "mapper.select")
+	err = s.preorder(ctx)
+	span.End()
+	if err != nil {
+		return nil, err
+	}
+	span = opt.Obs.StartCtx(ctx, "mapper.extract")
+	defer span.End()
+	return s.extract()
+}
+
+// newState validates opt, resolves its defaults and builds the match
+// source, timing the cut backend's enumeration as mapper.cuts.
+func newState(ctx context.Context, sub *network.Network, model *prob.Model, opt Options) (*state, error) {
 	if opt.Library == nil {
 		return nil, fmt.Errorf("mapper: no library given")
+	}
+	if math.IsNaN(opt.Epsilon) || math.IsInf(opt.Epsilon, 0) {
+		return nil, fmt.Errorf("mapper: epsilon %v is not a finite width", opt.Epsilon)
+	}
+	if r := opt.Relax; r != nil && (math.IsNaN(*r) || math.IsInf(*r, 0) || *r < 0) {
+		return nil, fmt.Errorf("mapper: relax %v is not a finite non-negative fraction", *r)
 	}
 	if opt.Epsilon == 0 {
 		opt.Epsilon = 0.05
@@ -267,23 +299,7 @@ func Map(ctx context.Context, sub *network.Network, model *prob.Model, opt Optio
 		}
 		s.matcher = cm
 	}
-	span := opt.Obs.StartCtx(ctx, "mapper.curves")
-	span.SetAttr("workers", s.workers).SetAttr("tree_mode", opt.TreeMode).SetAttr("backend", opt.Backend.String())
-	err := s.postorder(ctx)
-	span.SetAttr("nodes", len(s.curves))
-	span.End()
-	if err != nil {
-		return nil, err
-	}
-	span = opt.Obs.StartCtx(ctx, "mapper.select")
-	err = s.preorder(ctx)
-	span.End()
-	if err != nil {
-		return nil, err
-	}
-	span = opt.Obs.StartCtx(ctx, "mapper.extract")
-	defer span.End()
-	return s.extract()
+	return s, nil
 }
 
 // postorder computes the power-delay (or area-delay) curve of every node
@@ -473,8 +489,9 @@ func (s *state) install(n *network.Node, c *Curve) {
 
 // curveAt builds one node's pruned curve. budget > 1 additionally fans the
 // match enumeration out (used when a level has fewer nodes than workers);
-// per-match candidate buffers are concatenated in match order, so the
-// candidates fed to prune are identical to the sequential append order.
+// per-match candidate buffers are concatenated in match order. Each part
+// starts with an empty front, so it drops fewer dominated candidates than
+// the sequential walk, but prune keeps the same ones (DESIGN.md §4c).
 func (s *state) curveAt(ctx context.Context, n *network.Node, budget int, local map[*network.Node]*Curve) (*Curve, error) {
 	matches := s.matcher.matchesAt(n)
 	if len(matches) == 0 {
@@ -486,7 +503,7 @@ func (s *state) curveAt(ctx context.Context, n *network.Node, budget int, local 
 	if budget > 1 && len(matches) > 1 {
 		parts, err := exec.Map(ctx, budget, len(matches), func(_ context.Context, j int) (*candidateSet, error) {
 			part := getCandidateSet()
-			s.addMatchPoints(part, n, int32(j), matches[j:j+1], local)
+			s.matchCandidates(part, n, int32(j), matches[j], local)
 			return part, nil
 		})
 		if err != nil {
@@ -502,7 +519,9 @@ func (s *state) curveAt(ctx context.Context, n *network.Node, budget int, local 
 			part.release()
 		}
 	} else {
-		s.addMatchPoints(cs, n, 0, matches, local)
+		for j, m := range matches {
+			s.matchCandidates(cs, n, int32(j), m, local)
+		}
 	}
 	generated := len(cs.recs)
 	// The curve stashes len(matches), read at extract for the map.site
@@ -544,8 +563,10 @@ type inputCtx struct {
 // mergeTimes appends to times, in ascending order, every input point's
 // arrival shifted by its pin delay that is at or above lower. Each input
 // curve ascends in arrival (Lemma 3.1), so a k-way merge of the inputs'
-// suffixes replaces a sort.
-func mergeTimes(times []float64, ins []inputCtx, lower float64) []float64 {
+// suffixes replaces a sort. The merge is cut before the first time t at or
+// above bound whose own input point seek(t) reaches, and reports so: every
+// candidate from t on arrives at or after t.
+func mergeTimes(times []float64, ins []inputCtx, lower, bound float64) ([]float64, bool) {
 	for i := range ins {
 		ic := &ins[i]
 		for ic.next < len(ic.curve.Points) && ic.curve.Points[ic.next].Arrival+ic.delay < lower {
@@ -563,12 +584,20 @@ func mergeTimes(times []float64, ins []inputCtx, lower float64) []float64 {
 			}
 		}
 		if best < 0 {
-			return times
+			return times, false
+		}
+		ic := &ins[best]
+		if bt >= bound && ic.curve.Points[ic.next].Arrival <= ic.limit(bt) {
+			return times, true
 		}
 		times = append(times, bt)
-		ins[best].next++
+		ic.next++
 	}
 }
+
+// limit is the latest input arrival that meets output time t: t - delay,
+// within 1e-12.
+func (ic *inputCtx) limit(t float64) float64 { return t - ic.delay + 1e-12 }
 
 // seek returns the index of the cheapest input point that meets output
 // time t, i.e. the last one with arrival ≤ t - delay (within 1e-12), or
@@ -576,39 +605,22 @@ func mergeTimes(times []float64, ins []inputCtx, lower float64) []float64 {
 // the input curve ascends in arrival (Lemma 3.1), so the cursor only ever
 // moves forward: one sweep over the times costs O(times + points).
 func (ic *inputCtx) seek(t float64) int {
-	limit := t - ic.delay + 1e-12
+	limit := ic.limit(t)
 	for ic.at+1 < len(ic.curve.Points) && ic.curve.Points[ic.at+1].Arrival <= limit {
 		ic.at++
 	}
 	return ic.at
 }
 
-// addMatchPoints merges the input curves of each match in their common
-// region and appends the resulting trade-off candidates to cs, numbering
-// matches[j] as match base+j (the lower-bound merge of [3] emerges from
-// pruning the union afterwards). It only reads input curves (through the
-// optional task-local overlay) and appends to cs, so concurrent calls on
-// disjoint sets are safe.
-func (s *state) addMatchPoints(cs *candidateSet, n *network.Node, base int32, matches []Match, local map[*network.Node]*Curve) {
-	// Size the buffers once: a match yields at most one candidate per
-	// input curve point plus the common lower bound.
-	recs, choices := 0, 0
-	for _, m := range matches {
-		c := 1
-		for _, node := range m.Inputs {
-			c += len(s.curveOf(node, local).Points)
-		}
-		recs += c
-		choices += c * len(m.Inputs)
-	}
-	cs.recs = slices.Grow(cs.recs, recs)
-	cs.choices = slices.Grow(cs.choices, choices)
-	for j, m := range matches {
-		s.matchCandidates(cs, n, base+int32(j), m, local)
-	}
-}
-
-// matchCandidates appends the candidates of one match to cs.
+// matchCandidates merges the input curves of one match in their common
+// region and appends to cs, as match mi, each resulting trade-off
+// candidate that no candidate already in cs weakly dominates (the
+// lower-bound merge of [3] emerges from pruning the union afterwards).
+// Prune would never keep those: a dominator appended earlier sorts before
+// the candidate, and prune keeps a candidate only if it is cheaper than
+// every kept one before it (DESIGN.md §4c). matchCandidates only reads
+// input curves (through the optional task-local overlay) and writes cs,
+// so concurrent calls on disjoint sets are safe.
 func (s *state) matchCandidates(cs *candidateSet, n *network.Node, mi int32, m Match, local map[*network.Node]*Curve) {
 	gateCost := 0.0
 	if s.opt.Objective == AreaDelay {
@@ -642,28 +654,43 @@ func (s *state) matchCandidates(cs *candidateSet, n *network.Node, mi int32, m M
 	// Candidate arrival times: every input point's arrival shifted by its
 	// pin delay (merging in the common region). Candidates below the
 	// fastest feasible arrival cannot be met by every input and are
-	// dropped; near-duplicates within the ε width are merged.
-	lower := math.Inf(-1)
+	// dropped; near-duplicates within the ε width are merged. No candidate
+	// costs less than cmin, the sum over each input's last (cheapest)
+	// point in the candidate loop's order (rounded sums are monotone), so
+	// every candidate arriving at or after bound, the earliest front point
+	// that cheap, is dominated.
+	lower, cmin := math.Inf(-1), gateCost
 	for _, ic := range ins {
-		if len(ic.curve.Points) == 0 {
+		pts := ic.curve.Points
+		if len(pts) == 0 {
 			return
 		}
-		if a := ic.curve.Points[0].Arrival + ic.delay; a > lower {
+		if a := pts[0].Arrival + ic.delay; a > lower {
 			lower = a
 		}
+		cmin += ic.fixed + pts[len(pts)-1].Cost/ic.div
 	}
-	times := mergeTimes(append(cs.times[:0], lower), ins, lower)
+	bound := cs.bound(cmin)
+	if bound <= lower { // every candidate arrives at or after lower
+		return
+	}
+	times, cut := mergeTimes(append(cs.times[:0], lower), ins, lower, bound)
 	cs.times = times
 	spacing := s.opt.Epsilon / 2
 	kept := times[:0]
 	for i, t := range times {
-		if len(kept) == 0 || t-kept[len(kept)-1] > spacing || i == len(times)-1 {
+		// A cut merge ends before the match's last time, which is the one
+		// always kept.
+		if len(kept) == 0 || t-kept[len(kept)-1] > spacing || i == len(times)-1 && !cut {
 			kept = append(kept, t)
 		}
 	}
+	// Along the match, arrivals ascend and costs descend with t, so the
+	// front cursor f only moves forward.
+	from, front := len(cs.recs), cs.front
+	f, prevCost := -1, math.Inf(1)
 	for _, t := range kept {
 		arrival := math.Inf(-1)
-		cost := gateCost
 		drive := 0.0
 		ok := true
 		for i := range ins {
@@ -672,14 +699,30 @@ func (s *state) matchCandidates(cs *candidateSet, n *network.Node, mi int32, m M
 				ok = false
 				break
 			}
-			pt := &ic.curve.Points[ic.at]
-			if a := pt.Arrival + ic.delay; a > arrival {
+			if a := ic.curve.Points[ic.at].Arrival + ic.delay; a > arrival {
 				arrival = a
 				drive = m.Cell.Pins[i].Drive
 			}
-			cost += ic.fixed + pt.Cost/ic.div
 		}
 		if !ok {
+			continue
+		}
+		if arrival >= bound { // and so does every later candidate
+			break
+		}
+		cost := gateCost
+		for i := range ins {
+			ic := &ins[i]
+			cost += ic.fixed + ic.curve.Points[ic.at].Cost/ic.div
+		}
+		for f+1 < len(front) && front[f+1].arrival <= arrival {
+			f++
+		}
+		// Dominated by the match's previous candidate or by the cheapest
+		// front point arriving no later.
+		dominated := cost >= prevCost || f >= 0 && front[f].cost <= cost
+		prevCost = cost
+		if dominated {
 			continue
 		}
 		cs.recs = append(cs.recs, candidate{arrival: arrival, cost: cost, drive: drive, match: mi, choice: int32(len(cs.choices))})
@@ -687,6 +730,7 @@ func (s *state) matchCandidates(cs *candidateSet, n *network.Node, mi int32, m M
 			cs.choices = append(cs.choices, int32(ic.at))
 		}
 	}
+	cs.extendFront(from)
 }
 
 // fanoutDiv implements the Section 3.3 heuristic: the accumulated cost of a

@@ -6,9 +6,11 @@ import (
 	"math/rand"
 	"reflect"
 	"slices"
+	"strings"
 	"testing"
 
 	"powermap/internal/blif"
+	"powermap/internal/circuits"
 	"powermap/internal/decomp"
 	"powermap/internal/genlib"
 	"powermap/internal/huffman"
@@ -24,8 +26,22 @@ func subject(t *testing.T, text string) (*network.Network, *prob.Model) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	return decomposed(t, nw, decomp.MinPower)
+}
+
+// subjectNet is a named subject network with its probability model.
+type subjectNet struct {
+	name  string
+	sub   *network.Network
+	model *prob.Model
+}
+
+// decomposed decomposes nw with the given strategy into a static-style
+// NAND2/INV subject network.
+func decomposed(t *testing.T, nw *network.Network, strategy decomp.Strategy) (*network.Network, *prob.Model) {
+	t.Helper()
 	res, err := decomp.Decompose(context.Background(), nw, decomp.Options{
-		Strategy: decomp.MinPower,
+		Strategy: strategy,
 		Style:    huffman.Static,
 	})
 	if err != nil {
@@ -367,35 +383,82 @@ func TestFanoutDivision(t *testing.T) {
 	}
 }
 
+// TestMapRejectsBadEpsilonAndRelax: a NaN or infinite ε, and a NaN,
+// infinite or negative relax, are refused with an error naming the
+// option. A negative ε still disables ε-pruning, and a zero relax still
+// demands the fastest mapping.
+func TestMapRejectsBadEpsilonAndRelax(t *testing.T) {
+	sub, model := subject(t, smallBlif)
+	cases := []struct {
+		name  string
+		eps   float64
+		relax *float64
+		want  string // "" when the options are valid
+	}{
+		{"epsilon NaN", math.NaN(), nil, "epsilon"},
+		{"epsilon +Inf", math.Inf(1), nil, "epsilon"},
+		{"epsilon -Inf", math.Inf(-1), nil, "epsilon"},
+		{"relax NaN", 0, Float64(math.NaN()), "relax"},
+		{"relax +Inf", 0, Float64(math.Inf(1)), "relax"},
+		{"relax negative", 0, Float64(-2), "relax"},
+		{"epsilon negative", -1, nil, ""},
+		{"relax zero", 0, Float64(0), ""},
+	}
+	for _, tc := range cases {
+		_, err := Map(context.Background(), sub, model, Options{
+			Objective: PowerDelay, Library: genlib.Lib2(), Epsilon: tc.eps, Relax: tc.relax,
+		})
+		switch {
+		case tc.want == "" && err != nil:
+			t.Errorf("%s: %v", tc.name, err)
+		case tc.want != "" && (err == nil || !strings.Contains(err.Error(), tc.want)):
+			t.Errorf("%s: err = %v, want an error naming %s", tc.name, err, tc.want)
+		}
+	}
+}
+
 // TestCurvesIdenticalAcrossWorkers: every installed curve, down to the
 // input points each curve point chose, is the same whether a node's
 // matches run in one task or fan out across workers. Levels and trees
 // narrower than the pool give a node a budget above one, which builds
 // one candidate buffer per match and concatenates them, offsetting the
-// choice indices.
+// choice indices; each buffer starts with an empty dominance front.
 func TestCurvesIdenticalAcrossWorkers(t *testing.T) {
 	sub, model := subject(t, smallBlif)
-	for _, tree := range []bool{false, true} {
-		curves := func(workers int) map[*network.Node][]Point {
-			got := map[*network.Node][]Point{}
-			_, err := Map(context.Background(), sub, model, Options{
-				Objective: PowerDelay,
-				Library:   genlib.Lib2(),
-				TreeMode:  tree,
-				Workers:   workers,
-				CurveAudit: func(n *network.Node, c *Curve) {
-					got[n] = slices.Clone(c.Points)
-				},
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			return got
+	nets := []subjectNet{{"small", sub, model}}
+	for _, name := range []string{"s208", "s344"} {
+		b, err := circuits.ByName(name)
+		if err != nil {
+			t.Fatal(err)
 		}
-		want := curves(1)
-		for _, w := range []int{2, 8} {
-			if got := curves(w); !reflect.DeepEqual(got, want) {
-				t.Errorf("tree=%v workers=%d: curves differ from the sequential run", tree, w)
+		sub, model := decomposed(t, b.Build(), decomp.MinPower)
+		nets = append(nets, subjectNet{name, sub, model})
+	}
+	for _, nt := range nets {
+		for _, obj := range []Objective{AreaDelay, PowerDelay} {
+			for _, tree := range []bool{false, true} {
+				curves := func(workers int) map[*network.Node][]Point {
+					got := map[*network.Node][]Point{}
+					_, err := Map(context.Background(), nt.sub, nt.model, Options{
+						Objective: obj,
+						Library:   genlib.Lib2(),
+						TreeMode:  tree,
+						Workers:   workers,
+						CurveAudit: func(n *network.Node, c *Curve) {
+							got[n] = slices.Clone(c.Points)
+						},
+					})
+					if err != nil {
+						t.Fatal(err)
+					}
+					return got
+				}
+				want := curves(1)
+				for _, w := range []int{2, 8} {
+					if got := curves(w); !reflect.DeepEqual(got, want) {
+						t.Errorf("%s %v tree=%v workers=%d: curves differ from the sequential run", nt.name, obj, tree, w)
+					}
+				}
 			}
 		}
 	}
