@@ -133,6 +133,25 @@ func TestPmapRejectsNaNProbability(t *testing.T) {
 	}
 }
 
+// TestPmapRejectsNonFiniteLibrary: a -lib whose nand3 costs NaN area is
+// refused at the input boundary with an error naming the cell and the
+// field; accepted, a NaN-cost candidate never survives prune, so the run
+// would succeed with nand3 silently left out.
+func TestPmapRejectsNonFiniteLibrary(t *testing.T) {
+	lib := "GATE inv1 16 O=!a; PIN * INV 1 999 0.4 0.9 0.4 0.9\n" +
+		"GATE nand2 24 O=!(a*b); PIN * INV 1 999 0.45 0.9 0.45 0.9\n" +
+		"GATE nand3 NaN O=!(a*b*c); PIN * INV 1.8 999 0.6 1 0.6 1\n"
+	path := filepath.Join(t.TempDir(), "nan.genlib")
+	if err := os.WriteFile(path, []byte(lib), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var out, errOut bytes.Buffer
+	err := Pmap([]string{"-circuit", "cm42a", "-method", "VI", "-lib", path}, &out, &errOut)
+	if err == nil || !strings.Contains(err.Error(), "cell nand3: area NaN is not finite") {
+		t.Fatalf("pmap -lib with a NaN area: err = %v, want an error naming nand3's area", err)
+	}
+}
+
 // TestPmapRejectsBadEpsilonAndRelax: a non-finite -epsilon and a NaN or
 // negative -relax fail the run with an error naming the flag, instead of
 // silently turning off ε-merging or taking the fastest-point fallback.

@@ -14,6 +14,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"math"
 	"sort"
 	"strconv"
 	"strings"
@@ -250,6 +251,9 @@ func parseGateLine(rest string) (*Cell, error) {
 	if err != nil {
 		return nil, fmt.Errorf("bad area %q: %v", fields[1], err)
 	}
+	if !finite(area) {
+		return nil, fmt.Errorf("cell %s: area %s is not finite", name, fields[1])
+	}
 	funcText := strings.Join(fields[2:], " ")
 	funcText = strings.TrimSuffix(strings.TrimSpace(funcText), ";")
 	eq := strings.Index(funcText, "=")
@@ -263,6 +267,13 @@ func parseGateLine(rest string) (*Cell, error) {
 	}
 	return &Cell{Name: name, Area: area, Output: out, Expr: expr}, nil
 }
+
+// pinFields names a PIN line's six numbers, in order, for error messages.
+var pinFields = [6]string{"input-load", "max-load", "rise-block", "rise-drive", "fall-block", "fall-drive"}
+
+// finite reports whether v is neither NaN nor ±Inf: every genlib number
+// prices a candidate, and a NaN cost never survives a curve's prune.
+func finite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
 
 type rawPin struct {
 	pin Pin
@@ -292,11 +303,17 @@ func parsePinLine(c *Cell, pending map[*Cell][]rawPin, fields []string) error {
 		if err != nil {
 			return fmt.Errorf("bad number %q: %v", f, err)
 		}
+		if !finite(v) {
+			return fmt.Errorf("cell %s: pin %s: %s %s is not finite", c.Name, p.Name, pinFields[i], f)
+		}
 		nums[i] = v
 	}
 	p.Load, p.MaxLoad = nums[0], nums[1]
 	p.Block = (nums[2] + nums[4]) / 2
 	p.Drive = (nums[3] + nums[5]) / 2
+	if !finite(p.Block) || !finite(p.Drive) {
+		return fmt.Errorf("cell %s: pin %s: rise and fall delays overflow their average", c.Name, p.Name)
+	}
 	pending[c] = append(pending[c], rawPin{pin: p, any: p.Name == "*"})
 	return nil
 }

@@ -184,6 +184,7 @@ PIN * INV 1 99 0.3 0.4 0.3 0.4
 }
 
 func TestParseErrors(t *testing.T) {
+	const nd = "GATE nd 2 O=!(a*b);\nPIN * INV 1 99 1 1 1 1\n"
 	cases := []struct{ name, text, want string }{
 		{"pin-before-gate", "PIN * INV 1 99 1 1 1 1\n", "PIN before"},
 		{"latch", "LATCH l 1 O=D;\n", "LATCH"},
@@ -194,6 +195,16 @@ func TestParseErrors(t *testing.T) {
 		{"no-inverter", "GATE nd 8 O=!(x*y);\nPIN * INV 1 99 1 1 1 1\n", "no inverter"},
 		{"no-nand", "GATE inv 5 O=!x;\nPIN * INV 1 99 1 1 1 1\n", "no 2-input NAND"},
 		{"empty", "\n", "empty library"},
+		// The non-finite cases would otherwise be complete libraries.
+		{"nan-area", nd + "GATE g NaN O=!a;\nPIN * INV 1 99 1 1 1 1\n", "cell g: area NaN is not finite"},
+		{"inf-area", nd + "GATE g +Inf O=!a;\nPIN * INV 1 99 1 1 1 1\n", "cell g: area +Inf is not finite"},
+		{"nan-input-load", nd + "GATE g 1 O=!a;\nPIN * INV NaN 99 1 1 1 1\n", "cell g: pin *: input-load NaN is not finite"},
+		{"inf-max-load", nd + "GATE g 1 O=!a;\nPIN a INV 1 Inf 1 1 1 1\n", "cell g: pin a: max-load Inf is not finite"},
+		{"inf-rise-block", nd + "GATE g 1 O=!a; PIN * INV 1 99 -Inf 1 1 1\n", "cell g: pin *: rise-block -Inf is not finite"},
+		{"nan-rise-drive", nd + "GATE g 1 O=!a;\nPIN * INV 1 99 1 nan 1 1\n", "cell g: pin *: rise-drive nan is not finite"},
+		{"inf-fall-block", nd + "GATE g 1 O=!a;\nPIN * INV 1 99 1 1 infinity 1\n", "cell g: pin *: fall-block infinity is not finite"},
+		{"nan-fall-drive", nd + "GATE g 1 O=!a;\nPIN * INV 1 99 1 1 1 NaN\n", "cell g: pin *: fall-drive NaN is not finite"},
+		{"delay-overflow", nd + "GATE g 1 O=!a;\nPIN * INV 1 99 1e308 1 1e308 1\n", "cell g: pin *: rise and fall delays overflow"},
 	}
 	for _, tc := range cases {
 		_, err := ParseString(tc.text)

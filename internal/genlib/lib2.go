@@ -1,5 +1,7 @@
 package genlib
 
+import "sync"
+
 // lib2Text is an embedded MCNC lib2-style standard-cell library. The gate
 // variety (inverters and NANDs at several drive strengths, NOR/AND/OR,
 // AOI/OAI complex gates, XOR/XNOR) and the value ranges (areas in
@@ -52,13 +54,16 @@ GATE mux21  48 O=a*s+b*!s;               PIN * UNKNOWN 1.6 999 0.95 1.20 0.95 1.
 GATE maj3   40 O=a*b+a*c+b*c;            PIN * NONINV 1.9 999 0.92 1.15 0.92 1.15
 `
 
-// Lib2 returns a freshly parsed copy of the embedded lib2-style library.
-// Each call returns an independent value, so callers may not interfere.
-func Lib2() *Library {
+// Lib2 returns the embedded lib2-style library: parsed once, shared,
+// read-only. The first call parses it and every call returns that one
+// value, so no caller may change it.
+func Lib2() *Library { return lib2() }
+
+var lib2 = sync.OnceValue(func() *Library {
 	lib, err := ParseString(lib2Text)
 	if err != nil {
 		panic("genlib: embedded library is invalid: " + err.Error())
 	}
 	lib.Name = "lib2"
 	return lib
-}
+})

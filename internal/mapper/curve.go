@@ -63,9 +63,10 @@ type candidate struct {
 // candidateSet collects the candidates of one node, in match order and,
 // within a match, in ascending candidate time, leaving out every candidate
 // that one already collected weakly dominates (matchCandidates). It also
-// carries the scratch of the time merge and of prune, so a pooled set
-// serves node after node without allocating.
+// carries the scratch of structural matching, of the time merge and of
+// prune, so a pooled set serves node after node without allocating.
 type candidateSet struct {
+	match   matchScratch
 	recs    []candidate
 	choices []int32
 	// front is the staircase of recs: ascending in arrival, strictly
@@ -135,9 +136,11 @@ func (cs *candidateSet) extendFront(from int) {
 }
 
 // release returns cs to the pool, first dropping its references to input
-// curves so a pooled set keeps no curve alive.
+// curves and subject nodes so a pooled set keeps no curve or network
+// alive.
 func (cs *candidateSet) release() {
 	clear(cs.ins[:cap(cs.ins)])
+	clear(cs.match.rows[:cap(cs.match.rows)])
 	candidateSets.Put(cs)
 }
 

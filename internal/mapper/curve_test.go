@@ -577,9 +577,9 @@ func checkBoundMatchesReference(t *testing.T, label string, sub *network.Network
 	var s *state
 	checked, mismatch := 0, ""
 	opt.CurveAudit = func(n *network.Node, c *Curve) {
-		matches := s.matcher.matchesAt(n)
 		cs := getCandidateSet()
 		defer cs.release()
+		matches := s.matcher.matchesAt(n, &cs.match)
 		for j, m := range matches {
 			s.matchCandidatesReference(cs, n, int32(j), m)
 		}

@@ -50,7 +50,7 @@ type cutMatcher struct {
 	deps    map[*network.Node][]*network.Node
 }
 
-func (c *cutMatcher) matchesAt(n *network.Node) []Match { return c.matches[n] }
+func (c *cutMatcher) matchesAt(n *network.Node, _ *matchScratch) []Match { return c.matches[n] }
 
 // depsOf lists the nodes whose curves matches at n read — the scheduling
 // dependencies of the curve phase. Unlike structural matches, cut matches

@@ -493,13 +493,13 @@ func (s *state) install(n *network.Node, c *Curve) {
 // starts with an empty front, so it drops fewer dominated candidates than
 // the sequential walk, but prune keeps the same ones (DESIGN.md §4c).
 func (s *state) curveAt(ctx context.Context, n *network.Node, budget int, local map[*network.Node]*Curve) (*Curve, error) {
-	matches := s.matcher.matchesAt(n)
+	cs := getCandidateSet()
+	defer cs.release()
+	matches := s.matcher.matchesAt(n, &cs.match)
 	if len(matches) == 0 {
 		return nil, fmt.Errorf("mapper: no library match at node %s", n.Name)
 	}
 	s.obs.matchesPerNode.Observe(float64(len(matches)))
-	cs := getCandidateSet()
-	defer cs.release()
 	if budget > 1 && len(matches) > 1 {
 		parts, err := exec.Map(ctx, budget, len(matches), func(_ context.Context, j int) (*candidateSet, error) {
 			part := getCandidateSet()

@@ -191,7 +191,7 @@ func TestMatcherFindsComplexGates(t *testing.T) {
 	lib := genlib.Lib2()
 	m := newMatcher(lib, false)
 	found := false
-	for _, match := range m.matchesAt(inv) {
+	for _, match := range m.matchesAt(inv, new(matchScratch)) {
 		if match.Cell.Name == "aoi21" {
 			found = true
 			// Pin binding: pins a,b bind {a,b}, pin c binds c.
@@ -230,7 +230,7 @@ func TestXorLeafDagMatch(t *testing.T) {
 	lib := genlib.Lib2()
 	m := newMatcher(lib, false)
 	found := false
-	for _, match := range m.matchesAt(out) {
+	for _, match := range m.matchesAt(out, new(matchScratch)) {
 		if match.Cell.Name == "xor2" {
 			found = true
 		}

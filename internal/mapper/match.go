@@ -30,24 +30,27 @@ type Match struct {
 }
 
 // matchSource enumerates candidate matches per subject node. The
-// structural matcher computes them on demand; the cut backend returns
-// tables precomputed on the coordinator. Implementations must be safe for
-// concurrent matchesAt calls and deterministic: same node, same slice.
+// structural matcher computes them on demand in the caller's scratch; the
+// cut backend returns tables precomputed on the coordinator and ignores
+// it. Implementations must be safe for concurrent matchesAt calls with
+// distinct scratch and deterministic: same node, same slice.
 type matchSource interface {
-	matchesAt(n *network.Node) []Match
+	matchesAt(n *network.Node, sc *matchScratch) []Match
 }
 
 // patEntry is one compiled pattern with its owning cell, as stored in the
-// matcher's root-kind index.
+// matcher's root-kind index, with the pattern's binding width (one past
+// its largest pin index) and Size computed once.
 type patEntry struct {
-	cell *genlib.Cell
-	pat  *genlib.Pattern
+	cell  *genlib.Cell
+	pat   *genlib.Pattern
+	width int
+	size  int
 }
 
 // matcher enumerates structural matches of library patterns on the subject
 // graph.
 type matcher struct {
-	lib *genlib.Library
 	// treeMode forbids matches that hide a multi-fanout node inside a
 	// cover (strict DAGON-style tree partitioning).
 	treeMode bool
@@ -64,24 +67,46 @@ type matcher struct {
 // index. Compiled patterns are always INV- or NAND-rooted (bare-leaf wire
 // patterns are skipped at library load), so two buckets cover the library.
 func newMatcher(lib *genlib.Library, treeMode bool) *matcher {
-	m := &matcher{lib: lib, treeMode: treeMode}
+	m := &matcher{treeMode: treeMode}
 	for _, cell := range lib.Cells {
 		for _, pat := range cell.Patterns {
+			e := patEntry{cell: cell, pat: pat, width: maxPinIndex(pat) + 1, size: pat.Size()}
 			switch pat.Kind {
 			case genlib.PatInv:
-				m.invRooted = append(m.invRooted, patEntry{cell, pat})
+				m.invRooted = append(m.invRooted, e)
 			case genlib.PatNand:
-				m.nandRooted = append(m.nandRooted, patEntry{cell, pat})
+				m.nandRooted = append(m.nandRooted, e)
 			}
 		}
 	}
 	return m
 }
 
-// matchesAt enumerates all matches of all library cells at node n.
-// Matches are deduplicated by (cell, bound nodes), keeping the first
-// occurrence.
-func (m *matcher) matchesAt(n *network.Node) []Match {
+// matchScratch is the reused working memory of the structural matcher. A
+// partial binding maps cell pins to subject nodes as one fixed-width row
+// of rows (nil where a pin is still unbound), named by its offset; a list
+// of partial bindings is a range of ids holding such offsets. A row is
+// never changed once written, so a leaf whose pin is already bound to its
+// node passes the row on by offset, and copies it only to bind a new pin.
+type matchScratch struct {
+	rows []*network.Node
+	ids  []int32
+	// width is the row width of the pattern being enumerated.
+	width int
+	// hits are the complete, distinct bindings of the node so far, in
+	// match order.
+	hits []matchHit
+}
+
+// matchHit is a binding that becomes a Match: the pattern's index in its
+// root-kind bucket and the binding's row.
+type matchHit struct{ entry, row int32 }
+
+// matchesAt enumerates all matches of all library cells at node n, using
+// sc as scratch. Matches are deduplicated by (cell, bound nodes), keeping
+// the first occurrence. The only allocations are the result and one arena
+// that every match's Inputs is cut from.
+func (m *matcher) matchesAt(n *network.Node, sc *matchScratch) []Match {
 	if n.Kind != network.Internal {
 		return nil
 	}
@@ -92,80 +117,69 @@ func (m *matcher) matchesAt(n *network.Node) []Match {
 	case decomp.IsNand2(n):
 		entries = m.nandRooted
 	}
-	var out []Match
-	for _, e := range entries {
-		bindings := m.matchPattern(e.pat, n, true)
-		for _, b := range bindings {
-			if !b.complete(e.cell.NumInputs()) || hasMatch(out, e.cell, b.pins) {
+	sc.rows, sc.hits = sc.rows[:0], sc.hits[:0]
+	arena := 0
+	for i := range entries {
+		e := &entries[i]
+		lo, hi := m.bindings(sc, e, n)
+		for _, r := range sc.ids[lo:hi] {
+			row := sc.rows[r : int(r)+e.width]
+			if !complete(row, e.cell.NumInputs()) || sc.hasHit(entries, e.cell, row) {
 				continue
 			}
-			out = append(out, Match{Cell: e.cell, Inputs: b.pins, Covered: e.pat.Size()})
+			sc.hits = append(sc.hits, matchHit{int32(i), r})
+			arena += e.width
 		}
+	}
+	if len(sc.hits) == 0 {
+		return nil
+	}
+	out := make([]Match, len(sc.hits))
+	inputs := make([]*network.Node, arena)
+	for j, h := range sc.hits {
+		e := &entries[h.entry]
+		k := e.width
+		in := inputs[:k:k]
+		inputs = inputs[k:]
+		copy(in, sc.rows[h.row:])
+		out[j] = Match{Cell: e.cell, Inputs: in, Covered: e.size}
 	}
 	return out
 }
 
-// hasMatch reports whether ms already binds cell to exactly these nodes.
-// Matches at one node are few, so a scan beats building a key.
-func hasMatch(ms []Match, cell *genlib.Cell, pins []*network.Node) bool {
-	for _, m := range ms {
-		if m.Cell == cell && slices.Equal(m.Inputs, pins) {
+// hasHit reports whether sc.hits already binds cell to exactly the nodes
+// of row. Matches at one node are few, so a scan beats building a key.
+func (sc *matchScratch) hasHit(entries []patEntry, cell *genlib.Cell, row []*network.Node) bool {
+	for _, h := range sc.hits {
+		if e := &entries[h.entry]; e.cell == cell && slices.Equal(sc.rows[h.row:int(h.row)+e.width], row) {
 			return true
 		}
 	}
 	return false
 }
 
-// binding maps cell pins to subject nodes. Patterns may be leaf-DAGs
-// (e.g. XOR references each pin twice), so a pin can be bound repeatedly
-// and must bind consistently.
-type binding struct {
-	pins []*network.Node
+// complete reports whether row binds each of a cell's first n pins.
+func complete(row []*network.Node, n int) bool {
+	return n <= len(row) && !slices.Contains(row[:n], nil)
 }
 
-func newBinding(n int) binding { return binding{pins: make([]*network.Node, n)} }
-
-func (b binding) clone() binding {
-	return binding{pins: append([]*network.Node(nil), b.pins...)}
-}
-
-func (b binding) bind(pin int, node *network.Node) (binding, bool) {
-	if b.pins[pin] == node {
-		return b, true
-	}
-	if b.pins[pin] != nil {
-		return binding{}, false
-	}
-	nb := b.clone()
-	nb.pins[pin] = node
-	return nb, true
-}
-
-func (b binding) complete(n int) bool {
-	if n > len(b.pins) {
-		return false
-	}
-	for i := 0; i < n; i++ {
-		if b.pins[i] == nil {
-			return false
-		}
-	}
-	return true
-}
-
-// matchPattern returns all bindings under which pattern p matches the
-// subject cone rooted at n. root marks the top of the match (a match root
-// may have any fanout; interior nodes are restricted in tree mode).
-func (m *matcher) matchPattern(p *genlib.Pattern, n *network.Node, root bool) []binding {
+// bindings enumerates, into sc, every binding under which pattern e
+// matches the subject cone rooted at n (a match root may have any fanout;
+// interior nodes are restricted in tree mode). It returns the range of
+// sc.ids holding the bindings' rows, valid until the next call.
+func (m *matcher) bindings(sc *matchScratch, e *patEntry, n *network.Node) (lo, hi int) {
+	sc.ids = sc.ids[:0]
 	// Most patterns at a node fail on gate kinds alone: rule those out
-	// before allocating any binding.
-	if !m.fits(p, n, root) {
-		return nil
+	// before writing any row.
+	if !m.fits(e.pat, n, true) {
+		return 0, 0
 	}
-	// Determine the pin count lazily from the deepest pin index.
-	maxPin := maxPinIndex(p)
-	init := newBinding(maxPin + 1)
-	return m.matchRec(p, n, root, []binding{init})
+	off := len(sc.rows)
+	sc.rows = slices.Grow(sc.rows, e.width)[:off+e.width]
+	clear(sc.rows[off:])
+	sc.ids = append(sc.ids, int32(off))
+	sc.width = e.width
+	return m.matchRec(sc, e.pat, n, true, 0, 1)
 }
 
 func maxPinIndex(p *genlib.Pattern) int {
@@ -203,40 +217,79 @@ func (m *matcher) fits(p *genlib.Pattern, n *network.Node, root bool) bool {
 	}
 }
 
-// matchRec threads a set of partial bindings through the pattern.
-func (m *matcher) matchRec(p *genlib.Pattern, n *network.Node, root bool, partial []binding) []binding {
-	if len(partial) == 0 {
-		return nil
+// matchRec threads the partial bindings sc.ids[lo:hi] through the pattern
+// breadth-wise and returns the range of sc.ids holding the result: a
+// non-empty result always lies past every id that existed at the call.
+// At a NAND both input orders are tried, (a,b) before (b,a), and the
+// bindings of the two are deduplicated on their rows, first occurrence
+// kept; the ids in between are reused.
+func (m *matcher) matchRec(sc *matchScratch, p *genlib.Pattern, n *network.Node, root bool, lo, hi int) (int, int) {
+	if lo == hi {
+		return lo, lo
 	}
 	switch p.Kind {
 	case genlib.PatLeaf:
-		var out []binding
-		for _, b := range partial {
-			if nb, ok := b.bind(p.Pin, n); ok {
-				out = append(out, nb)
+		start := len(sc.ids)
+		for i := lo; i < hi; i++ {
+			r := int(sc.ids[i])
+			switch sc.rows[r+p.Pin] {
+			case n:
+				sc.ids = append(sc.ids, int32(r))
+			case nil:
+				off := len(sc.rows)
+				sc.rows = append(sc.rows, sc.rows[r:r+sc.width]...)
+				sc.rows[off+p.Pin] = n
+				sc.ids = append(sc.ids, int32(off))
 			}
 		}
-		return out
+		return start, len(sc.ids)
 	case genlib.PatInv:
 		if !decomp.IsInv(n) || !m.interiorOK(n, root) {
-			return nil
+			return lo, lo
 		}
-		return m.matchRec(p.L, n.Fanin[0], false, partial)
+		return m.matchRec(sc, p.L, n.Fanin[0], false, lo, hi)
 	default: // PatNand
 		if !decomp.IsNand2(n) || !m.interiorOK(n, root) {
-			return nil
+			return lo, lo
 		}
 		a, b := n.Fanin[0], n.Fanin[1]
-		var out []binding
+		base := len(sc.ids)
 		// Both input orders: NAND is commutative.
-		left := m.matchRec(p.L, a, false, partial)
-		out = append(out, m.matchRec(p.R, b, false, left)...)
+		l, h := m.matchRec(sc, p.L, a, false, lo, hi)
+		ab0, ab1 := m.matchRec(sc, p.R, b, false, l, h)
+		ba0, ba1 := 0, 0
 		if a != b {
-			left = m.matchRec(p.L, b, false, partial)
-			out = append(out, m.matchRec(p.R, a, false, left)...)
+			l, h = m.matchRec(sc, p.L, b, false, lo, hi)
+			ba0, ba1 = m.matchRec(sc, p.R, a, false, l, h)
 		}
-		return dedupeBindings(out)
+		// Compact both results to base, dropping repeated rows. The write
+		// index never passes the read index: every non-empty result lies
+		// at or past base, in order.
+		k := base
+		for _, rg := range [2][2]int{{ab0, ab1}, {ba0, ba1}} {
+			for i := rg[0]; i < rg[1]; i++ {
+				if r := sc.ids[i]; !sc.seen(base, k, r) {
+					sc.ids[k] = r
+					k++
+				}
+			}
+		}
+		sc.ids = sc.ids[:k]
+		return base, k
 	}
+}
+
+// seen reports whether a row of sc.ids[lo:hi] binds the same nodes as row
+// r.
+func (sc *matchScratch) seen(lo, hi int, r int32) bool {
+	w := sc.width
+	row := sc.rows[r : int(r)+w]
+	for _, o := range sc.ids[lo:hi] {
+		if slices.Equal(sc.rows[o:int(o)+w], row) {
+			return true
+		}
+	}
+	return false
 }
 
 // interiorOK reports whether node n may participate in a match at the given
@@ -248,16 +301,4 @@ func (m *matcher) interiorOK(n *network.Node, root bool) bool {
 		return true
 	}
 	return len(n.Fanout) <= 1
-}
-
-// dedupeBindings drops bindings that bind the same nodes as an earlier
-// one, keeping first-occurrence order.
-func dedupeBindings(bs []binding) []binding {
-	out := bs[:0]
-	for _, b := range bs {
-		if !slices.ContainsFunc(out, func(o binding) bool { return slices.Equal(o.pins, b.pins) }) {
-			out = append(out, b)
-		}
-	}
-	return out
 }

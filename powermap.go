@@ -222,7 +222,8 @@ func ParseBLIFString(s string) (*Network, error) { return blif.ParseString(s) }
 // WriteBLIF serializes a Network as BLIF.
 func WriteBLIF(w io.Writer, nw *Network) error { return blif.Write(w, nw) }
 
-// Lib2 returns the embedded lib2-style standard-cell library.
+// Lib2 returns the embedded lib2-style standard-cell library: parsed
+// once, shared, read-only.
 func Lib2() *Library { return genlib.Lib2() }
 
 // ParseGenlib reads a genlib library description.
