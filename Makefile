@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race check short bench benchmark fuzz tables verify clean
+.PHONY: all build vet fmt test benchtest race check short bench benchmark fuzz tables verify clean
 
 all: build vet test
 
@@ -12,14 +12,23 @@ build:
 vet:
 	$(GO) vet ./...
 
+# Lists every file gofmt would change, and fails if there is one.
+fmt:
+	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt -l:"; echo "$$out"; exit 1; fi
+
 test:
 	$(GO) test ./...
+
+# The benchmark is its own module, so `go test ./...` skips its tests.
+benchtest:
+	cd benchmark && $(GO) test ./...
 
 race:
 	$(GO) test -race ./...
 
-# The pre-merge gate: compile, static analysis, full tests, race tests.
-check: build vet test race
+# The pre-merge gate, as CI runs it: compile, static analysis, formatting,
+# full tests (the benchmark module's included), race tests.
+check: build vet fmt test benchtest race
 
 short:
 	$(GO) test -short ./...

@@ -320,7 +320,7 @@ func BenchmarkMapOnly(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		nl, err := mapper.Map(context.Background(), d.Network, d.Model, mapper.Options{
-			Objective: mapper.PowerDelay, Library: lib, Relax: mapper.Float64(0.15), Workers: 1,
+			Objective: mapper.PowerDelay, Library: lib, Relax: core.Float64(0.15), Workers: 1,
 		})
 		if err != nil {
 			b.Fatal(err)
@@ -347,7 +347,7 @@ func BenchmarkMapOnlyCuts(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		nl, err := mapper.Map(context.Background(), d.Network, d.Model, mapper.Options{
-			Objective: mapper.PowerDelay, Library: lib, Relax: mapper.Float64(0.15),
+			Objective: mapper.PowerDelay, Library: lib, Relax: core.Float64(0.15),
 			Backend: mapper.BackendCuts, Workers: 1,
 		})
 		if err != nil {

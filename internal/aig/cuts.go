@@ -187,23 +187,3 @@ func (g *Graph) CutTT(root uint32, leaves []uint32) (uint64, error) {
 	}
 	return eval(root)
 }
-
-// ConeSize counts the AND nodes strictly inside the cut: between root
-// (inclusive) and the leaves (exclusive). It measures how much subject
-// logic one matched gate covers.
-func (g *Graph) ConeSize(root uint32, leaves []uint32) int {
-	stop := make(map[uint32]bool, len(leaves))
-	for _, l := range leaves {
-		stop[l] = true
-	}
-	seen := make(map[uint32]bool)
-	var walk func(v uint32) int
-	walk = func(v uint32) int {
-		if stop[v] || seen[v] || g.kind[v] != kindAnd {
-			return 0
-		}
-		seen[v] = true
-		return 1 + walk(g.fanin0[v].Node()) + walk(g.fanin1[v].Node())
-	}
-	return walk(root)
-}

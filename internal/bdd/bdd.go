@@ -173,10 +173,6 @@ type Manager struct {
 	stats Stats
 }
 
-// New returns a manager over numVars variables with the default
-// configuration.
-func New(numVars int) *Manager { return NewWith(numVars, Config{}) }
-
 // NewWith returns a manager over numVars variables tuned by cfg.
 func NewWith(numVars int, cfg Config) *Manager {
 	cfg = cfg.withDefaults()
@@ -212,25 +208,12 @@ func NewWith(numVars int, cfg Config) *Manager {
 	return m
 }
 
-// NumVars returns the number of variables in the manager's order.
-func (m *Manager) NumVars() int { return m.numVars }
-
 // Stats returns the work counters accumulated since creation.
 func (m *Manager) Stats() Stats {
 	st := m.stats
 	st.Live = int64(m.live)
 	st.CacheEntries = int64(len(m.computed))
 	return st
-}
-
-// Order returns the current variable order: element l is the variable at
-// level l (tested l-th from the top).
-func (m *Manager) Order() []int {
-	out := make([]int, m.numVars)
-	for l, v := range m.level2var {
-		out[l] = int(v)
-	}
-	return out
 }
 
 // level returns the order position of r's test variable; terminals sit
@@ -508,47 +491,6 @@ func (m *Manager) Prob(f Ref, p1 []float64) (float64, error) {
 		return p
 	}
 	return rec(f), nil
-}
-
-// Support returns the ascending variable indices appearing in f.
-func (m *Manager) Support(f Ref) []int {
-	seen := make(map[int32]bool)
-	visited := make(map[Ref]bool)
-	var rec func(g Ref)
-	rec = func(g Ref) {
-		if g == False || g == True || visited[g] {
-			return
-		}
-		visited[g] = true
-		n := m.nodes[g]
-		seen[n.varID] = true
-		rec(n.lo)
-		rec(n.hi)
-	}
-	rec(f)
-	out := make([]int, 0, len(seen))
-	for v := int32(0); v < int32(m.numVars); v++ {
-		if seen[v] {
-			out = append(out, int(v))
-		}
-	}
-	return out
-}
-
-// Eval evaluates f under a full assignment indexed by variable.
-func (m *Manager) Eval(f Ref, assign []bool) (bool, error) {
-	if len(assign) != m.numVars {
-		return false, &AssignLenError{Got: len(assign), Want: m.numVars}
-	}
-	for f != False && f != True {
-		n := m.nodes[f]
-		if assign[n.varID] {
-			f = n.hi
-		} else {
-			f = n.lo
-		}
-	}
-	return f == True, nil
 }
 
 // AnySat returns one satisfying assignment of f as a cube over all numVars

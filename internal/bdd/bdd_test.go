@@ -54,7 +54,7 @@ func (b *tb) Eval(f Ref, assign []bool) bool {
 }
 
 func TestTerminals(t *testing.T) {
-	m := wrap(t, New(2))
+	m := wrap(t, NewWith(2, Config{}))
 	if m.Not(False) != True || m.Not(True) != False {
 		t.Fatal("terminal complement broken")
 	}
@@ -64,7 +64,7 @@ func TestTerminals(t *testing.T) {
 }
 
 func TestVarBasics(t *testing.T) {
-	m := wrap(t, New(3))
+	m := wrap(t, NewWith(3, Config{}))
 	x := m.Var(0)
 	if m.And(x, m.Not(x)) != False {
 		t.Error("x & !x != 0")
@@ -78,7 +78,7 @@ func TestVarBasics(t *testing.T) {
 }
 
 func TestVarRangeError(t *testing.T) {
-	m := New(3)
+	m := NewWith(3, Config{})
 	if _, err := m.Var(3); err == nil {
 		t.Error("Var(3) on 3-var manager should fail")
 	} else {
@@ -93,7 +93,7 @@ func TestVarRangeError(t *testing.T) {
 }
 
 func TestCanonicity(t *testing.T) {
-	m := wrap(t, New(3))
+	m := wrap(t, NewWith(3, Config{}))
 	a, b, c := m.Var(0), m.Var(1), m.Var(2)
 	// (a&b)|c  built two different ways must be pointer-equal.
 	f1 := m.Or(m.And(a, b), c)
@@ -108,7 +108,7 @@ func TestCanonicity(t *testing.T) {
 }
 
 func TestDeMorgan(t *testing.T) {
-	m := wrap(t, New(2))
+	m := wrap(t, NewWith(2, Config{}))
 	a, b := m.Var(0), m.Var(1)
 	if m.Not(m.And(a, b)) != m.Or(m.Not(a), m.Not(b)) {
 		t.Error("De Morgan violated")
@@ -116,7 +116,7 @@ func TestDeMorgan(t *testing.T) {
 }
 
 func TestEvalAgainstTruthTable(t *testing.T) {
-	m := wrap(t, New(4))
+	m := wrap(t, NewWith(4, Config{}))
 	vars := []Ref{m.Var(0), m.Var(1), m.Var(2), m.Var(3)}
 	// f = (x0 XOR x1) AND (x2 OR !x3)
 	f := m.And(m.Xor(vars[0], vars[1]), m.Or(vars[2], m.Not(vars[3])))
@@ -130,7 +130,7 @@ func TestEvalAgainstTruthTable(t *testing.T) {
 }
 
 func TestEvalAssignLenError(t *testing.T) {
-	m := New(4)
+	m := NewWith(4, Config{})
 	if _, err := m.Eval(True, []bool{true}); err == nil {
 		t.Error("short assignment should fail")
 	} else {
@@ -142,7 +142,7 @@ func TestEvalAssignLenError(t *testing.T) {
 }
 
 func TestFromCover(t *testing.T) {
-	m := wrap(t, New(3))
+	m := wrap(t, NewWith(3, Config{}))
 	f := sop.NewCover(2)
 	f.AddCube(sop.Cube{sop.Pos, sop.Pos})
 	inputs := []Ref{m.Var(0), m.Var(1)}
@@ -165,7 +165,7 @@ func TestFromCover(t *testing.T) {
 }
 
 func TestFromCoverWidthError(t *testing.T) {
-	m := New(3)
+	m := NewWith(3, Config{})
 	c := sop.NewCover(2)
 	c.AddCube(sop.Cube{sop.Pos, sop.Pos})
 	_, err := m.FromCover(c, []Ref{True})
@@ -179,7 +179,7 @@ func TestFromCoverWidthError(t *testing.T) {
 }
 
 func TestProbSimple(t *testing.T) {
-	m := wrap(t, New(2))
+	m := wrap(t, NewWith(2, Config{}))
 	a, b := m.Var(0), m.Var(1)
 	p := []float64{0.3, 0.4}
 	if got := m.Prob(m.And(a, b), p); math.Abs(got-0.12) > 1e-12 {
@@ -194,7 +194,7 @@ func TestProbSimple(t *testing.T) {
 }
 
 func TestProbLenError(t *testing.T) {
-	m := New(2)
+	m := NewWith(2, Config{})
 	if _, err := m.Prob(True, []float64{0.5}); err == nil {
 		t.Fatal("length mismatch should fail")
 	} else {
@@ -207,7 +207,7 @@ func TestProbLenError(t *testing.T) {
 
 func TestProbReconvergence(t *testing.T) {
 	// f = a AND a must have P = p, not p^2: BDDs capture reconvergence.
-	m := wrap(t, New(1))
+	m := wrap(t, NewWith(1, Config{}))
 	a := m.Var(0)
 	f := m.And(a, a)
 	if got := m.Prob(f, []float64{0.3}); math.Abs(got-0.3) > 1e-12 {
@@ -217,7 +217,7 @@ func TestProbReconvergence(t *testing.T) {
 
 // truthProb computes the exact probability by full enumeration.
 func truthProb(m *tb, f Ref, p []float64) float64 {
-	n := m.m.NumVars()
+	n := m.m.numVars
 	total := 0.0
 	assign := make([]bool, n)
 	var rec func(i int, w float64)
@@ -240,7 +240,7 @@ func truthProb(m *tb, f Ref, p []float64) float64 {
 func TestProbMatchesEnumeration(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 50; trial++ {
-		m := wrap(t, New(5))
+		m := wrap(t, NewWith(5, Config{}))
 		// Random function from random cover.
 		f := sop.NewCover(5)
 		for i := 0; i < 1+r.Intn(6); i++ {
@@ -270,7 +270,7 @@ func TestProbMatchesEnumeration(t *testing.T) {
 func TestProbBounds(t *testing.T) {
 	// Property: probability is always within [0,1] for probabilities in [0,1].
 	check := func(raw [5]uint8, seeds [3]uint8) bool {
-		m := wrap(t, New(5))
+		m := wrap(t, NewWith(5, Config{}))
 		p := make([]float64, 5)
 		for i, b := range raw {
 			p[i] = float64(b) / 255
@@ -285,20 +285,8 @@ func TestProbBounds(t *testing.T) {
 	}
 }
 
-func TestSupport(t *testing.T) {
-	m := wrap(t, New(4))
-	f := m.And(m.Var(0), m.Or(m.Var(2), m.Var(3)))
-	sup := m.m.Support(f)
-	if len(sup) != 3 || sup[0] != 0 || sup[1] != 2 || sup[2] != 3 {
-		t.Errorf("support = %v", sup)
-	}
-	if len(m.m.Support(True)) != 0 {
-		t.Error("constant has support")
-	}
-}
-
 func TestIteIdentities(t *testing.T) {
-	m := wrap(t, New(3))
+	m := wrap(t, NewWith(3, Config{}))
 	a, b, c := m.Var(0), m.Var(1), m.Var(2)
 	if m.Ite(a, b, b) != b {
 		t.Error("ite(a,b,b) != b")
@@ -350,7 +338,7 @@ func xorChain(m *tb, n int) Ref {
 }
 
 func TestGCReclaimsToRootedSet(t *testing.T) {
-	m := wrap(t, New(8))
+	m := wrap(t, NewWith(8, Config{}))
 	f := xorChain(m, 8)
 	root := m.m.Protect(f)
 	m.m.GC() // drop the chain's intermediate prefixes
@@ -376,7 +364,7 @@ func TestGCReclaimsToRootedSet(t *testing.T) {
 		t.Errorf("stats after GC: %+v", st)
 	}
 	// The rooted function still works.
-	pr := m.Prob(root.Ref(), []float64{0.5, 0.5, 0.5, 0.5, 0.5, 0.5, 0.5, 0.5})
+	pr := m.Prob(f, []float64{0.5, 0.5, 0.5, 0.5, 0.5, 0.5, 0.5, 0.5})
 	if math.Abs(pr-0.5) > 1e-12 {
 		t.Errorf("P(xor chain) = %v, want 0.5", pr)
 	}
@@ -390,7 +378,7 @@ func TestGCReclaimsToRootedSet(t *testing.T) {
 }
 
 func TestGCPreservesCanonicity(t *testing.T) {
-	m := wrap(t, New(6))
+	m := wrap(t, NewWith(6, Config{}))
 	f := m.Or(m.And(m.Var(0), m.Var(1)), m.Var(2))
 	root := m.m.Protect(f)
 	defer root.Release()
@@ -404,7 +392,7 @@ func TestGCPreservesCanonicity(t *testing.T) {
 }
 
 func TestRootRefcounting(t *testing.T) {
-	m := wrap(t, New(4))
+	m := wrap(t, NewWith(4, Config{}))
 	f := m.And(m.Var(0), m.Var(1))
 	r1 := m.m.Protect(f)
 	r2 := m.m.Protect(f)
@@ -473,7 +461,7 @@ func orderSensitive(m *tb, pairs int) Ref {
 
 func TestReorderShrinksOrderSensitiveFunction(t *testing.T) {
 	const pairs = 6
-	m := wrap(t, New(2*pairs))
+	m := wrap(t, NewWith(2*pairs, Config{}))
 	f := orderSensitive(m, pairs)
 	root := m.m.Protect(f)
 	defer root.Release()
@@ -497,7 +485,7 @@ func TestReorderPreservesFunctions(t *testing.T) {
 	r := rand.New(rand.NewSource(41))
 	for trial := 0; trial < 30; trial++ {
 		const nv = 7
-		m := wrap(t, New(nv))
+		m := wrap(t, NewWith(nv, Config{}))
 		// Random cover-built functions, all rooted.
 		var refs []Ref
 		for k := 0; k < 3; k++ {
@@ -562,7 +550,7 @@ func TestReorderPreservesFunctions(t *testing.T) {
 }
 
 func TestReorderKeepsCanonicity(t *testing.T) {
-	m := wrap(t, New(8))
+	m := wrap(t, NewWith(8, Config{}))
 	f := orderSensitive(m, 4)
 	root := m.m.Protect(f)
 	defer root.Release()
@@ -598,9 +586,19 @@ func TestMaintainTriggersReorder(t *testing.T) {
 	}
 }
 
+// order is the current variable order: element l is the variable at
+// level l (tested l-th from the top).
+func order(m *Manager) []int {
+	out := make([]int, m.numVars)
+	for l, v := range m.level2var {
+		out[l] = int(v)
+	}
+	return out
+}
+
 func TestOrderReportsPermutation(t *testing.T) {
-	m := wrap(t, New(4))
-	ord := m.m.Order()
+	m := wrap(t, NewWith(4, Config{}))
+	ord := order(m.m)
 	if len(ord) != 4 {
 		t.Fatalf("order length %d", len(ord))
 	}
@@ -615,7 +613,7 @@ func TestOrderReportsPermutation(t *testing.T) {
 	rt := m.m.Protect(f)
 	defer rt.Release()
 	m.m.Reorder()
-	ord = m.m.Order()
+	ord = order(m.m)
 	seen = make(map[int]bool)
 	for _, v := range ord {
 		if v < 0 || v >= 4 || seen[v] {
@@ -628,7 +626,7 @@ func TestOrderReportsPermutation(t *testing.T) {
 func TestNodeLimitDuringReorderIsSafe(t *testing.T) {
 	// A swap that would exceed the limit must abort cleanly, leaving every
 	// rooted function intact.
-	m := wrap(t, New(8))
+	m := wrap(t, NewWith(8, Config{}))
 	f := orderSensitive(m, 4)
 	rt := m.m.Protect(f)
 	defer rt.Release()

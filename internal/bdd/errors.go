@@ -60,14 +60,3 @@ type ProbLenError struct {
 func (e *ProbLenError) Error() string {
 	return fmt.Sprintf("bdd: got %d probabilities for %d variables", e.Got, e.Want)
 }
-
-// AssignLenError reports an Eval assignment whose length disagrees with the
-// manager's variable count.
-type AssignLenError struct {
-	Got  int
-	Want int
-}
-
-func (e *AssignLenError) Error() string {
-	return fmt.Sprintf("bdd: got %d assignment values for %d variables", e.Got, e.Want)
-}

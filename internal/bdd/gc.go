@@ -15,9 +15,6 @@ func (m *Manager) Protect(r Ref) *Root {
 	return &Root{m: m, ref: r}
 }
 
-// Ref returns the protected reference.
-func (rt *Root) Ref() Ref { return rt.ref }
-
 // Release drops the handle's protection. Releasing twice is a no-op.
 func (rt *Root) Release() {
 	if rt.m == nil {

@@ -152,6 +152,31 @@ func TestPmapRejectsNonFiniteLibrary(t *testing.T) {
 	}
 }
 
+// TestPmapRejectsOverflowingLibrary: finite genlib numbers whose sums
+// overflow are refused at the input boundary too. Accepted, a 1e308
+// input load makes DefaultLoad +Inf and every curve empty, and three
+// 1e308 areas make the netlist's total area +Inf.
+func TestPmapRejectsOverflowingLibrary(t *testing.T) {
+	const inv1 = "GATE inv1 16 O=!a; PIN * INV 1.0 999 0.40 0.90 0.40 0.90\n"
+	for _, c := range []struct{ lib, want string }{
+		{inv1 + "GATE nand2 24 O=!(a*b); PIN * INV 1e308 999 0.45 0.90 0.45 0.90\n",
+			"genlib: line 2: cell nand2: pin *: input-load 1e308 exceeds"},
+		{inv1 + "GATE nand2 1e308 O=!(a*b); PIN * INV 1.0 999 0.45 0.90 0.45 0.90\n" +
+			"GATE nand3 1e308 O=!(a*b*c); PIN * INV 1.8 999 0.60 1.00 0.60 1.00\n",
+			"genlib: line 2: cell nand2: area 1e308 exceeds"},
+	} {
+		path := filepath.Join(t.TempDir(), "huge.genlib")
+		if err := os.WriteFile(path, []byte(c.lib), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		var out, errOut bytes.Buffer
+		err := Pmap([]string{"-circuit", "cm42a", "-method", "VI", "-lib", path}, &out, &errOut)
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("pmap -lib with a 1e308 number: err = %v, want containing %q", err, c.want)
+		}
+	}
+}
+
 // TestPmapRejectsBadEpsilonAndRelax: a non-finite -epsilon and a NaN or
 // negative -relax fail the run with an error naming the flag, instead of
 // silently turning off ε-merging or taking the fastest-point fallback.

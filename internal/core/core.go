@@ -141,8 +141,8 @@ type Options struct {
 	// StrongSimplify enables Espresso-style node simplification in
 	// quick-opt (an extension; off by default — see EXPERIMENTS.md).
 	StrongSimplify bool
-	// PIArrival/PORequired pass mapped-domain (ns) timing constraints.
-	PIArrival  map[string]float64
+	// PORequired gives mapped-domain (ns) required times at primary
+	// outputs; every primary input arrives at 0.
 	PORequired map[string]float64
 	// CurveAudit is forwarded to the mapper: when non-nil it observes every
 	// internal node's pruned power-delay curve as it is installed, on the
@@ -150,7 +150,7 @@ type Options struct {
 	// invariants in-flight.
 	CurveAudit func(*network.Node, *mapper.Curve)
 	// Obs is the observability scope threaded through every pipeline
-	// stage (decomp, mapper, bdd, timing). Nil — the default — disables
+	// stage (decomp, mapper, bdd). Nil — the default — disables
 	// all instrumentation at near-zero cost.
 	Obs *obs.Scope
 	// Journal records the run's decision provenance (per-node
@@ -282,7 +282,6 @@ func SynthesizeContext(ctx context.Context, nw *network.Network, o Options) (_ *
 		LUT:          o.LUT,
 		TreeMode:     o.TreeMode,
 		Epsilon:      o.Epsilon,
-		PIArrival:    o.PIArrival,
 		PORequired:   o.PORequired,
 		Relax:        o.Relax,
 		PowerMethod2: o.PowerMethod2,

@@ -163,7 +163,6 @@ func TestSynthesizeTimingConstraints(t *testing.T) {
 		Method:     MethodIV,
 		Style:      huffman.Static,
 		PORequired: req,
-		PIArrival:  map[string]float64{"a0": 0.5},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -7,6 +7,7 @@ import (
 
 	"powermap/internal/exec"
 	"powermap/internal/network"
+	"powermap/internal/obs"
 	"powermap/internal/prob"
 )
 
@@ -23,26 +24,23 @@ import (
 // L = max(minHeight, h + s), which assigns the node exactly its own share
 // of the violation it causes; iterating node-by-node from the most negative
 // slack reproduces the paper's greedy order (ties broken toward nodes
-// shared by more paths, approximated by fanout count).
-func boundedPass(ctx context.Context, cp *network.Network, model *prob.Model, plans []*plan, opt Options) (int, error) {
+// shared by more paths, approximated by fanout count). The required times
+// are per output, by name; the pass stops after 2×#plans iterations.
+func boundedPass(ctx context.Context, cp *network.Network, plans []*plan, poRequired map[string]float64, sc *obs.Scope) (int, error) {
 	planOf := make(map[*network.Node]*plan, len(plans))
 	for _, p := range plans {
 		planOf[p.n] = p
 	}
-	maxIters := opt.MaxIters
-	if maxIters == 0 {
-		maxIters = 2 * len(plans)
-	}
-	iterations := opt.Obs.Counter("decomp.slack_iterations")
-	rebuilt := opt.Obs.Counter("decomp.redecompositions")
-	stuck := opt.Obs.Counter("decomp.redecomp_stuck")
+	iterations := sc.Counter("decomp.slack_iterations")
+	rebuilt := sc.Counter("decomp.redecompositions")
+	stuck := sc.Counter("decomp.redecomp_stuck")
 	redecomps := 0
-	for iter := 0; iter < maxIters; iter++ {
+	for iter := 0; iter < 2*len(plans); iter++ {
 		if err := ctx.Err(); err != nil {
 			return redecomps, fmt.Errorf("decomp: bounded pass: %w", err)
 		}
 		iterations.Inc()
-		arrival, required := virtualTiming(cp, planOf, opt)
+		arrival, required := virtualTiming(cp, planOf, poRequired)
 		// Select the most negative slack plan that can still be tightened.
 		var worst *plan
 		worstSlack := -1e-9
@@ -80,13 +78,12 @@ func boundedPass(ctx context.Context, cp *network.Network, model *prob.Model, pl
 		worst.rebuilt = true
 		rebuilt.Inc()
 	}
-	_ = model
 	return redecomps, nil
 }
 
 // conventionalArrivals plans a balanced decomposition of every node and
 // returns the unit-delay arrival time each primary output would reach with
-// it, used as the default required times of the bounded strategy. Like the
+// it, used as the required times of the bounded strategy. Like the
 // main plan phase, the per-node balanced plans are independent and fan out
 // across the worker pool.
 func conventionalArrivals(ctx context.Context, cp *network.Network, model *prob.Model, opt Options, workers int) (map[string]float64, error) {
@@ -108,7 +105,7 @@ func conventionalArrivals(ctx context.Context, cp *network.Network, model *prob.
 	for i, p := range plans {
 		planOf[nodes[i]] = p
 	}
-	arr, _ := virtualTiming(cp, planOf, balOpt)
+	arr, _ := virtualTiming(cp, planOf, nil)
 	req := make(map[string]float64, len(cp.Outputs))
 	for _, o := range cp.Outputs {
 		req[o.Name] = arr[o.Driver]
@@ -118,18 +115,16 @@ func conventionalArrivals(ctx context.Context, cp *network.Network, model *prob.
 
 // virtualTiming computes unit-delay arrival and required times over the
 // planned decomposition without materializing it: each plan contributes its
-// per-leaf depths as the delay from a fanin to the node output.
-func virtualTiming(cp *network.Network, planOf map[*network.Node]*plan, opt Options) (arrival, required map[*network.Node]float64) {
+// per-leaf depths as the delay from a fanin to the node output. Every
+// primary input arrives at 0; an output missing from poRequired (nil
+// included) is required at the latest output arrival.
+func virtualTiming(cp *network.Network, planOf map[*network.Node]*plan, poRequired map[string]float64) (arrival, required map[*network.Node]float64) {
 	order := cp.TopoOrder()
 	arrival = make(map[*network.Node]float64, len(order))
 	required = make(map[*network.Node]float64, len(order))
 	for _, n := range order {
 		if n.IsSource() {
-			a := 0.0
-			if opt.PIArrival != nil {
-				a = opt.PIArrival[n.Name]
-			}
-			arrival[n] = a
+			arrival[n] = 0
 			continue
 		}
 		p := planOf[n]
@@ -163,10 +158,7 @@ func virtualTiming(cp *network.Network, planOf map[*network.Node]*plan, opt Opti
 		required[n] = math.Inf(1)
 	}
 	for _, o := range cp.Outputs {
-		req, ok := 0.0, false
-		if opt.PORequired != nil {
-			req, ok = opt.PORequired[o.Name]
-		}
+		req, ok := poRequired[o.Name]
 		if !ok {
 			req = maxOut
 		}

@@ -48,8 +48,7 @@ func TestVirtualTimingUnplannedFallback(t *testing.T) {
 	// With no plans at all, virtualTiming must degrade to plain unit-delay
 	// analysis over the original fanin edges.
 	nw := mustParse(t, chainLikeBlif)
-	opt := Options{PORequired: map[string]float64{"y": 2}}
-	arrival, required := virtualTiming(nw, map[*network.Node]*plan{}, opt)
+	arrival, required := virtualTiming(nw, map[*network.Node]*plan{}, map[string]float64{"y": 2})
 	wantArr := map[string]float64{"t1": 1, "t2": 2, "y": 3}
 	for name, want := range wantArr {
 		if got := arrival[nw.NodeByName(name)]; got != want {
@@ -65,15 +64,6 @@ func TestVirtualTimingUnplannedFallback(t *testing.T) {
 	}
 	if s := required[nw.NodeByName("y")] - arrival[nw.NodeByName("y")]; s != -1 {
 		t.Errorf("slack(y) = %v, want -1", s)
-	}
-}
-
-func TestVirtualTimingPIArrival(t *testing.T) {
-	nw := mustParse(t, chainLikeBlif)
-	opt := Options{PIArrival: map[string]float64{"d": 5}}
-	arrival, _ := virtualTiming(nw, map[*network.Node]*plan{}, opt)
-	if got := arrival[nw.NodeByName("y")]; got != 6 {
-		t.Errorf("arrival(y) = %v, want 6 (d arrives at 5)", got)
 	}
 }
 
@@ -100,7 +90,7 @@ func TestVirtualTimingUsesPlannedDepths(t *testing.T) {
 	}
 	p := plans[0]
 	planOf := map[*network.Node]*plan{p.n: p}
-	arrival, _ := virtualTiming(cp, planOf, opt)
+	arrival, _ := virtualTiming(cp, planOf, nil)
 	if got, want := arrival[p.n], float64(p.structureHeight()); got != want {
 		t.Errorf("planned arrival %v, want structure height %v", got, want)
 	}
@@ -108,14 +98,13 @@ func TestVirtualTimingUsesPlannedDepths(t *testing.T) {
 
 func TestBoundedPassRedecomposesToBound(t *testing.T) {
 	opt := skewedWideAnd()
-	opt.PORequired = map[string]float64{"y": 3}
 	cp, plans := planNetwork(t, mustParse(t, wideAndBlif), opt)
 	p := plans[0]
 	before := p.structureHeight()
 	if before <= p.minHeight {
 		t.Skipf("minpower already at min height %d; nothing to tighten", p.minHeight)
 	}
-	n, err := boundedPass(context.Background(), cp, nil, plans, opt)
+	n, err := boundedPass(context.Background(), cp, plans, map[string]float64{"y": 3}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,10 +121,9 @@ func TestBoundedPassRedecomposesToBound(t *testing.T) {
 
 func TestBoundedPassNoViolationIsNoop(t *testing.T) {
 	opt := skewedWideAnd()
-	opt.PORequired = map[string]float64{"y": 100}
 	cp, plans := planNetwork(t, mustParse(t, wideAndBlif), opt)
 	before := plans[0].structureHeight()
-	n, err := boundedPass(context.Background(), cp, nil, plans, opt)
+	n, err := boundedPass(context.Background(), cp, plans, map[string]float64{"y": 100}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,14 +137,13 @@ func TestBoundedPassMarksStuckNodes(t *testing.T) {
 	// A node whose rebuild cannot shrink it must be marked stuck (not
 	// retried forever) and the pass must still terminate cleanly.
 	opt := skewedWideAnd()
-	opt.PORequired = map[string]float64{"y": 3}
 	cp, plans := planNetwork(t, mustParse(t, wideAndBlif), opt)
 	p := plans[0]
 	if p.structureHeight() <= p.minHeight {
 		t.Skipf("minpower already at min height %d", p.minHeight)
 	}
 	p.rebuild = func(limit int) (bool, error) { return false, nil }
-	n, err := boundedPass(context.Background(), cp, nil, plans, opt)
+	n, err := boundedPass(context.Background(), cp, plans, map[string]float64{"y": 3}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,7 +157,6 @@ func TestBoundedPassMarksStuckNodes(t *testing.T) {
 
 func TestBoundedPassPropagatesRebuildError(t *testing.T) {
 	opt := skewedWideAnd()
-	opt.PORequired = map[string]float64{"y": 3}
 	cp, plans := planNetwork(t, mustParse(t, wideAndBlif), opt)
 	p := plans[0]
 	if p.structureHeight() <= p.minHeight {
@@ -178,35 +164,41 @@ func TestBoundedPassPropagatesRebuildError(t *testing.T) {
 	}
 	boom := errors.New("boom")
 	p.rebuild = func(limit int) (bool, error) { return false, boom }
-	if _, err := boundedPass(context.Background(), cp, nil, plans, opt); !errors.Is(err, boom) {
+	if _, err := boundedPass(context.Background(), cp, plans, map[string]float64{"y": 3}, nil); !errors.Is(err, boom) {
 		t.Errorf("rebuild error not propagated: %v", err)
 	}
 }
 
 func TestBoundedPassMaxIters(t *testing.T) {
-	opt := skewedWideAnd()
-	opt.PORequired = map[string]float64{"y": 3}
-	opt.MaxIters = 1
-	cp, plans := planNetwork(t, mustParse(t, wideAndBlif), opt)
-	if plans[0].structureHeight() <= plans[0].minHeight {
-		t.Skipf("minpower already at min height %d", plans[0].minHeight)
+	// The pass gives up after 2×#plans iterations. Skewed probabilities
+	// make MINPOWER chain the 8-input AND (height 7, minimum 3); a rebuild
+	// that tightens one level per iteration then needs 4 iterations to
+	// meet y's target of 3, but the one plan gets only 2.
+	nw := mustParse(t, ".model and8\n.inputs a b c d e f g h\n.outputs y\n.names a b c d e f g h y\n11111111 1\n.end\n")
+	opt := Options{Strategy: BoundedMinPower, Style: huffman.DominoP, PIProb: map[string]float64{
+		"a": 0.02, "b": 0.05, "c": 0.1, "d": 0.2, "e": 0.3, "f": 0.5, "g": 0.7, "h": 0.9}}
+	cp, plans := planNetwork(t, nw, opt)
+	p := plans[0]
+	if h := p.structureHeight(); h != 7 || p.minHeight != 3 {
+		t.Fatalf("minpower height %d, minimum %d; want a 7-high chain over minimum 3", h, p.minHeight)
 	}
-	n, err := boundedPass(context.Background(), cp, nil, plans, opt)
+	rebuild := p.rebuild
+	p.rebuild = func(int) (bool, error) { return rebuild(p.structureHeight() - 1) }
+	n, err := boundedPass(context.Background(), cp, plans, map[string]float64{"y": 3}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n > 1 {
-		t.Errorf("%d redecompositions under MaxIters=1", n)
+	if n != 2 || p.structureHeight() != 5 {
+		t.Errorf("%d redecompositions to height %d, want 2 to height 5", n, p.structureHeight())
 	}
 }
 
 func TestBoundedPassCancellation(t *testing.T) {
 	opt := skewedWideAnd()
-	opt.PORequired = map[string]float64{"y": 3}
 	cp, plans := planNetwork(t, mustParse(t, wideAndBlif), opt)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := boundedPass(ctx, cp, nil, plans, opt); !errors.Is(err, context.Canceled) {
+	if _, err := boundedPass(ctx, cp, plans, map[string]float64{"y": 3}, nil); !errors.Is(err, context.Canceled) {
 		t.Errorf("cancelled pass returned %v", err)
 	}
 }
@@ -301,5 +293,42 @@ func TestConventionalArrivalsMatchBalancedDepth(t *testing.T) {
 	}
 	if math.Abs(req["y"]-3) > 1e-12 {
 		t.Errorf("conventional required(y) = %v, want 3", req["y"])
+	}
+}
+
+// chainBlif has a three-level chain to y beside a one-level z.
+const chainBlif = `
+.model chain
+.inputs a b c d
+.outputs y z
+.names a b t1
+11 1
+.names t1 c t2
+11 1
+.names t2 d y
+11 1
+.names a b z
+11 1
+.end
+`
+
+func TestUnitDepthArrival(t *testing.T) {
+	nw := mustParse(t, chainBlif)
+	if depth := unitDepth(context.Background(), nw, nil); depth != 3 {
+		t.Errorf("network depth = %v, want 3", depth)
+	}
+	for name, want := range map[string]float64{"a": 0, "t1": 1, "t2": 2, "y": 3, "z": 1} {
+		if got := nw.NodeByName(name).Arrival; got != want {
+			t.Errorf("arrival(%s) = %v, want %v", name, got, want)
+		}
+	}
+}
+
+func TestUnitDepthNoOutputs(t *testing.T) {
+	// A network with no outputs has zero depth by definition.
+	nw := network.New("empty")
+	nw.AddPI("a")
+	if depth := unitDepth(context.Background(), nw, nil); depth != 0 {
+		t.Errorf("depth = %v, want 0", depth)
 	}
 }

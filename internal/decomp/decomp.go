@@ -26,6 +26,7 @@ package decomp
 import (
 	"context"
 	"fmt"
+	"math"
 
 	"powermap/internal/bdd"
 	"powermap/internal/exec"
@@ -36,7 +37,6 @@ import (
 	netopt "powermap/internal/opt"
 	"powermap/internal/prob"
 	"powermap/internal/sop"
-	"powermap/internal/timing"
 )
 
 // Strategy selects the decomposition algorithm.
@@ -75,14 +75,6 @@ type Options struct {
 	Exact bool
 	// PIProb gives P(pi=1) by name; missing entries default to 0.5.
 	PIProb map[string]float64
-	// PIArrival and PORequired configure the unit-delay timing view used by
-	// BoundedMinPower. A zero PORequired map means "latest arrival", i.e.
-	// re-decomposition only repairs the slack the MINPOWER pass destroyed
-	// relative to the best achievable depth.
-	PIArrival  map[string]float64
-	PORequired map[string]float64
-	// MaxIters caps bounded re-decomposition passes; 0 means 2×#nodes.
-	MaxIters int
 	// Strash structurally hashes the subject graph after conversion,
 	// merging identical NAND/INV nodes created by independent node
 	// expansions. Off by default for fidelity to the paper's pipeline
@@ -306,21 +298,17 @@ func Decompose(ctx context.Context, nw *network.Network, opt Options) (*Result, 
 
 	redecomps := 0
 	if opt.Strategy == BoundedMinPower {
-		if opt.PORequired == nil {
-			// Default performance target: the depth a conventional
-			// (balanced) decomposition would achieve — i.e. bound the
-			// height increase the MINPOWER pass introduced (Section 2.2's
-			// problem statement).
-			span = sc.StartCtx(ctx, "decomp.slack-targets")
-			req, err := conventionalArrivals(ctx, cp, model, opt, workers)
-			span.End()
-			if err != nil {
-				return nil, err
-			}
-			opt.PORequired = req
+		// The performance target: the depth a conventional (balanced)
+		// decomposition would achieve — i.e. bound the height increase the
+		// MINPOWER pass introduced (Section 2.2's problem statement).
+		span = sc.StartCtx(ctx, "decomp.slack-targets")
+		req, err := conventionalArrivals(ctx, cp, model, opt, workers)
+		span.End()
+		if err != nil {
+			return nil, err
 		}
 		span = sc.StartCtx(ctx, "decomp.bounded-redecomp")
-		redecomps, err = boundedPass(ctx, cp, model, plans, opt)
+		redecomps, err = boundedPass(ctx, cp, plans, req, sc)
 		span.SetAttr("redecompositions", redecomps)
 		span.End()
 		if err != nil {
@@ -397,14 +385,7 @@ func Decompose(ctx context.Context, nw *network.Network, opt Options) (*Result, 
 		return nil, fmt.Errorf("decomp: final probabilities: %w", err)
 	}
 	res := &Result{Network: cp, Model: model, Redecompositions: redecomps, TotalActivity: totalActivity}
-	// Unit-delay depth (and, via obs, worst slack) of the subject graph.
-	// PORequired is deliberately not forwarded: the bounded strategy's
-	// required times live in the planned AND-OR unit-delay domain, not the
-	// NAND/INV one, so the subject graph gets the zero-slack normalization.
-	res.Depth = timing.AnnotateUnitContext(ctx, cp, timing.UnitOptions{
-		PIArrival: opt.PIArrival,
-		Obs:       sc,
-	})
+	res.Depth = unitDepth(ctx, cp, sc)
 	sc.Gauge("decomp.total_activity").Set(totalActivity)
 	sc.Gauge("decomp.subject_nodes").Set(float64(cp.Stats().Nodes))
 	sc.Gauge("decomp.depth").Set(res.Depth)
@@ -417,6 +398,40 @@ func Decompose(ctx context.Context, nw *network.Network, opt Options) (*Result, 
 	})
 	flushBDDStats(sc, model.Manager())
 	return res, nil
+}
+
+// unitDepth annotates every node reachable from the outputs with its
+// unit-delay arrival time, every primary input arriving at 0, and returns
+// the latest output arrival: the network's depth. The paper's Section 2.3
+// argues for the unit-delay model before mapping, since the mapped
+// netlist's structure differs substantially from the subject graph; the
+// mapper applies the library delay model (Equation 14).
+func unitDepth(ctx context.Context, nw *network.Network, sc *obs.Scope) float64 {
+	span := sc.StartCtx(ctx, "timing.annotate")
+	defer span.End()
+	order := nw.TopoOrder()
+	span.SetAttr("nodes", len(order))
+	sc.Counter("timing.annotate_runs").Inc()
+	sc.Counter("timing.nodes_annotated").Add(int64(len(order)))
+	for _, n := range order {
+		if n.IsSource() {
+			n.Arrival = 0
+			continue
+		}
+		worst := math.Inf(-1)
+		for _, f := range n.Fanin {
+			worst = max(worst, f.Arrival)
+		}
+		n.Arrival = worst + 1
+	}
+	if len(nw.Outputs) == 0 {
+		return 0
+	}
+	depth := math.Inf(-1)
+	for _, o := range nw.Outputs {
+		depth = max(depth, o.Driver.Arrival)
+	}
+	return depth
 }
 
 // makePlan chooses tree shapes for one node under the configured strategy

@@ -131,14 +131,13 @@ func TestExactOracleNotWorseOnReconvergent(t *testing.T) {
 
 func TestBoundedReducesDepth(t *testing.T) {
 	// Skewed probabilities make MINPOWER build a deep chain over the
-	// 6-input AND; a tight required time must force it flatter.
+	// 6-input AND; the balanced depth, 3, must force it flatter.
 	piProb := map[string]float64{"a": 0.05, "b": 0.1, "c": 0.2, "d": 0.4, "e": 0.6, "f": 0.8}
 	mp := decomposeAll(t, wideAndBlif, Options{
 		Strategy: MinPower, Style: huffman.DominoP, PIProb: piProb,
 	})
 	bh := decomposeAll(t, wideAndBlif, Options{
 		Strategy: BoundedMinPower, Style: huffman.DominoP, PIProb: piProb,
-		PORequired: map[string]float64{"y": 3},
 	})
 	if mp.Depth <= 3 {
 		t.Skipf("minpower depth %v already meets bound; nothing to test", mp.Depth)
@@ -301,24 +300,6 @@ func TestClassifiers(t *testing.T) {
 	}
 }
 
-func TestBoundedWithExplicitRequired(t *testing.T) {
-	piProb := map[string]float64{"a": 0.05, "b": 0.1, "c": 0.2, "d": 0.4, "e": 0.6, "f": 0.8}
-	res := decomposeAll(t, wideAndBlif, Options{
-		Strategy:   BoundedMinPower,
-		Style:      huffman.DominoP,
-		PIProb:     piProb,
-		PORequired: map[string]float64{"y": 3},
-		PIArrival:  map[string]float64{"a": 0},
-		MaxIters:   10,
-	})
-	// The unit-delay bound counts AND/OR levels; the NAND2/INV conversion
-	// realizes each AND level as a NAND+INV pair, so a height-3 tree can
-	// reach subject depth 2·3+1.
-	if res.Depth > 7 {
-		t.Errorf("depth %v exceeds the bound regime", res.Depth)
-	}
-}
-
 func TestBoundedDefaultMatchesConventionalDepth(t *testing.T) {
 	// With no explicit required times, BoundedMinPower bounds the height
 	// increase relative to the conventional (balanced) decomposition.
@@ -355,10 +336,9 @@ func TestBoundedMultiCubeNodes(t *testing.T) {
 	piProb := map[string]float64{"a": 0.1, "b": 0.2, "c": 0.3, "d": 0.4,
 		"e": 0.6, "f": 0.7, "g": 0.8, "h": 0.9}
 	res, err := Decompose(context.Background(), nw, Options{
-		Strategy:   BoundedMinPower,
-		Style:      huffman.DominoP,
-		PIProb:     piProb,
-		PORequired: map[string]float64{"y": 6},
+		Strategy: BoundedMinPower,
+		Style:    huffman.DominoP,
+		PIProb:   piProb,
 	})
 	if err != nil {
 		t.Fatal(err)

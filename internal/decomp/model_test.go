@@ -86,11 +86,7 @@ func checkModel(t *testing.T, res *Result, piProb map[string]float64) {
 				t.Errorf("%s: held global is not its cover over its fanins' globals", n.Name)
 			}
 		}
-		p, err := m.Prob1(n)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if n.Prob1 != p {
+		if p := m.Prob1OfRef(g); n.Prob1 != p {
 			t.Errorf("%s: annotation %v, model %v", n.Name, n.Prob1, p)
 		}
 		annotated[n] = n.Prob1

@@ -1,6 +1,9 @@
 package genlib
 
-import "testing"
+import (
+	"math"
+	"testing"
+)
 
 // FuzzParseExpr exercises the genlib expression parser: it must never
 // panic, and accepted expressions must round-trip through String.
@@ -42,6 +45,8 @@ func FuzzParseGenlib(f *testing.F) {
 	f.Add("GATE g 1 O=a*!b;\nPIN a NONINV 1 9 1 1 1 1\nPIN b INV 1 9 1 1 1 1\n")
 	f.Add("GATE inv NaN O=!a;\nPIN * INV 1 99 1 1 1 1\nGATE nd 2 O=!(a*b);\nPIN * INV 1 99 1 1 1 1\n")
 	f.Add("GATE inv 1 O=!a;\nPIN * INV 1 99 1 1 1 1\nGATE nd 2 O=!(a*b);\nPIN * INV Inf 99 1 1 1 1\n")
+	f.Add(overflowLoadLib)
+	f.Add(overflowAreaLib)
 	f.Fuzz(func(t *testing.T, input string) {
 		lib, err := ParseString(input)
 		if err != nil {
@@ -55,18 +60,22 @@ func FuzzParseGenlib(f *testing.F) {
 			if len(c.Patterns) == 0 {
 				t.Fatalf("cell %s has no patterns", c.Name)
 			}
-			// Every number prices a candidate: none may be NaN or ±Inf.
-			if !finite(c.Area) {
+			// Every number prices a candidate: none may be NaN, ±Inf or
+			// so large that the sums built from it overflow.
+			if !(math.Abs(c.Area) <= maxMagnitude) {
 				t.Fatalf("cell %s has area %v", c.Name, c.Area)
 			}
 			for _, p := range c.Pins {
 				for _, v := range []float64{p.Load, p.MaxLoad, p.Block, p.Drive} {
-					if !finite(v) {
+					if !(math.Abs(v) <= maxMagnitude) {
 						t.Fatalf("cell %s pin %s: load %v, max load %v, block %v, drive %v",
 							c.Name, p.Name, p.Load, p.MaxLoad, p.Block, p.Drive)
 					}
 				}
 			}
+		}
+		if d := lib.DefaultLoad(); math.IsNaN(d) || math.IsInf(d, 0) {
+			t.Fatalf("default load %v", d)
 		}
 	})
 }

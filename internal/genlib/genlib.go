@@ -251,8 +251,8 @@ func parseGateLine(rest string) (*Cell, error) {
 	if err != nil {
 		return nil, fmt.Errorf("bad area %q: %v", fields[1], err)
 	}
-	if !finite(area) {
-		return nil, fmt.Errorf("cell %s: area %s is not finite", name, fields[1])
+	if err := checkNumber("area", fields[1], area); err != nil {
+		return nil, fmt.Errorf("cell %s: %w", name, err)
 	}
 	funcText := strings.Join(fields[2:], " ")
 	funcText = strings.TrimSuffix(strings.TrimSpace(funcText), ";")
@@ -271,9 +271,26 @@ func parseGateLine(rest string) (*Cell, error) {
 // pinFields names a PIN line's six numbers, in order, for error messages.
 var pinFields = [6]string{"input-load", "max-load", "rise-block", "rise-drive", "fall-block", "fall-drive"}
 
-// finite reports whether v is neither NaN nor ±Inf: every genlib number
-// prices a candidate, and a NaN cost never survives a curve's prune.
-func finite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
+// maxMagnitude bounds every genlib number: a cell's area and the six
+// numbers of each PIN line. It lies far above any lib2-style value (areas
+// of tens, loads and delays near 1) and far enough below the float64 range
+// that every sum the flow forms from them — DefaultLoad, a netlist's area,
+// an arrival time, a power figure — stays finite.
+const maxMagnitude = 1e9
+
+// checkNumber rejects a genlib number that is NaN, ±Inf or beyond
+// maxMagnitude, naming the field and its text: every number prices a
+// candidate, a NaN cost never survives a curve's prune, and a finite but
+// huge one overflows the sums built from it.
+func checkNumber(field, text string, v float64) error {
+	switch {
+	case math.IsNaN(v) || math.IsInf(v, 0):
+		return fmt.Errorf("%s %s is not finite", field, text)
+	case math.Abs(v) > maxMagnitude:
+		return fmt.Errorf("%s %s exceeds the magnitude ceiling %g", field, text, maxMagnitude)
+	}
+	return nil
+}
 
 type rawPin struct {
 	pin Pin
@@ -303,17 +320,14 @@ func parsePinLine(c *Cell, pending map[*Cell][]rawPin, fields []string) error {
 		if err != nil {
 			return fmt.Errorf("bad number %q: %v", f, err)
 		}
-		if !finite(v) {
-			return fmt.Errorf("cell %s: pin %s: %s %s is not finite", c.Name, p.Name, pinFields[i], f)
+		if err := checkNumber(pinFields[i], f, v); err != nil {
+			return fmt.Errorf("cell %s: pin %s: %w", c.Name, p.Name, err)
 		}
 		nums[i] = v
 	}
 	p.Load, p.MaxLoad = nums[0], nums[1]
 	p.Block = (nums[2] + nums[4]) / 2
 	p.Drive = (nums[3] + nums[5]) / 2
-	if !finite(p.Block) || !finite(p.Drive) {
-		return fmt.Errorf("cell %s: pin %s: rise and fall delays overflow their average", c.Name, p.Name)
-	}
 	pending[c] = append(pending[c], rawPin{pin: p, any: p.Name == "*"})
 	return nil
 }

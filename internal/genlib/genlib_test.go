@@ -2,6 +2,7 @@ package genlib
 
 import (
 	"math"
+	"regexp"
 	"strings"
 	"testing"
 )
@@ -183,6 +184,17 @@ PIN * INV 1 99 0.3 0.4 0.3 0.4
 	}
 }
 
+// overflowLoadLib and overflowAreaLib are lib2's inv1 beside NAND cells
+// whose finite numbers sum to +Inf: nand2's input loads average to
+// DefaultLoad, and three 1e308 areas overflow a netlist's total.
+const (
+	overflowLoadLib = "GATE inv1 16 O=!a; PIN * INV 1.0 999 0.40 0.90 0.40 0.90\n" +
+		"GATE nand2 24 O=!(a*b); PIN * INV 1e308 999 0.45 0.90 0.45 0.90\n"
+	overflowAreaLib = "GATE inv1 16 O=!a; PIN * INV 1.0 999 0.40 0.90 0.40 0.90\n" +
+		"GATE nand2 1e308 O=!(a*b); PIN * INV 1.0 999 0.45 0.90 0.45 0.90\n" +
+		"GATE nand3 1e308 O=!(a*b*c); PIN * INV 1.8 999 0.60 1.00 0.60 1.00\n"
+)
+
 func TestParseErrors(t *testing.T) {
 	const nd = "GATE nd 2 O=!(a*b);\nPIN * INV 1 99 1 1 1 1\n"
 	cases := []struct{ name, text, want string }{
@@ -204,7 +216,12 @@ func TestParseErrors(t *testing.T) {
 		{"nan-rise-drive", nd + "GATE g 1 O=!a;\nPIN * INV 1 99 1 nan 1 1\n", "cell g: pin *: rise-drive nan is not finite"},
 		{"inf-fall-block", nd + "GATE g 1 O=!a;\nPIN * INV 1 99 1 1 infinity 1\n", "cell g: pin *: fall-block infinity is not finite"},
 		{"nan-fall-drive", nd + "GATE g 1 O=!a;\nPIN * INV 1 99 1 1 1 NaN\n", "cell g: pin *: fall-drive NaN is not finite"},
-		{"delay-overflow", nd + "GATE g 1 O=!a;\nPIN * INV 1 99 1e308 1 1e308 1\n", "cell g: pin *: rise and fall delays overflow"},
+		{"delay-overflow", nd + "GATE g 1 O=!a;\nPIN * INV 1 99 1e308 1 1e308 1\n", "cell g: pin *: rise-block 1e308 exceeds the magnitude ceiling 1e+09"},
+		// Finite numbers whose sums overflow: DefaultLoad, and the
+		// netlist's total area.
+		{"overflow-load", overflowLoadLib, "cell nand2: pin *: input-load 1e308 exceeds the magnitude ceiling 1e+09"},
+		{"overflow-area", overflowAreaLib, "cell nand2: area 1e308 exceeds the magnitude ceiling 1e+09"},
+		{"negative-max-load", nd + "GATE g 1 O=!a;\nPIN * INV 1 -2e9 1 1 1 1\n", "cell g: pin *: max-load -2e9 exceeds the magnitude ceiling 1e+09"},
 	}
 	for _, tc := range cases {
 		_, err := ParseString(tc.text)
@@ -225,15 +242,15 @@ func TestCellHelpers(t *testing.T) {
 }
 
 func TestPatternSizeDepth(t *testing.T) {
-	lib := Lib2()
-	nd3 := lib.CellByName("nand3")
+	// NAND3 = NAND2 + INV + NAND2 in any association: 3 nodes, depth 3.
+	pins := regexp.MustCompile(`p[0-9]+`)
+	nd3 := Lib2().CellByName("nand3")
+	if len(nd3.Patterns) == 0 {
+		t.Fatal("nand3 has no patterns")
+	}
 	for _, p := range nd3.Patterns {
-		// NAND3 = NAND2 + INV + NAND2 in any association: 3 nodes.
-		if p.Size() != 3 {
-			t.Errorf("nand3 pattern %s size %d, want 3", p, p.Size())
-		}
-		if p.Depth() != 3 {
-			t.Errorf("nand3 pattern %s depth %d, want 3", p, p.Depth())
+		if shape := pins.ReplaceAllString(p.String(), "p"); shape != "n(i(n(p,p)),p)" {
+			t.Errorf("nand3 pattern %s has shape %s, want n(i(n(p,p)),p)", p, shape)
 		}
 	}
 }

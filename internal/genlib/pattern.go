@@ -28,35 +28,6 @@ type Pattern struct {
 	Pin  int      // for PatLeaf
 }
 
-// Size returns the number of NAND/INV nodes in the pattern. A bare-leaf
-// pattern (a wire) has size 0.
-func (p *Pattern) Size() int {
-	switch p.Kind {
-	case PatLeaf:
-		return 0
-	case PatInv:
-		return 1 + p.L.Size()
-	default:
-		return 1 + p.L.Size() + p.R.Size()
-	}
-}
-
-// Depth returns the NAND/INV depth of the pattern.
-func (p *Pattern) Depth() int {
-	switch p.Kind {
-	case PatLeaf:
-		return 0
-	case PatInv:
-		return 1 + p.L.Depth()
-	default:
-		d := p.L.Depth()
-		if r := p.R.Depth(); r > d {
-			d = r
-		}
-		return 1 + d
-	}
-}
-
 // canon returns a canonical string with commutative NAND children ordered,
 // used to deduplicate patterns.
 func (p *Pattern) canon() string {

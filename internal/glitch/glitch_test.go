@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"powermap/internal/blif"
+	"powermap/internal/core"
 	"powermap/internal/decomp"
 	"powermap/internal/genlib"
 	"powermap/internal/huffman"
@@ -49,7 +50,7 @@ func mapTest(t *testing.T) (*mapper.Netlist, *network.Network) {
 		t.Fatal(err)
 	}
 	nl, err := mapper.Map(context.Background(), d.Network, d.Model, mapper.Options{
-		Objective: mapper.PowerDelay, Library: genlib.Lib2(), Relax: mapper.Float64(0.3),
+		Objective: mapper.PowerDelay, Library: genlib.Lib2(), Relax: core.Float64(0.3),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -127,7 +128,7 @@ func TestXorTreeGlitches(t *testing.T) {
 		t.Fatal(err)
 	}
 	nl, err := mapper.Map(context.Background(), d.Network, d.Model, mapper.Options{
-		Objective: mapper.AreaDelay, Library: genlib.Lib2(), Relax: mapper.Float64(0.5),
+		Objective: mapper.AreaDelay, Library: genlib.Lib2(), Relax: core.Float64(0.5),
 	})
 	if err != nil {
 		t.Fatal(err)

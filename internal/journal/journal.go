@@ -358,16 +358,6 @@ func (j *Journal) Event(name string, attrs map[string]any) {
 	j.emit(TypeEvent, Generic{Name: name, Attrs: attrs})
 }
 
-// Err returns the first write or encode error, if any.
-func (j *Journal) Err() error {
-	if j == nil {
-		return nil
-	}
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.err
-}
-
 // Close flushes buffered output and closes the underlying file when the
 // journal owns one (Create); it returns the first error seen over the
 // journal's lifetime.

@@ -191,7 +191,7 @@ func newCutMatcher(ctx context.Context, sub *network.Network, opt Options) (*cut
 		}
 		inputs := make([]*network.Node, len(n.Fanin))
 		copy(inputs, n.Fanin)
-		return Match{Cell: cell, Inputs: inputs, Covered: 1}, nil
+		return Match{Cell: cell, Inputs: inputs}, nil
 	}
 
 	cm := &cutMatcher{
@@ -246,7 +246,6 @@ func newCutMatcher(ctx context.Context, sub *network.Network, opt Options) (*cut
 			if ln.Neg() {
 				tt = ^tt & npn.Mask(nl)
 			}
-			cone := -1
 			if opt.LUT > 0 {
 				// LUT mode: pick, per leaf, whichever phase has a network
 				// signal (every AND node's negative phase does — the NAND2
@@ -287,7 +286,7 @@ func newCutMatcher(ctx context.Context, sub *network.Network, opt Options) (*cut
 				for i, s := range sup {
 					pins[i] = inputs[s]
 				}
-				add(Match{Cell: cell, Inputs: pins, Covered: subject.G.ConeSize(v, leaves), Class: key})
+				add(Match{Cell: cell, Inputs: pins, Class: key})
 				return nil
 			}
 			rtt, sup := npn.Reduce(tt, nl)
@@ -329,10 +328,7 @@ func newCutMatcher(ctx context.Context, sub *network.Network, opt Options) (*cut
 					if !ok {
 						continue
 					}
-					if cone < 0 {
-						cone = subject.G.ConeSize(v, leaves)
-					}
-					add(Match{Cell: sig.cell, Inputs: inputs, Covered: cone, Class: key})
+					add(Match{Cell: sig.cell, Inputs: inputs, Class: key})
 				}
 			}
 			return nil
@@ -373,9 +369,9 @@ func obsAIG(sc *obs.Scope, g *aig.Graph) {
 func structuralFallback(n *network.Node, lib *genlib.Library) (Match, bool) {
 	switch {
 	case decomp.IsInv(n):
-		return Match{Cell: lib.Inverter(), Inputs: []*network.Node{n.Fanin[0]}, Covered: 1}, true
+		return Match{Cell: lib.Inverter(), Inputs: []*network.Node{n.Fanin[0]}}, true
 	case decomp.IsNand2(n):
-		return Match{Cell: lib.Nand2(), Inputs: []*network.Node{n.Fanin[0], n.Fanin[1]}, Covered: 1}, true
+		return Match{Cell: lib.Nand2(), Inputs: []*network.Node{n.Fanin[0], n.Fanin[1]}}, true
 	}
 	return Match{}, false
 }

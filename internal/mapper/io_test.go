@@ -14,7 +14,7 @@ import (
 func TestMappedBLIFRoundTrip(t *testing.T) {
 	sub, model := subject(t, smallBlif)
 	lib := genlib.Lib2()
-	nl, err := Map(context.Background(), sub, model, Options{Objective: PowerDelay, Library: lib, Relax: Float64(0.3)})
+	nl, err := Map(context.Background(), sub, model, Options{Objective: PowerDelay, Library: lib, Relax: relax(0.3)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +89,7 @@ func FuzzReadMappedBLIF(f *testing.F) {
 func TestNetlistWriteDot(t *testing.T) {
 	sub, model := subject(t, smallBlif)
 	lib := genlib.Lib2()
-	nl, err := Map(context.Background(), sub, model, Options{Objective: PowerDelay, Library: lib, Relax: Float64(0.3)})
+	nl, err := Map(context.Background(), sub, model, Options{Objective: PowerDelay, Library: lib, Relax: relax(0.3)})
 	if err != nil {
 		t.Fatal(err)
 	}

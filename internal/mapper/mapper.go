@@ -106,13 +106,11 @@ type Options struct {
 	// keeps every non-inferior point up to the 48-point cap. NaN and ±Inf
 	// are rejected.
 	Epsilon float64
-	// PIArrival gives arrival times at primary inputs (default 0).
-	PIArrival map[string]float64
 	// PORequired gives required times at primary outputs. Outputs not
 	// listed get their minimum achievable arrival multiplied by (1+Relax).
 	PORequired map[string]float64
 	// Relax loosens defaulted required times as a slack fraction of the
-	// fastest mapping. Nil selects DefaultRelax; Float64(0) demands the
+	// fastest mapping. Nil selects DefaultRelax; a pointer to 0 demands the
 	// fastest mapping. NaN, infinite and negative values are rejected.
 	Relax *float64
 	// PowerMethod2 switches the dynamic-power accounting of Section 3.1
@@ -148,9 +146,6 @@ type Options struct {
 // when Options.Relax is nil: 15% over the fastest mapping, spendable on
 // area/power recovery.
 const DefaultRelax = 0.15
-
-// Float64 returns a pointer to v, for optional fields like Options.Relax.
-func Float64(v float64) *float64 { return &v }
 
 // areaTiebreak adds a small area-proportional term (µW per area unit) to
 // pd-map's power cost so it does not spend unbounded area on negligible
@@ -312,11 +307,8 @@ func (s *state) postorder(ctx context.Context) error {
 	var internal []*network.Node
 	for _, n := range s.sub.TopoOrder() {
 		if n.IsSource() {
-			arr := 0.0
-			if s.opt.PIArrival != nil {
-				arr = s.opt.PIArrival[n.Name]
-			}
-			s.curves[n] = &Curve{Points: []Point{{Arrival: arr}}}
+			// Every primary input arrives at 0.
+			s.curves[n] = &Curve{Points: []Point{{}}}
 			continue
 		}
 		internal = append(internal, n)

@@ -67,6 +67,9 @@ const smallBlif = `
 .end
 `
 
+// relax returns a pointer to v, for Options.Relax.
+func relax(v float64) *float64 { return &v }
+
 func mapSmall(t *testing.T, opt Options) *Netlist {
 	t.Helper()
 	sub, model := subject(t, smallBlif)
@@ -102,8 +105,8 @@ func TestMapPowerDelay(t *testing.T) {
 
 func TestPdMapNotWorsePowerThanAdMapWhenRelaxed(t *testing.T) {
 	// With slack available, pd-map must spend it on power, ad-map on area.
-	ad := mapSmall(t, Options{Objective: AreaDelay, Relax: Float64(0.5)})
-	pd := mapSmall(t, Options{Objective: PowerDelay, Relax: Float64(0.5)})
+	ad := mapSmall(t, Options{Objective: AreaDelay, Relax: relax(0.5)})
+	pd := mapSmall(t, Options{Objective: PowerDelay, Relax: relax(0.5)})
 	if pd.Report.PowerUW > ad.Report.PowerUW*1.05+1e-9 {
 		t.Errorf("pd-map power %.3f clearly worse than ad-map %.3f",
 			pd.Report.PowerUW, ad.Report.PowerUW)
@@ -118,8 +121,8 @@ func TestRequiredTimesTradeCost(t *testing.T) {
 	// Tight timing must never be cheaper AND faster to satisfy than loose
 	// timing; loose timing should not be slower than... it can be slower
 	// but not more power-hungry.
-	tight := mapSmall(t, Options{Objective: PowerDelay, Relax: Float64(0)})
-	loose := mapSmall(t, Options{Objective: PowerDelay, Relax: Float64(1.0)})
+	tight := mapSmall(t, Options{Objective: PowerDelay, Relax: relax(0)})
+	loose := mapSmall(t, Options{Objective: PowerDelay, Relax: relax(1.0)})
 	if loose.Report.PowerUW > tight.Report.PowerUW+1e-9 {
 		t.Errorf("loose timing power %.3f exceeds tight timing power %.3f",
 			loose.Report.PowerUW, tight.Report.PowerUW)
@@ -257,9 +260,9 @@ func TestLoadsAndArrivalConsistency(t *testing.T) {
 				t.Errorf("input %s has non-positive load", in.Name)
 			}
 			edge := g.Cell.Pins[pin].Block + g.Cell.Pins[pin].Drive*nl.Load(g.Root)
-			if nl.Arrival(g.Root)+1e-9 < nl.Arrival(in)+edge {
+			if nl.arrival[g.Root]+1e-9 < nl.arrival[in]+edge {
 				t.Errorf("arrival at %s (%.3f) earlier than input %s (%.3f) + edge %.3f",
-					g.Root.Name, nl.Arrival(g.Root), in.Name, nl.Arrival(in), edge)
+					g.Root.Name, nl.arrival[g.Root], in.Name, nl.arrival[in], edge)
 			}
 		}
 	}
@@ -275,7 +278,7 @@ func TestRandomNetworksMapAndVerify(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, obj := range []Objective{AreaDelay, PowerDelay} {
-			nl, err := Map(context.Background(), res.Network, res.Model, Options{Objective: obj, Library: lib, Relax: Float64(0.3)})
+			nl, err := Map(context.Background(), res.Network, res.Model, Options{Objective: obj, Library: lib, Relax: relax(0.3)})
 			if err != nil {
 				t.Fatalf("trial %d %v: %v", trial, obj, err)
 			}
@@ -290,8 +293,8 @@ func TestPowerMethod2(t *testing.T) {
 	// Method 2 must produce a valid, verified mapping; Method 1 is more
 	// accurate (Section 3.1), so its final power should not be clearly
 	// worse than Method 2's.
-	m1 := mapSmall(t, Options{Objective: PowerDelay, Relax: Float64(0.4)})
-	m2 := mapSmall(t, Options{Objective: PowerDelay, Relax: Float64(0.4), PowerMethod2: true})
+	m1 := mapSmall(t, Options{Objective: PowerDelay, Relax: relax(0.4)})
+	m2 := mapSmall(t, Options{Objective: PowerDelay, Relax: relax(0.4), PowerMethod2: true})
 	if len(m2.Gates) == 0 {
 		t.Fatal("method 2 mapped nothing")
 	}
@@ -398,11 +401,11 @@ func TestMapRejectsBadEpsilonAndRelax(t *testing.T) {
 		{"epsilon NaN", math.NaN(), nil, "epsilon"},
 		{"epsilon +Inf", math.Inf(1), nil, "epsilon"},
 		{"epsilon -Inf", math.Inf(-1), nil, "epsilon"},
-		{"relax NaN", 0, Float64(math.NaN()), "relax"},
-		{"relax +Inf", 0, Float64(math.Inf(1)), "relax"},
-		{"relax negative", 0, Float64(-2), "relax"},
+		{"relax NaN", 0, relax(math.NaN()), "relax"},
+		{"relax +Inf", 0, relax(math.Inf(1)), "relax"},
+		{"relax negative", 0, relax(-2), "relax"},
 		{"epsilon negative", -1, nil, ""},
-		{"relax zero", 0, Float64(0), ""},
+		{"relax zero", 0, relax(0), ""},
 	}
 	for _, tc := range cases {
 		_, err := Map(context.Background(), sub, model, Options{

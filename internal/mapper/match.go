@@ -20,9 +20,6 @@ import (
 type Match struct {
 	Cell   *genlib.Cell
 	Inputs []*network.Node
-	// Covered counts the subject nodes hidden inside the match (the
-	// merged(n,g) set), used for diagnostics and ablations.
-	Covered int
 	// Class is the NPN class key of the matched function when the match
 	// came from the cut backend ("" for structural matches); it flows to
 	// the map.site journal event of the selected gate.
@@ -40,12 +37,11 @@ type matchSource interface {
 
 // patEntry is one compiled pattern with its owning cell, as stored in the
 // matcher's root-kind index, with the pattern's binding width (one past
-// its largest pin index) and Size computed once.
+// its largest pin index) computed once.
 type patEntry struct {
 	cell  *genlib.Cell
 	pat   *genlib.Pattern
 	width int
-	size  int
 }
 
 // matcher enumerates structural matches of library patterns on the subject
@@ -70,7 +66,7 @@ func newMatcher(lib *genlib.Library, treeMode bool) *matcher {
 	m := &matcher{treeMode: treeMode}
 	for _, cell := range lib.Cells {
 		for _, pat := range cell.Patterns {
-			e := patEntry{cell: cell, pat: pat, width: maxPinIndex(pat) + 1, size: pat.Size()}
+			e := patEntry{cell: cell, pat: pat, width: maxPinIndex(pat) + 1}
 			switch pat.Kind {
 			case genlib.PatInv:
 				m.invRooted = append(m.invRooted, e)
@@ -142,7 +138,7 @@ func (m *matcher) matchesAt(n *network.Node, sc *matchScratch) []Match {
 		in := inputs[:k:k]
 		inputs = inputs[k:]
 		copy(in, sc.rows[h.row:])
-		out[j] = Match{Cell: e.cell, Inputs: in, Covered: e.size}
+		out[j] = Match{Cell: e.cell, Inputs: in}
 	}
 	return out
 }

@@ -102,7 +102,7 @@ func matchesAtReference(m *matcher, lib *genlib.Library, n *network.Node) []Matc
 				}) {
 					continue
 				}
-				out = append(out, Match{Cell: cell, Inputs: b.pins, Covered: pat.Size()})
+				out = append(out, Match{Cell: cell, Inputs: b.pins})
 			}
 		}
 	}
@@ -166,8 +166,8 @@ func dedupeBindings(bs []binding) []binding {
 
 // checkMatchesAgainstReference compares the matcher built over lib with
 // matchesAtReference at every internal node of sub: each pattern's
-// binding list, in order, and the node's match list (order, Cell, Inputs,
-// Covered). It returns the number of match lists compared.
+// binding list, in order, and the node's match list (order, Cell,
+// Inputs). It returns the number of match lists compared.
 func checkMatchesAgainstReference(t *testing.T, label string, m *matcher, lib *genlib.Library, sub *network.Network) int {
 	t.Helper()
 	sc := new(matchScratch)
@@ -197,7 +197,7 @@ func checkMatchesAgainstReference(t *testing.T, label string, m *matcher, lib *g
 		}
 		got, want := m.matchesAt(n, sc), matchesAtReference(m, lib, n)
 		if !slices.EqualFunc(got, want, func(a, b Match) bool {
-			return a.Cell == b.Cell && slices.Equal(a.Inputs, b.Inputs) && a.Covered == b.Covered && a.Class == b.Class
+			return a.Cell == b.Cell && slices.Equal(a.Inputs, b.Inputs) && a.Class == b.Class
 		}) {
 			t.Fatalf("%s: node %s: matches %s, reference %s", label, n.Name, matchNames(got), matchNames(want))
 		}
@@ -225,7 +225,7 @@ func bindingNames(bs [][]*network.Node) string {
 func matchNames(ms []Match) string {
 	var parts []string
 	for _, m := range ms {
-		parts = append(parts, fmt.Sprintf("%s%s/%d", m.Cell.Name, bindingNames([][]*network.Node{m.Inputs}), m.Covered))
+		parts = append(parts, m.Cell.Name+bindingNames([][]*network.Node{m.Inputs}))
 	}
 	return "[" + strings.Join(parts, " ") + "]"
 }

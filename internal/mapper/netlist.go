@@ -35,11 +35,7 @@ type Netlist struct {
 	arrival    map[*network.Node]float64
 	loads      map[*network.Node]float64
 	outputLoad float64
-	piArrival  map[string]float64
 }
-
-// Arrival returns the computed arrival time at a mapped signal.
-func (nl *Netlist) Arrival(n *network.Node) float64 { return nl.arrival[n] }
 
 // Load returns the actual capacitive load at a mapped signal.
 func (nl *Netlist) Load(n *network.Node) float64 { return nl.loads[n] }
@@ -55,7 +51,6 @@ func (s *state) extract() (*Netlist, error) {
 		arrival:    make(map[*network.Node]float64),
 		loads:      make(map[*network.Node]float64),
 		outputLoad: s.poLoad,
-		piArrival:  s.opt.PIArrival,
 	}
 	var visit func(n *network.Node) error
 	visit = func(n *network.Node) error {
@@ -116,12 +111,8 @@ func (nl *Netlist) computeReport() {
 			return a
 		}
 		if n.IsSource() {
-			a := 0.0
-			if nl.piArrival != nil {
-				a = nl.piArrival[n.Name]
-			}
-			nl.arrival[n] = a
-			return a
+			nl.arrival[n] = 0
+			return 0
 		}
 		g := nl.gateByRoot[n]
 		nl.arrival[n] = 0 // cycle guard; gate DAGs are acyclic

@@ -11,7 +11,7 @@ func TestRecoverDriveReducesPower(t *testing.T) {
 	sub, model := subject(t, smallBlif)
 	lib := genlib.Lib2()
 	// Map tightly so high-drive variants get used.
-	nl, err := Map(context.Background(), sub, model, Options{Objective: AreaDelay, Library: lib, Relax: Float64(0.0001)})
+	nl, err := Map(context.Background(), sub, model, Options{Objective: AreaDelay, Library: lib, Relax: relax(0.0001)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,7 +40,7 @@ func TestRecoverDriveReducesPower(t *testing.T) {
 func TestRecoverDriveFrozenDelay(t *testing.T) {
 	sub, model := subject(t, smallBlif)
 	lib := genlib.Lib2()
-	nl, err := Map(context.Background(), sub, model, Options{Objective: PowerDelay, Library: lib, Relax: Float64(0.2)})
+	nl, err := Map(context.Background(), sub, model, Options{Objective: PowerDelay, Library: lib, Relax: relax(0.2)})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -39,13 +39,9 @@ type Node struct {
 	// structural meaning and are recomputed by the passes that need them.
 	Prob1    float64 // probability of the signal being 1
 	Activity float64 // switching activity under the selected design style
-	Arrival  float64
-	Required float64
-	flag     int // scratch mark for traversals
+	Arrival  float64 // unit-delay arrival time
+	flag     int     // scratch mark for traversals
 }
-
-// Slack returns Required - Arrival using the most recent timing annotation.
-func (n *Node) Slack() float64 { return n.Required - n.Arrival }
 
 // IsSource reports whether the node has no structural fanins.
 func (n *Node) IsSource() bool { return n.Kind == PI || n.Kind == Constant }
@@ -416,7 +412,6 @@ func copyAnnotations(dst, src *Node) {
 	dst.Prob1 = src.Prob1
 	dst.Activity = src.Activity
 	dst.Arrival = src.Arrival
-	dst.Required = src.Required
 }
 
 // Eval computes the value of every reachable node under a full PI

@@ -327,7 +327,6 @@ func TestPrometheusExposition(t *testing.T) {
 	for i := 1; i <= 100; i++ {
 		h.Observe(float64(i))
 	}
-	sc.Histogram("eval.run_ms").With("method", "I").Observe(12.5)
 	span := sc.Start("map")
 	span.End()
 
@@ -342,15 +341,14 @@ func TestPrometheusExposition(t *testing.T) {
 	if kinds["powermap_core_power_uw"] != "gauge" {
 		t.Errorf("gauge family missing: %v", kinds)
 	}
-	for _, fam := range []string{"powermap_mapper_matches_per_node", "powermap_eval_run_ms", "powermap_phase_seconds"} {
+	for _, fam := range []string{"powermap_mapper_matches_per_node", "powermap_phase_seconds"} {
 		if kinds[fam] != "histogram" {
 			t.Errorf("%s kind = %q, want histogram", fam, kinds[fam])
 		}
 	}
-	// mapper.matches_per_node, its unlabeled eval.run_ms base, the
-	// method="I" series, and phase="map".
-	if n := checkHistogramSeries(t, buf.String()); n != 4 {
-		t.Errorf("checked %d histogram series, want 4", n)
+	// mapper.matches_per_node and phase="map".
+	if n := checkHistogramSeries(t, buf.String()); n != 2 {
+		t.Errorf("checked %d histogram series, want 2", n)
 	}
 	text := buf.String()
 	for _, want := range []string{
@@ -359,8 +357,7 @@ func TestPrometheusExposition(t *testing.T) {
 		`powermap_mapper_matches_per_node_bucket{le="+Inf"} 100`,
 		`powermap_mapper_matches_per_node_sum 5050`,
 		`powermap_mapper_matches_per_node_count 100`,
-		`powermap_eval_run_ms_bucket{method="I",le="4"} 0`,
-		`powermap_eval_run_ms_bucket{method="I",le="16"} 1`,
+		`powermap_phase_seconds_bucket{phase="map",le="+Inf"} 1`,
 		`powermap_phase_seconds_count{phase="map"} 1`,
 	} {
 		if !strings.Contains(text, want+"\n") {

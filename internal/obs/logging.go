@@ -37,8 +37,8 @@ func ParseLogLevel(s string) slog.Level {
 // at the requested level, stamping the run-id on every record and the
 // context labels (circuit, method in the experiment suite — see
 // WithLabels) on records logged with a context. The obs span sink
-// (Config.Logger) and the flight recorder's tee both layer over the same
-// handler, so one -log-level/-log-json choice governs all output.
+// (Scope.SetSpanLogger) and the flight recorder's tee both layer over the
+// same handler, so one -log-level/-log-json choice governs all output.
 func NewLogHandler(w io.Writer, opts LogOptions) slog.Handler {
 	ho := &slog.HandlerOptions{Level: opts.Level}
 	var h slog.Handler

@@ -130,7 +130,7 @@ func (m *Metrics) histogram(name string, labels []Label) *Histogram {
 	}
 	h, ok := m.histograms[key]
 	if !ok {
-		h = &Histogram{reg: m, name: name, labels: labels, key: key}
+		h = &Histogram{}
 		m.histograms[key] = h
 	}
 	return h
@@ -261,19 +261,6 @@ type Histogram struct {
 	min     float64
 	max     float64
 	buckets [len(bucketBounds)]uint64
-	reg     *Metrics
-	name    string
-	labels  []Label
-	key     string
-}
-
-// With returns the histogram series refined by the given label pairs; see
-// Counter.With. Nil-safe.
-func (h *Histogram) With(kv ...string) *Histogram {
-	if h == nil {
-		return nil
-	}
-	return h.reg.histogram(h.name, mergeLabels(h.labels, kv))
 }
 
 // Observe records one value; no-op on a nil histogram.

@@ -25,14 +25,8 @@
 // free), so the loop body never touches the registry map.
 package obs
 
-import "log/slog"
-
 // Config configures a Scope.
 type Config struct {
-	// Logger receives one record per completed span (phase name, parent,
-	// duration). Nil disables span logging; spans are still recorded for
-	// the snapshot.
-	Logger *slog.Logger
 	// MaxSpans caps the completed-span ring buffer. Zero selects
 	// DefaultMaxSpans; a negative value disables the cap (unbounded
 	// growth — only sensible for short one-shot runs). Once the buffer is
@@ -62,7 +56,6 @@ type Scope struct {
 // New returns an enabled Scope.
 func New(cfg Config) *Scope {
 	s := &Scope{runID: cfg.RunID}
-	s.tracer.logger = cfg.Logger
 	s.tracer.spans.max = cfg.MaxSpans
 	if cfg.MaxSpans == 0 {
 		s.tracer.spans.max = DefaultMaxSpans

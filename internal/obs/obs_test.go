@@ -144,7 +144,8 @@ func TestHistogramQuantiles(t *testing.T) {
 
 func TestSpanNestingAndLogging(t *testing.T) {
 	var logBuf bytes.Buffer
-	sc := New(Config{Logger: slog.New(slog.NewTextHandler(&logBuf, nil))})
+	sc := New(Config{})
+	sc.SetSpanLogger(slog.New(slog.NewTextHandler(&logBuf, nil)))
 	outer := sc.Start("outer")
 	inner := sc.Start("inner")
 	inner.End()

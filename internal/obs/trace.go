@@ -62,8 +62,9 @@ type tracer struct {
 	nextTrack int64
 }
 
-// SetSpanLogger replaces the logger that receives one record per completed
-// span (Config.Logger). The CLI layer uses it to install the shared
+// SetSpanLogger sets the logger that receives one record per completed
+// span (phase name, parent, duration); without one, spans are still
+// recorded for the snapshot. The CLI layer uses it to install the shared
 // -log-level/-log-json handler chain (which tees into the flight recorder)
 // after the scope — and with it the recorder — exists. Safe on nil.
 func (s *Scope) SetSpanLogger(l *slog.Logger) {

@@ -181,7 +181,7 @@ func TestOptimizeWithKernels(t *testing.T) {
 `
 	nw := mustParse(t, text)
 	ref := nw.Duplicate()
-	st, err := Optimize(context.Background(), nw, Options{EliminateThreshold: -1})
+	st, err := Optimize(context.Background(), nw, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -27,14 +27,16 @@ import (
 	"powermap/internal/sop"
 )
 
+// The script's fixed settings: Eliminate collapses only nodes whose
+// literal-count growth is at most eliminateThreshold, and each extraction
+// pass stops after maxExtractions divisors.
+const (
+	eliminateThreshold = 0
+	maxExtractions     = 100
+)
+
 // Options tunes the optimization script.
 type Options struct {
-	// EliminateThreshold is the maximum literal-count growth tolerated
-	// when collapsing a node into its fanouts (SIS eliminate value).
-	// Negative disables elimination.
-	EliminateThreshold int
-	// MaxExtractIterations caps common-cube extractions; 0 means 100.
-	MaxExtractIterations int
 	// MaxNodeLiterals skips collapsing into nodes that would grow beyond
 	// this literal count; 0 means 24.
 	MaxNodeLiterals int
@@ -61,9 +63,6 @@ type Stats struct {
 // network consistent, so a ctx expiry, which the passes check once per
 // step, aborts with nw still usable.
 func Optimize(ctx context.Context, nw *network.Network, opt Options) (Stats, error) {
-	if opt.MaxExtractIterations == 0 {
-		opt.MaxExtractIterations = 100
-	}
 	if opt.MaxNodeLiterals == 0 {
 		opt.MaxNodeLiterals = 24
 	}
@@ -86,21 +85,19 @@ func Optimize(ctx context.Context, nw *network.Network, opt Options) (Stats, err
 		} else {
 			Simplify(nw)
 		}
-		if opt.EliminateThreshold >= 0 {
-			e, err := Eliminate(ctx, nw, opt.EliminateThreshold, opt.MaxNodeLiterals)
-			st.NodesEliminated += e
-			if err != nil {
-				return st, err
-			}
-			changed = changed || e > 0
+		e, err := Eliminate(ctx, nw, eliminateThreshold, opt.MaxNodeLiterals)
+		st.NodesEliminated += e
+		if err != nil {
+			return st, err
 		}
-		x, err := ExtractCubes(ctx, nw, opt.MaxExtractIterations)
+		changed = changed || e > 0
+		x, err := ExtractCubes(ctx, nw, maxExtractions)
 		st.CubesExtracted += x
 		if err != nil {
 			return st, err
 		}
 		changed = changed || x > 0
-		kx, err := ExtractKernels(ctx, nw, opt.MaxExtractIterations)
+		kx, err := ExtractKernels(ctx, nw, maxExtractions)
 		st.KernelsExtracted += kx
 		if err != nil {
 			return st, err

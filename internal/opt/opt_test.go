@@ -266,7 +266,7 @@ func TestOptimizeScriptPreservesFunction(t *testing.T) {
 `
 	nw := mustParse(t, text)
 	ref := nw.Duplicate()
-	st, err := Optimize(context.Background(), nw, Options{EliminateThreshold: 2})
+	st, err := Optimize(context.Background(), nw, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -295,7 +295,7 @@ func TestOptimizeStrongSimplify(t *testing.T) {
 `
 	nw := mustParse(t, text)
 	ref := nw.Duplicate()
-	st, err := Optimize(context.Background(), nw, Options{EliminateThreshold: -1, StrongSimplify: true})
+	st, err := Optimize(context.Background(), nw, Options{StrongSimplify: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -310,7 +310,7 @@ func TestOptimizeRandomNetworksStrong(t *testing.T) {
 	for trial := 0; trial < 10; trial++ {
 		nw := randomNetwork(r, 5, 10)
 		ref := nw.Duplicate()
-		if _, err := Optimize(context.Background(), nw, Options{EliminateThreshold: 3, StrongSimplify: true}); err != nil {
+		if _, err := Optimize(context.Background(), nw, Options{StrongSimplify: true}); err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
 		assertEquivalent(t, ref, nw)
@@ -322,7 +322,7 @@ func TestOptimizeRandomNetworks(t *testing.T) {
 	for trial := 0; trial < 20; trial++ {
 		nw := randomNetwork(r, 5, 10)
 		ref := nw.Duplicate()
-		if _, err := Optimize(context.Background(), nw, Options{EliminateThreshold: 3}); err != nil {
+		if _, err := Optimize(context.Background(), nw, Options{}); err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
 		if err := nw.Check(); err != nil {
@@ -377,14 +377,17 @@ func TestEliminateMemoMatchesRecompute(t *testing.T) {
 		npi := 4 + int(seed%12)
 		srcs = append(srcs, circuits.Random(fmt.Sprintf("r%d", seed), seed, npi, 2+int(seed%5), 15+int(seed*7%70)))
 	}
-	// Core's settings, then the other tests'.
+	// Core's settings, then a looser threshold that collapses more.
 	for _, s := range []struct{ threshold, maxLits int }{{0, 6}, {3, 24}} {
 		for _, src := range srcs {
 			nw := src.Duplicate()
 			checkedOptimize(t, nw, s.threshold, s.maxLits)
+			if s.threshold != eliminateThreshold {
+				continue
+			}
 			// The checked script must be Optimize's own.
 			ref := src.Duplicate()
-			if _, err := Optimize(context.Background(), ref, Options{EliminateThreshold: s.threshold, MaxNodeLiterals: s.maxLits}); err != nil {
+			if _, err := Optimize(context.Background(), ref, Options{MaxNodeLiterals: s.maxLits}); err != nil {
 				t.Fatal(err)
 			}
 			if got, want := blifText(t, nw), blifText(t, ref); got != want {
@@ -394,7 +397,7 @@ func TestEliminateMemoMatchesRecompute(t *testing.T) {
 	}
 }
 
-// checkedOptimize is Optimize's script at default extraction limits, with
+// checkedOptimize is Optimize's script at its extraction limit, with
 // checkedEliminate in place of Eliminate.
 func checkedOptimize(t *testing.T, nw *network.Network, threshold, maxLits int) {
 	t.Helper()
@@ -406,11 +409,11 @@ func checkedOptimize(t *testing.T, nw *network.Network, threshold, maxLits int) 
 		}
 		Simplify(nw)
 		e := checkedEliminate(t, nw, threshold, maxLits)
-		x, err := ExtractCubes(ctx, nw, 100)
+		x, err := ExtractCubes(ctx, nw, maxExtractions)
 		if err != nil {
 			t.Fatal(err)
 		}
-		kx, err := ExtractKernels(ctx, nw, 100)
+		kx, err := ExtractKernels(ctx, nw, maxExtractions)
 		if err != nil {
 			t.Fatal(err)
 		}

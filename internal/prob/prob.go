@@ -211,15 +211,6 @@ func (m *Model) Global(n *network.Node) (bdd.Ref, bool) {
 	return r, ok
 }
 
-// Prob1 returns the exact 1-probability of a node's global function.
-func (m *Model) Prob1(n *network.Node) (float64, error) {
-	r, ok := m.global[n]
-	if !ok {
-		return 0, fmt.Errorf("prob: node %s has no global BDD", n.Name)
-	}
-	return m.mgr.Prob(r, m.piProb)
-}
-
 // ActivityOfRef returns the switching activity of an arbitrary global
 // function under the model's style.
 func (m *Model) ActivityOfRef(r bdd.Ref) float64 {

@@ -2,6 +2,7 @@ package prob
 
 import (
 	"context"
+	"errors"
 	"math"
 	"math/rand"
 	"strings"
@@ -233,25 +234,19 @@ func TestModelAccessors(t *testing.T) {
 		t.Fatal(err)
 	}
 	y := nw.NodeByName("y")
-	p, err := m.Prob1(y)
-	if err != nil || math.Abs(p-y.Prob1) > 1e-12 {
-		t.Errorf("Prob1 accessor: %v %v", p, err)
-	}
 	ref, ok := m.Global(y)
 	if !ok {
 		t.Fatal("no global BDD for y")
 	}
-	if got := m.Prob1OfRef(ref); math.Abs(got-p) > 1e-12 {
-		t.Errorf("Prob1OfRef = %v, want %v", got, p)
+	p := m.Prob1OfRef(ref)
+	if math.Abs(p-y.Prob1) > 1e-12 {
+		t.Errorf("Prob1OfRef = %v, want %v", p, y.Prob1)
 	}
 	if got := m.ActivityOfRef(ref); math.Abs(got-2*p*(1-p)) > 1e-12 {
 		t.Errorf("ActivityOfRef = %v", got)
 	}
 	// Accessors on an unknown node fail cleanly.
 	other := mustParse(t, andOrBlif)
-	if _, err := m.Prob1(other.NodeByName("y")); err == nil {
-		t.Error("foreign node accepted by Prob1")
-	}
 	if _, ok := m.Global(other.NodeByName("y")); ok {
 		t.Error("foreign node has a global BDD")
 	}
@@ -281,8 +276,9 @@ func TestDFSOrderCoversUnreachablePIs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := m.Manager().NumVars(); got != 4 {
-		t.Errorf("manager has %d variables, want 4", got)
+	var vr *bdd.VarRangeError
+	if _, err := m.Manager().Var(4); !errors.As(err, &vr) || vr.NumVars != 4 {
+		t.Errorf("Var(4) = %v, want a manager of 4 variables", err)
 	}
 	nw.MarkOutput("u", unused)
 	if err := m.Extend(context.Background(), nw); err != nil {
@@ -295,11 +291,11 @@ func TestDFSOrderCoversUnreachablePIs(t *testing.T) {
 func checkPIProbs(t *testing.T, m *Model, nw *network.Network, want map[string]float64) {
 	t.Helper()
 	for _, pi := range nw.PIs {
-		got, err := m.Prob1(pi)
-		if err != nil {
-			t.Fatal(err)
+		ref, ok := m.Global(pi)
+		if !ok {
+			t.Fatalf("PI %s has no global BDD", pi.Name)
 		}
-		if got != want[pi.Name] || pi.Prob1 != want[pi.Name] {
+		if got := m.Prob1OfRef(ref); got != want[pi.Name] || pi.Prob1 != want[pi.Name] {
 			t.Errorf("PI %s: Prob1 = %v, annotation %v, want %v", pi.Name, got, pi.Prob1, want[pi.Name])
 		}
 	}

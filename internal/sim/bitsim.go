@@ -272,8 +272,7 @@ func (p *Program) simWords(src WordSource, vectors int, ones, toggles, pairs []i
 // BitwiseOptions.Confidence is zero.
 const DefaultConfidence = 0.95
 
-// DefaultMaxVectors caps sequential-batch (TargetCI) sampling when
-// BitwiseOptions.MaxVectors is zero.
+// DefaultMaxVectors caps sequential-batch (TargetCI) sampling.
 const DefaultMaxVectors = 1 << 20
 
 // ciBatchChunks is the number of chunks drawn per sequential batch in
@@ -296,22 +295,16 @@ type BitwiseOptions struct {
 	// mixSeed(Seed, c).
 	Seed int64
 	// Workers bounds the chunk pool (<= 0: one per CPU). The chunk
-	// partition depends only on (Vectors, Seed, ChunkVectors), so counts
-	// are bit-identical for every worker count.
+	// partition depends only on Vectors, so counts are bit-identical for
+	// every worker count.
 	Workers int
 	// Confidence is the two-sided level of the reported interval
 	// half-widths (0 selects DefaultConfidence).
 	Confidence float64
 	// TargetCI, when positive, switches to sequential batching: chunks are
 	// drawn in fixed batches until every node's activity CI half-width is
-	// at or below this target, or MaxVectors is reached.
+	// at or below this target, or DefaultMaxVectors is reached.
 	TargetCI float64
-	// MaxVectors caps TargetCI mode (0 selects DefaultMaxVectors).
-	MaxVectors int
-	// ChunkVectors overrides the per-chunk vector count (0 selects
-	// mcChunk). Tests use small values to hit word- and chunk-boundary
-	// masking.
-	ChunkVectors int
 	// Source, when non-nil, supplies the word stream of the chunk with the
 	// given mixed seed, replacing the default IndependentWords stream.
 	// Each call must return a fresh, independently seeded source.
@@ -366,10 +359,6 @@ func ActivitiesBitwise(ctx context.Context, nw *network.Network, piProb map[stri
 	if conf <= 0 || conf >= 1 {
 		return nil, fmt.Errorf("sim: confidence level %v out of (0,1)", conf)
 	}
-	chunkLen := o.ChunkVectors
-	if chunkLen <= 0 {
-		chunkLen = mcChunk
-	}
 	source := o.Source
 	if source == nil {
 		source = func(chunkSeed int64) WordSource { return IndependentWords(nw, piProb, chunkSeed) }
@@ -418,28 +407,24 @@ func ActivitiesBitwise(ctx context.Context, nw *network.Network, piProb map[stri
 	}
 
 	if o.TargetCI > 0 {
-		maxVectors := o.MaxVectors
-		if maxVectors <= 0 {
-			maxVectors = DefaultMaxVectors
-		}
 		for {
 			first := totChunks
-			if err := runChunks(first, ciBatchChunks, func(int) int { return chunkLen }); err != nil {
+			if err := runChunks(first, ciBatchChunks, func(int) int { return mcChunk }); err != nil {
 				return nil, err
 			}
 			totChunks += ciBatchChunks
-			totVectors += ciBatchChunks * chunkLen
-			if maxActivityCI() <= o.TargetCI || totVectors >= maxVectors {
+			totVectors += ciBatchChunks * mcChunk
+			if maxActivityCI() <= o.TargetCI || totVectors >= DefaultMaxVectors {
 				break
 			}
 		}
 	} else {
-		chunks := (o.Vectors + chunkLen - 1) / chunkLen
+		chunks := (o.Vectors + mcChunk - 1) / mcChunk
 		if err := runChunks(0, chunks, func(c int) int {
 			if c == chunks-1 {
-				return o.Vectors - c*chunkLen
+				return o.Vectors - c*mcChunk
 			}
-			return chunkLen
+			return mcChunk
 		}); err != nil {
 			return nil, err
 		}

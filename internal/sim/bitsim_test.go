@@ -93,38 +93,35 @@ func TestBitwiseMatchesActivitiesParallel(t *testing.T) {
 }
 
 // TestBitwiseDeterministicAcrossWorkers is the concurrency contract: the
-// chunk partition depends only on (vectors, seed, chunk size), so every
-// worker count produces identical estimates — checked at an odd vector
-// count that exercises both the word-tail and chunk-tail masks.
+// chunk partition depends only on the vector count, so every worker count
+// produces identical estimates. 512·9 + 265 vectors make ten chunks, more
+// than the largest pool, and exercise both tail masks: the last chunk is
+// short, and its 265 vectors end mid-word.
 func TestBitwiseDeterministicAcrossWorkers(t *testing.T) {
 	nw := mustParse(t, testBlif)
 	pp := map[string]float64{"a": 0.3, "b": 0.6, "c": 0.5, "d": 0.8}
-	for _, chunk := range []int{0, 37} { // default and a deliberately odd override
-		var want *BitwiseResult
-		for _, w := range []int{1, 2, 8} {
-			got, err := ActivitiesBitwise(context.Background(), nw, pp, BitwiseOptions{
-				Vectors:      777,
-				Seed:         42,
-				Workers:      w,
-				ChunkVectors: chunk,
-			})
-			if err != nil {
-				t.Fatalf("chunk=%d workers=%d: %v", chunk, w, err)
+	var want *BitwiseResult
+	for _, w := range []int{1, 2, 8} {
+		got, err := ActivitiesBitwise(context.Background(), nw, pp, BitwiseOptions{
+			Vectors: mcChunk*9 + 265,
+			Seed:    42,
+			Workers: w,
+		})
+		if err != nil {
+			t.Fatalf("workers=%d: %v", w, err)
+		}
+		if w == 1 {
+			want = got
+			continue
+		}
+		for _, n := range nw.TopoOrder() {
+			if got.Estimates[n] != want.Estimates[n] {
+				t.Errorf("workers=%d node %s: %+v != sequential %+v", w, n.Name, got.Estimates[n], want.Estimates[n])
 			}
-			if w == 1 {
-				want = got
-				continue
-			}
-			for _, n := range nw.TopoOrder() {
-				if got.Estimates[n] != want.Estimates[n] {
-					t.Errorf("chunk=%d workers=%d node %s: %+v != sequential %+v",
-						chunk, w, n.Name, got.Estimates[n], want.Estimates[n])
-				}
-			}
-			if got.MaxActivityCI != want.MaxActivityCI || got.Vectors != want.Vectors {
-				t.Errorf("chunk=%d workers=%d: summary (%v, %d) != sequential (%v, %d)",
-					chunk, w, got.MaxActivityCI, got.Vectors, want.MaxActivityCI, want.Vectors)
-			}
+		}
+		if got.MaxActivityCI != want.MaxActivityCI || got.Vectors != want.Vectors {
+			t.Errorf("workers=%d: summary (%v, %d) != sequential (%v, %d)",
+				w, got.MaxActivityCI, got.Vectors, want.MaxActivityCI, want.Vectors)
 		}
 	}
 }
@@ -287,17 +284,15 @@ func TestBitwiseTargetCI(t *testing.T) {
 // vector budget instead of sampling forever.
 func TestBitwiseTargetCIRespectsMaxVectors(t *testing.T) {
 	nw := mustParse(t, testBlif)
-	const cap = 2 * ciBatchChunks * mcChunk
 	res, err := ActivitiesBitwise(context.Background(), nw, nil, BitwiseOptions{
-		TargetCI:   1e-9,
-		MaxVectors: cap,
-		Seed:       3,
+		TargetCI: 1e-9,
+		Seed:     3,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Vectors != cap {
-		t.Errorf("sampled %d vectors under an unreachable target, want the %d cap", res.Vectors, cap)
+	if res.Vectors != DefaultMaxVectors {
+		t.Errorf("sampled %d vectors under an unreachable target, want the %d cap", res.Vectors, DefaultMaxVectors)
 	}
 	if res.MaxActivityCI <= 1e-9 {
 		t.Errorf("CI %.2e is implausibly under the unreachable target", res.MaxActivityCI)

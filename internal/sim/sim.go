@@ -39,7 +39,7 @@ type Estimate struct {
 // the zero-delay activity interpretation.
 type VectorSource func(dst map[string]bool)
 
-// mcChunk is the default Monte-Carlo chunk length of ActivitiesBitwise.
+// mcChunk is the Monte-Carlo chunk length of ActivitiesBitwise.
 // The chunk partition depends only on the vector count, never on the
 // worker count, so the merged result is identical for every pool size.
 const mcChunk = 512

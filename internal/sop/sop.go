@@ -64,17 +64,6 @@ func (c Cube) NumLiterals() int {
 	return n
 }
 
-// Literals returns the variable indices that appear in c, ascending.
-func (c Cube) Literals() []int {
-	var vars []int
-	for v, l := range c {
-		if l != DC {
-			vars = append(vars, v)
-		}
-	}
-	return vars
-}
-
 // Contains reports whether c contains d, i.e. every minterm of d is a
 // minterm of c. This holds when every literal of c appears identically in d.
 func (c Cube) Contains(d Cube) bool {

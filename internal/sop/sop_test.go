@@ -326,9 +326,8 @@ func TestAddCubePanicsOnWidth(t *testing.T) {
 
 func TestLiterals(t *testing.T) {
 	c := cube("1-0")
-	lits := c.Literals()
-	if len(lits) != 2 || lits[0] != 0 || lits[1] != 2 {
-		t.Errorf("Literals = %v", lits)
+	if n := c.NumLiterals(); n != 2 || c[0] != Pos || c[1] != DC || c[2] != Neg {
+		t.Errorf("cube 1-0: %v with %d literals", c, n)
 	}
 	d := c.Clone()
 	d[0] = DC

@@ -120,7 +120,8 @@ const (
 type (
 	// Scope bundles a tracer and metrics registry; nil disables both.
 	Scope = obs.Scope
-	// ObsConfig configures a Scope (e.g. a slog.Logger for phase spans).
+	// ObsConfig configures a Scope (span ring size, run ID); a Scope's
+	// SetSpanLogger installs a slog.Logger for phase spans.
 	ObsConfig = obs.Config
 	// Snapshot is an exportable capture of a Scope's spans and metrics.
 	Snapshot = obs.Snapshot
@@ -143,7 +144,7 @@ type (
 )
 
 // NewJournal starts a journal on an arbitrary writer; write errors are
-// deferred to Journal.Err and Journal.Close.
+// deferred to Journal.Close.
 func NewJournal(w io.Writer, h JournalHeader) *Journal { return journal.New(w, h) }
 
 // CreateJournal starts a journal file at path (created or truncated).
