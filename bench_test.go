@@ -148,7 +148,7 @@ func BenchmarkAblationDAGHeuristic(b *testing.B) {
 		synthAblation(b, Options{Method: MethodV})
 	})
 	b.Run("tree-partition", func(b *testing.B) {
-		synthAblation(b, Options{Method: MethodV, TreeMode: true})
+		synthAblation(b, Options{Method: MethodV, Mapper: BackendTree})
 	})
 }
 

@@ -11,7 +11,7 @@
 // Usage:
 //
 //	pcheck -circuit cm42a -methods all
-//	pcheck -blif circuit.blif -lib my.genlib -methods I,VI -tree
+//	pcheck -blif circuit.blif -lib my.genlib -methods I,VI -mapper tree
 //	pcheck -random 50 -seed 7 -workers 8
 //	pcheck -huffman 100 -style domino-p
 //	pcheck -circuit cm42a -inject   # self-test: must exit nonzero

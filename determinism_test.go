@@ -37,18 +37,17 @@ func synthSignature(t *testing.T, res *Result) string {
 
 // TestSynthesizeDeterministicAcrossWorkers is the concurrency contract of
 // the pipeline: for every worker count the mapped netlist, its gate order,
-// and the priced report are byte-identical to the sequential run — in DAG,
-// strict-tree, and cut-backend mapping modes.
+// and the priced report are byte-identical to the sequential run — on the
+// dag, tree and cuts mapper backends.
 func TestSynthesizeDeterministicAcrossWorkers(t *testing.T) {
 	type mode struct {
 		name    string
 		backend MapperBackend
-		tree    bool
 	}
 	modes := []mode{
-		{"dag", BackendStructural, false},
-		{"tree", BackendStructural, true},
-		{"cuts", BackendCuts, false},
+		{"dag", BackendStructural},
+		{"tree", BackendTree},
+		{"cuts", BackendCuts},
 	}
 	for _, name := range []string{"cm42a", "x2", "s208"} {
 		for _, md := range modes {
@@ -60,11 +59,10 @@ func TestSynthesizeDeterministicAcrossWorkers(t *testing.T) {
 				var want string
 				for _, w := range []int{1, 2, 8} {
 					res, err := SynthesizeContext(context.Background(), b.Build(), Options{
-						Method:   MethodVI,
-						Style:    Static,
-						Mapper:   md.backend,
-						TreeMode: md.tree,
-						Workers:  w,
+						Method:  MethodVI,
+						Style:   Static,
+						Mapper:  md.backend,
+						Workers: w,
 					})
 					if err != nil {
 						t.Fatalf("workers=%d: %v", w, err)

@@ -412,24 +412,25 @@ func TestParseHelpers(t *testing.T) {
 	if _, err := huffman.ParseStyle("DOMINO-P"); err != nil {
 		t.Error("case-insensitive style rejected")
 	}
-	// The shared -mapper/-lut bundle: -tree applies only without -mapper
-	// and -lut, and the LUT arity is range-checked before any synthesis.
-	resolve := func(args ...string) (mapper.Backend, bool, int, error) {
+	// The shared -mapper/-lut bundle: -mapper tree selects the tree
+	// backend, -lut implies cuts, and the LUT arity is range-checked before
+	// any synthesis.
+	resolve := func(args ...string) (mapper.Backend, int, error) {
 		fs := flag.NewFlagSet("t", flag.ContinueOnError)
 		m := addMapFlags(fs)
 		if err := fs.Parse(args); err != nil {
 			t.Fatal(err)
 		}
-		return m.resolve(true)
+		return m.resolve()
 	}
-	if b, tree, _, err := resolve(); err != nil || b != mapper.BackendStructural || !tree {
-		t.Errorf("-tree default: backend %v tree %v err %v", b, tree, err)
+	if b, _, err := resolve("-mapper", "tree"); err != nil || b != mapper.BackendTree {
+		t.Errorf("-mapper tree: backend %v err %v", b, err)
 	}
-	if b, tree, lut, err := resolve("-lut", "4"); err != nil || b != mapper.BackendCuts || tree || lut != 4 {
-		t.Errorf("-lut 4: backend %v tree %v lut %d err %v", b, tree, lut, err)
+	if b, lut, err := resolve("-lut", "4"); err != nil || b != mapper.BackendCuts || lut != 4 {
+		t.Errorf("-lut 4: backend %v lut %d err %v", b, lut, err)
 	}
 	for _, bad := range [][]string{{"-lut", "7"}, {"-lut", "1"}, {"-lut", "-1"}, {"-mapper", "dag", "-lut", "4"}} {
-		if _, _, _, err := resolve(bad...); err == nil {
+		if _, _, err := resolve(bad...); err == nil {
 			t.Errorf("%v accepted", bad)
 		}
 	}

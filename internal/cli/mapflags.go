@@ -23,13 +23,8 @@ func addMapFlags(fs *flag.FlagSet) *mapFlags {
 	}
 }
 
-// resolve materializes the flags as (backend, treeMode, lut). The treeDefault
-// carries a tool's own -tree flag so `-tree` keeps working without -mapper.
-func (m *mapFlags) resolve(treeDefault bool) (mapper.Backend, bool, int, error) {
-	name := *m.backend
-	if name == "" && *m.lut == 0 && treeDefault {
-		name = "tree"
-	}
-	backend, treeMode, err := mapper.ParseBackend(name, *m.lut)
-	return backend, treeMode, *m.lut, err
+// resolve materializes the flags as (backend, lut).
+func (m *mapFlags) resolve() (mapper.Backend, int, error) {
+	backend, err := mapper.ParseBackend(*m.backend, *m.lut)
+	return backend, *m.lut, err
 }

@@ -13,6 +13,7 @@ import (
 	"powermap/internal/core"
 	"powermap/internal/huffman"
 	"powermap/internal/journal"
+	"powermap/internal/mapper"
 	"powermap/internal/network"
 	"powermap/internal/obs"
 	"powermap/internal/verify"
@@ -36,7 +37,6 @@ func Pcheck(args []string, out, errOut io.Writer) error {
 		libPath  = fs.String("lib", "", "genlib library file (default: embedded lib2)")
 		methodsF = fs.String("methods", "I,VI", "comma-separated methods to check, or \"all\"")
 		styleF   = fs.String("style", "static", "design style: static, domino-p, domino-n")
-		tree     = fs.Bool("tree", false, "strict tree partitioning in the mapper")
 		relax    = fs.Float64("relax", 0.15, "timing slack fraction for defaulted required times")
 		workers  = fs.Int("workers", 0, "worker pool size for parallel phases (0 = all CPUs)")
 		randomN  = fs.Int("random", 0, "also verify N seeded random networks end to end")
@@ -52,7 +52,7 @@ func Pcheck(args []string, out, errOut io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	backend, treeMode, lut, err := mapf.resolve(*tree)
+	backend, lut, err := mapf.resolve()
 	if err != nil {
 		return err
 	}
@@ -111,15 +111,14 @@ func Pcheck(args []string, out, errOut io.Writer) error {
 	defer cancel()
 	ctx = obs.WithScope(ctx, sc)
 	base := core.Options{
-		Style:    st,
-		Relax:    relax,
-		Mapper:   backend,
-		LUT:      lut,
-		TreeMode: treeMode,
-		Workers:  *workers,
-		Library:  lib,
-		Obs:      sc,
-		BDD:      bddf.config(),
+		Style:   st,
+		Relax:   relax,
+		Mapper:  backend,
+		LUT:     lut,
+		Workers: *workers,
+		Library: lib,
+		Obs:     sc,
+		BDD:     bddf.config(),
 	}
 	checks := 0
 	if *blifPath != "" || *circuit != "" {
@@ -156,7 +155,10 @@ func Pcheck(args []string, out, errOut io.Writer) error {
 		}
 		o := base
 		o.Method, o.Journal = m, jr
-		o.TreeMode = treeMode || i%2 == 1
+		if backend == mapper.BackendStructural && i%2 == 1 {
+			// A dag run alternates with tree covering on odd seeds.
+			o.Mapper = mapper.BackendTree
+		}
 		err = checkOne(ctx, out, src, o, false)
 		if cerr := jr.Close(); cerr != nil && err == nil {
 			err = fmt.Errorf("journal: %w", cerr)

@@ -21,7 +21,7 @@ func TestPcheckCircuit(t *testing.T) {
 func TestPcheckBlif(t *testing.T) {
 	path := writeTempBlif(t)
 	var out, errOut bytes.Buffer
-	if err := Pcheck([]string{"-blif", path, "-methods", "IV", "-tree"}, &out, &errOut); err != nil {
+	if err := Pcheck([]string{"-blif", path, "-methods", "IV", "-mapper", "tree"}, &out, &errOut); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(out.String(), "ok clitest") {

@@ -40,7 +40,6 @@ func Pmap(args []string, out, errOut io.Writer) error {
 		exact    = fs.Bool("exact", false, "price decomposition merges with global BDDs")
 		relax    = fs.Float64("relax", 0.15, "timing slack fraction for defaulted required times")
 		epsilon  = fs.Float64("epsilon", 0, "power-delay curve epsilon pruning width in ns (0 = 0.05 ns, negative = no epsilon pruning)")
-		tree     = fs.Bool("tree", false, "strict tree partitioning in the mapper")
 		piProb   = fs.Float64("prob", 0.5, "uniform P(pi=1) for all primary inputs")
 		gates    = fs.Bool("gates", false, "print the mapped gate list")
 		prove    = fs.Bool("verify", true, "prove the optimized, decomposed and mapped circuits equivalent to the source")
@@ -62,7 +61,7 @@ func Pmap(args []string, out, errOut io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	backend, treeMode, lut, err := mapf.resolve(*tree)
+	backend, lut, err := mapf.resolve()
 	if err != nil {
 		return err
 	}
@@ -129,7 +128,6 @@ func Pmap(args []string, out, errOut io.Writer) error {
 		Epsilon:      *epsilon,
 		Mapper:       backend,
 		LUT:          lut,
-		TreeMode:     treeMode,
 		PowerMethod2: *method2,
 		Workers:      *workers,
 		Library:      lib,

@@ -37,7 +37,7 @@ func Tables(args []string, out, errOut io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	backend, treeMode, lut, err := mapf.resolve(false)
+	backend, lut, err := mapf.resolve()
 	if err != nil {
 		return err
 	}
@@ -58,15 +58,14 @@ func Tables(args []string, out, errOut io.Writer) error {
 	want := strings.ToLower(*table)
 	runAll := want == "all"
 	base := core.Options{
-		Style:    huffman.Static,
-		Relax:    relax,
-		Exact:    *exact,
-		Mapper:   backend,
-		LUT:      lut,
-		TreeMode: treeMode,
-		Workers:  *workers,
-		Obs:      sc,
-		BDD:      bddf.config(),
+		Style:   huffman.Static,
+		Relax:   relax,
+		Exact:   *exact,
+		Mapper:  backend,
+		LUT:     lut,
+		Workers: *workers,
+		Obs:     sc,
+		BDD:     bddf.config(),
 	}
 
 	if runAll || want == "1" {

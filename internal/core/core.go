@@ -120,9 +120,10 @@ type Options struct {
 	// giving both ad-map and pd-map the same modest timing slack to spend;
 	// Float64(0) demands the fastest mapping.
 	Relax *float64
-	// Mapper selects the mapper's match enumerator: the structural pattern
-	// matcher (default) or the cut-based NPN Boolean matcher over a
-	// structurally hashed AIG.
+	// Mapper selects the mapper: the structural pattern matcher with
+	// fanout division (default), the cut-based NPN Boolean matcher over a
+	// structurally hashed AIG, or the structural matcher on the strict tree
+	// partition.
 	Mapper mapper.Backend
 	// LUT, with the cuts backend, maps every k-feasible cut to a generic
 	// k-input LUT cell instead of matching the library (2 <= k <= 6). Zero
@@ -130,8 +131,6 @@ type Options struct {
 	LUT int
 	// Epsilon is the mapper's curve-pruning width.
 	Epsilon float64
-	// TreeMode uses strict tree partitioning in the mapper.
-	TreeMode bool
 	// PowerMethod2 selects the Section 3.1 Method 2 power accounting in
 	// the mapper (for ablations; Method 1 is the paper's choice).
 	PowerMethod2 bool
@@ -280,7 +279,6 @@ func SynthesizeContext(ctx context.Context, nw *network.Network, o Options) (_ *
 		Library:      o.Library,
 		Backend:      o.Mapper,
 		LUT:          o.LUT,
-		TreeMode:     o.TreeMode,
 		Epsilon:      o.Epsilon,
 		PORequired:   o.PORequired,
 		Relax:        o.Relax,

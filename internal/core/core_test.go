@@ -7,6 +7,7 @@ import (
 
 	"powermap/internal/circuits"
 	"powermap/internal/huffman"
+	"powermap/internal/mapper"
 	"powermap/internal/network"
 	"powermap/internal/verify/equiv"
 )
@@ -126,7 +127,7 @@ func TestSynthesizeDoesNotMutateInput(t *testing.T) {
 func TestSynthesizeOptionPaths(t *testing.T) {
 	src := circuits.Decoder10()
 	for _, o := range []Options{
-		{Method: MethodV, Style: huffman.Static, TreeMode: true},
+		{Method: MethodV, Style: huffman.Static, Mapper: mapper.BackendTree},
 		{Method: MethodV, Style: huffman.Static, Epsilon: 0.3},
 		{Method: MethodV, Style: huffman.Static, PowerMethod2: true},
 		{Style: huffman.Static}, // zero Method: Method I

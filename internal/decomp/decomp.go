@@ -400,9 +400,9 @@ func Decompose(ctx context.Context, nw *network.Network, opt Options) (*Result, 
 	return res, nil
 }
 
-// unitDepth annotates every node reachable from the outputs with its
-// unit-delay arrival time, every primary input arriving at 0, and returns
-// the latest output arrival: the network's depth. The paper's Section 2.3
+// unitDepth computes the unit-delay arrival time of every node reachable
+// from the outputs, every primary input arriving at 0, and returns the
+// latest output arrival: the network's depth. The paper's Section 2.3
 // argues for the unit-delay model before mapping, since the mapped
 // netlist's structure differs substantially from the subject graph; the
 // mapper applies the library delay model (Equation 14).
@@ -413,23 +413,23 @@ func unitDepth(ctx context.Context, nw *network.Network, sc *obs.Scope) float64 
 	span.SetAttr("nodes", len(order))
 	sc.Counter("timing.annotate_runs").Inc()
 	sc.Counter("timing.nodes_annotated").Add(int64(len(order)))
+	arrival := make(map[*network.Node]float64, len(order))
 	for _, n := range order {
 		if n.IsSource() {
-			n.Arrival = 0
 			continue
 		}
 		worst := math.Inf(-1)
 		for _, f := range n.Fanin {
-			worst = max(worst, f.Arrival)
+			worst = max(worst, arrival[f])
 		}
-		n.Arrival = worst + 1
+		arrival[n] = worst + 1
 	}
 	if len(nw.Outputs) == 0 {
 		return 0
 	}
 	depth := math.Inf(-1)
 	for _, o := range nw.Outputs {
-		depth = max(depth, o.Driver.Arrival)
+		depth = max(depth, arrival[o.Driver])
 	}
 	return depth
 }

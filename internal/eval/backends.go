@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"strings"
 
-	"powermap/internal/circuits"
 	"powermap/internal/core"
 	"powermap/internal/exec"
 	"powermap/internal/mapper"
@@ -28,28 +27,15 @@ type BackendRow struct {
 // backends are then mapped under those common constraints, so the rows
 // compare matching power/area at equal performance. Every run is
 // self-verifying (source ≡ optimized ≡ decomposed ≡ mapped). Each leg sets
-// its own Mapper and TreeMode (the structural leg is the DAG mapper);
-// base.LUT applies to the cuts leg only. A nil or empty names slice runs
-// the full suite.
+// its own Mapper (the structural leg is the DAG mapper); base.LUT applies
+// to the cuts leg only. A nil or empty names slice runs the full suite.
 func CompareBackends(ctx context.Context, base core.Options, method core.Method, names []string) ([]BackendRow, error) {
-	suite := circuits.Suite()
-	if len(names) > 0 {
-		var filtered []circuits.Benchmark
-		for _, name := range names {
-			b, err := circuits.ByName(name)
-			if err != nil {
-				return nil, err
-			}
-			filtered = append(filtered, b)
-		}
-		suite = filtered
+	suite, err := suiteOf(names)
+	if err != nil {
+		return nil, err
 	}
 	ctx = obs.WithScope(ctx, base.Obs)
-	workers := exec.Workers(base.Workers)
-	inner := base.Workers
-	if workers > 1 {
-		inner = 1
-	}
+	workers, inner := splitWorkers(base.Workers)
 	rows, err := exec.Map(exec.WithLabel(ctx, "eval.backends"), workers, len(suite), func(ctx context.Context, i int) (BackendRow, error) {
 		b := suite[i]
 		ctx = obs.WithLabels(ctx, "circuit", b.Name, "method", method.String())
@@ -59,7 +45,6 @@ func CompareBackends(ctx context.Context, base core.Options, method core.Method,
 			o := base
 			o.Method = method
 			o.Mapper = backend
-			o.TreeMode = false
 			if backend != mapper.BackendCuts {
 				o.LUT = 0 // LUT mode only applies to the cuts leg
 			}

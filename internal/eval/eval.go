@@ -121,17 +121,9 @@ func RunSuite(ctx context.Context, methods []core.Method, base core.Options, nam
 // journal file there, sharing jc.RunID in the headers. cmd/pexplain
 // queries and diffs the resulting files.
 func RunSuiteJournaled(ctx context.Context, methods []core.Method, base core.Options, names []string, jc JournalConfig) (_ []CircuitRow, err error) {
-	suite := circuits.Suite()
-	if len(names) > 0 {
-		var filtered []circuits.Benchmark
-		for _, name := range names {
-			b, err := circuits.ByName(name)
-			if err != nil {
-				return nil, err
-			}
-			filtered = append(filtered, b)
-		}
-		suite = filtered
+	suite, err := suiteOf(names)
+	if err != nil {
+		return nil, err
 	}
 	if jc.Dir != "" {
 		if err := os.MkdirAll(jc.Dir, 0o755); err != nil {
@@ -174,14 +166,7 @@ func RunSuiteJournaled(ctx context.Context, methods []core.Method, base core.Opt
 	// The scope rides the context so the worker pool (and any phase that
 	// only sees the context) can instrument the fan-out itself.
 	ctx = obs.WithScope(ctx, base.Obs)
-	workers := exec.Workers(base.Workers)
-	inner := base.Workers
-	if workers > 1 {
-		// Fan out across runs, not inside them: (circuit, method) tasks
-		// outnumber cores on any real suite, and coarse tasks carry less
-		// synchronization overhead than nested per-node pools.
-		inner = 1
-	}
+	workers, inner := splitWorkers(base.Workers)
 	total := len(suite) * (1 + len(methods))
 	var done atomic.Int64
 	// A failing suite leaves a post-mortem beside its journals: the flight
@@ -289,6 +274,36 @@ func RunSuiteJournaled(ctx context.Context, methods []core.Method, base core.Opt
 		rows[k.ci].Results[methods[k.mi]] = rep
 	}
 	return rows, nil
+}
+
+// suiteOf resolves benchmark names in order; a nil or empty slice selects
+// the full suite.
+func suiteOf(names []string) ([]circuits.Benchmark, error) {
+	if len(names) == 0 {
+		return circuits.Suite(), nil
+	}
+	suite := make([]circuits.Benchmark, 0, len(names))
+	for _, name := range names {
+		b, err := circuits.ByName(name)
+		if err != nil {
+			return nil, err
+		}
+		suite = append(suite, b)
+	}
+	return suite, nil
+}
+
+// splitWorkers sizes a suite's pool of runs and the Workers each run gets.
+// It fans out across runs, not inside them: runs outnumber cores on any
+// real suite, and coarse tasks carry less synchronization overhead than
+// nested per-node pools, so every run is sequential when the pool is
+// active.
+func splitWorkers(workers int) (outer, inner int) {
+	outer = exec.Workers(workers)
+	if outer > 1 {
+		return outer, 1
+	}
+	return outer, workers
 }
 
 // FormatTable renders rows in the paper's Tables 2/3 layout for the given

@@ -53,9 +53,9 @@ type labelKey struct{}
 // goroutine records a "<label>.worker" span on its own virtual track
 // (named "<label>/w<i>"), and items run with that track on their context
 // so nested phase spans nest per worker. The label is consumed by the
-// pool: items run with it cleared, so unlabeled nested pools (e.g.
-// per-match fan-out inside a level worker) stay silent instead of fighting
-// over the worker tracks. An empty label disables worker telemetry.
+// pool: items run with it cleared, so unlabeled nested pools stay silent
+// instead of fighting over the worker tracks. An empty label disables
+// worker telemetry.
 func WithLabel(ctx context.Context, label string) context.Context {
 	return context.WithValue(ctx, labelKey{}, label)
 }

@@ -29,7 +29,7 @@ func TestLib2StaysReadOnly(t *testing.T) {
 		o    core.Options
 	}{
 		{"dag", core.Options{}},
-		{"tree", core.Options{TreeMode: true}},
+		{"tree", core.Options{Mapper: mapper.BackendTree}},
 		{"cuts", core.Options{Mapper: mapper.BackendCuts}},
 		{"cuts -lut 4", core.Options{Mapper: mapper.BackendCuts, LUT: 4}},
 	}

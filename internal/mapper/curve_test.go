@@ -630,14 +630,13 @@ func TestDominanceBoundMatchesReference(t *testing.T) {
 	modes := []struct {
 		name     string
 		backend  Backend
-		tree     bool
 		lut      int
 		everyNet bool
 	}{
-		{"dag", BackendStructural, false, 0, true},
-		{"tree", BackendStructural, true, 0, true},
-		{"cuts", BackendCuts, false, 0, false},
-		{"lut4", BackendCuts, false, 4, true},
+		{"dag", BackendStructural, 0, true},
+		{"tree", BackendTree, 0, true},
+		{"cuts", BackendCuts, 0, false},
+		{"lut4", BackendCuts, 4, true},
 	}
 	curves := 0
 	for _, nt := range nets {
@@ -649,7 +648,7 @@ func TestDominanceBoundMatchesReference(t *testing.T) {
 					}
 					label := fmt.Sprintf("%s %s %v eps=%v", nt.name, md.name, obj, eps)
 					curves += checkBoundMatchesReference(t, label, nt.sub, nt.model, Options{
-						Objective: obj, Backend: md.backend, TreeMode: md.tree, LUT: md.lut, Epsilon: eps,
+						Objective: obj, Backend: md.backend, LUT: md.lut, Epsilon: eps,
 					})
 				}
 			}

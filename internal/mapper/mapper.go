@@ -34,73 +34,80 @@ func (o Objective) String() string {
 	return "pd-map"
 }
 
-// Backend selects how candidate matches are enumerated. Both backends feed
-// the same power-delay curve machinery, so Lemma 3.1 invariants, CurveAudit
-// and the selection passes are backend-independent.
+// Backend selects the mapper: how candidate matches are enumerated and
+// how multi-fanout nodes are covered. Every backend feeds the same
+// power-delay curve machinery, so Lemma 3.1 invariants, CurveAudit and the
+// selection passes are backend-independent.
 type Backend int
 
 const (
 	// BackendStructural is the paper's pattern matcher on the NAND2/INV
-	// subject network (tree or DAG cover, per Options.TreeMode).
+	// subject network, covering the DAG by fanout division (Section 3.3).
 	BackendStructural Backend = iota
 	// BackendCuts matches Boolean functions: it structurally hashes the
 	// subject network into an AIG, enumerates k-feasible cuts per node,
 	// and matches each cut's NPN-canonicalized truth table against
 	// precomputed library cell signatures (or generic LUT cells).
 	BackendCuts
+	// BackendTree is the structural matcher restricted to the DAGON-style
+	// tree partition: no match hides a multi-fanout node inside its cover,
+	// and no cost is divided by fanout. It is kept as an ablation.
+	BackendTree
 )
 
+// String returns the backend's -mapper spelling.
 func (b Backend) String() string {
-	if b == BackendCuts {
+	switch b {
+	case BackendCuts:
 		return "cuts"
+	case BackendTree:
+		return "tree"
 	}
-	return "structural"
+	return "dag"
 }
 
-// ParseBackend resolves a match-enumerator name and a generic-LUT arity
-// into a backend and its tree mode: "tree" and "dag" are the structural
-// backend with and without strict tree partitioning, "cuts" the Boolean
-// matcher, and "" selects dag, or cuts when lut is set. lut is 0 (library
+// ParseBackend resolves a -mapper name and a generic-LUT arity into a
+// backend: "dag" and "tree" are the structural matcher with fanout
+// division and with strict tree partitioning, "cuts" the Boolean matcher,
+// and "" selects dag, or cuts when lut is set. lut is 0 (library
 // matching) or an arity in 2..6, which requires the cuts backend.
-func ParseBackend(name string, lut int) (b Backend, treeMode bool, err error) {
+func ParseBackend(name string, lut int) (Backend, error) {
 	if lut != 0 && (lut < 2 || lut > maxCutInputs) {
-		return 0, false, fmt.Errorf("lut arity %d out of range 2..%d", lut, maxCutInputs)
+		return 0, fmt.Errorf("lut arity %d out of range 2..%d", lut, maxCutInputs)
 	}
 	switch name {
 	case "":
 		if lut > 0 {
-			return BackendCuts, false, nil
+			return BackendCuts, nil
 		}
-		return BackendStructural, false, nil
+		return BackendStructural, nil
 	case "tree", "dag":
 		if lut > 0 {
-			return 0, false, fmt.Errorf("lut requires the cuts mapper")
+			return 0, fmt.Errorf("lut requires the cuts mapper")
 		}
-		return BackendStructural, name == "tree", nil
+		if name == "tree" {
+			return BackendTree, nil
+		}
+		return BackendStructural, nil
 	case "cuts":
-		return BackendCuts, false, nil
+		return BackendCuts, nil
 	}
-	return 0, false, fmt.Errorf("unknown mapper %q (want tree, dag or cuts)", name)
+	return 0, fmt.Errorf("unknown mapper %q (want tree, dag or cuts)", name)
 }
 
 // Options configures Map.
 type Options struct {
 	Objective Objective
 	Library   *genlib.Library
-	// Backend selects the match enumerator: the structural pattern matcher
-	// (default) or the cut-based NPN Boolean matcher over a structurally
-	// hashed AIG.
+	// Backend selects the mapper: the structural pattern matcher with
+	// fanout division (default), the cut-based NPN Boolean matcher over a
+	// structurally hashed AIG, or the structural matcher on the tree
+	// partition.
 	Backend Backend
 	// LUT, with BackendCuts, replaces library matching by a generic-LUT
 	// workload: every k-feasible cut maps to a synthetic k-input LUT cell
 	// (2 <= k <= 6). Zero disables LUT mode.
 	LUT int
-	// TreeMode restricts matches to the DAGON-style tree partition; the
-	// default (false) is the paper's fanout-division DAG heuristic
-	// (Section 3.3). It applies to the structural backend only: cut
-	// matches see through the strash-shared AIG, where the tree partition
-	// of the subject network has no meaning.
-	TreeMode bool
 	// Epsilon is the curve ε-pruning width in ns (Section 3.1). Zero means
 	// the default 0.05 ns; a negative value disables ε-pruning, so a curve
 	// keeps every non-inferior point up to the 48-point cap. NaN and ±Inf
@@ -222,7 +229,7 @@ func Map(ctx context.Context, sub *network.Network, model *prob.Model, opt Optio
 		return nil, err
 	}
 	span := opt.Obs.StartCtx(ctx, "mapper.curves")
-	span.SetAttr("workers", s.workers).SetAttr("tree_mode", opt.TreeMode).SetAttr("backend", opt.Backend.String())
+	span.SetAttr("workers", s.workers).SetAttr("backend", opt.Backend.String())
 	err = s.postorder(ctx)
 	span.SetAttr("nodes", len(s.curves))
 	span.End()
@@ -269,7 +276,7 @@ func newState(ctx context.Context, sub *network.Network, model *prob.Model, opt 
 		opt:     opt,
 		lib:     opt.Library,
 		env:     power.Default(),
-		matcher: newMatcher(opt.Library, opt.TreeMode),
+		matcher: newMatcher(opt.Library, opt.Backend == BackendTree),
 		sub:     sub,
 		model:   model,
 		curves:  make(map[*network.Node]*Curve),
@@ -298,10 +305,9 @@ func newState(ctx context.Context, sub *network.Network, model *prob.Model, opt 
 }
 
 // postorder computes the power-delay (or area-delay) curve of every node
-// (Subsection 3.2.1). With more than one worker the independent curve
-// computations fan out across the pool: per tree in TreeMode, per
-// topological level on the DAG otherwise. Both schedules only ever read
-// curves of strictly earlier tasks, so the results match the sequential
+// (Subsection 3.2.1). With more than one worker the nodes of each
+// dependency level are covered concurrently; a curve only ever reads
+// curves of strictly earlier levels, so the results match the sequential
 // walk exactly.
 func (s *state) postorder(ctx context.Context) error {
 	var internal []*network.Node
@@ -318,7 +324,7 @@ func (s *state) postorder(ctx context.Context) error {
 			if err := ctx.Err(); err != nil {
 				return fmt.Errorf("mapper: %w", err)
 			}
-			c, err := s.curveAt(ctx, n, 1, nil)
+			c, err := s.curveAt(n)
 			if err != nil {
 				return err
 			}
@@ -326,20 +332,17 @@ func (s *state) postorder(ctx context.Context) error {
 		}
 		return nil
 	}
-	if s.opt.TreeMode && s.opt.Backend != BackendCuts {
-		return s.postorderTrees(ctx, internal)
-	}
 	return s.postorderLevels(ctx, internal)
 }
 
-// postorderLevels schedules the DAG by dependency level: every match at a
-// node only reads curves of its match inputs, which sit on strictly
+// postorderLevels schedules the postorder by dependency level: every match
+// at a node only reads curves of its match inputs, which sit on strictly
 // smaller levels, so all nodes of one level are independent. For the
-// structural backend the dependencies are the network fanins (matches stay
-// inside the fanin cone); cut matches may bind any topologically earlier
-// node as a leaf, so the cut backend levels by its precomputed leaf sets.
-// Curves are installed into s.curves between levels — tasks never write
-// shared state.
+// structural backends the dependencies are the network fanins (matches
+// stay inside the fanin cone, and tree-mode matches are a subset of DAG
+// matches); cut matches may bind any topologically earlier node as a leaf,
+// so the cut backend levels by its precomputed leaf sets. Curves are
+// installed into s.curves between levels — tasks never write shared state.
 func (s *state) postorderLevels(ctx context.Context, internal []*network.Node) error {
 	depsOf := func(n *network.Node) []*network.Node { return n.Fanin }
 	if cm, ok := s.matcher.(*cutMatcher); ok {
@@ -363,9 +366,8 @@ func (s *state) postorderLevels(ctx context.Context, internal []*network.Node) e
 		groups[l] = append(groups[l], n)
 	}
 	for _, g := range groups {
-		budget := s.workers / len(g)
-		curves, err := exec.Map(exec.WithLabel(ctx, "mapper.levels"), s.workers, len(g), func(ctx context.Context, i int) (*Curve, error) {
-			return s.curveAt(ctx, g[i], budget, nil)
+		curves, err := exec.Map(exec.WithLabel(ctx, "mapper.levels"), s.workers, len(g), func(_ context.Context, i int) (*Curve, error) {
+			return s.curveAt(g[i])
 		})
 		if err != nil {
 			return err
@@ -375,97 +377,6 @@ func (s *state) postorderLevels(ctx context.Context, internal []*network.Node) e
 		}
 	}
 	return nil
-}
-
-// postorderTrees schedules TreeMode by tree: the partition roots every
-// node whose fanout count differs from one, and since tree-mode matches
-// never cross a multi-fanout point, a match's inputs are either earlier
-// nodes of the same tree or roots of whole earlier trees. Trees of one
-// tree-level are covered concurrently; within a task the tree's own
-// in-flight curves live in a task-local overlay until the level barrier.
-func (s *state) postorderTrees(ctx context.Context, internal []*network.Node) error {
-	root := make(map[*network.Node]*network.Node, len(internal))
-	for i := len(internal) - 1; i >= 0; i-- { // reverse topo: fanouts known
-		n := internal[i]
-		if r, ok := singleFanoutRoot(root, n); ok {
-			root[n] = r
-		} else {
-			root[n] = n
-		}
-	}
-	trees := make(map[*network.Node][]*network.Node, len(internal))
-	var roots []*network.Node
-	for _, n := range internal { // topo order within each tree
-		trees[root[n]] = append(trees[root[n]], n)
-		if root[n] == n {
-			// The root is the topmost (hence last) member of its tree, so
-			// this collects roots by tree-completion order: every tree a
-			// later tree reads across the partition is already listed.
-			roots = append(roots, n)
-		}
-	}
-	// A tree's level is one past the deepest tree it reads across the
-	// partition boundary. A cross-tree fanin is always its own tree's
-	// root (a single-fanout fanin of a consumer is in the consumer's
-	// tree), so walking roots in completion order resolves all levels in
-	// one forward pass.
-	treeLevel := make(map[*network.Node]int, len(roots))
-	var groups [][]*network.Node
-	for _, r := range roots {
-		l := 0
-		for _, n := range trees[r] {
-			for _, f := range n.Fanin {
-				if f.IsSource() || root[f] == r {
-					continue
-				}
-				if fl := treeLevel[root[f]] + 1; fl > l {
-					l = fl
-				}
-			}
-		}
-		treeLevel[r] = l
-		for l >= len(groups) {
-			groups = append(groups, nil)
-		}
-		groups[l] = append(groups[l], r)
-	}
-	for _, g := range groups {
-		budget := s.workers / len(g)
-		results, err := exec.Map(exec.WithLabel(ctx, "mapper.trees"), s.workers, len(g), func(ctx context.Context, i int) ([]*Curve, error) {
-			nodes := trees[g[i]]
-			local := make(map[*network.Node]*Curve, len(nodes))
-			out := make([]*Curve, len(nodes))
-			for j, n := range nodes {
-				c, err := s.curveAt(ctx, n, budget, local)
-				if err != nil {
-					return nil, err
-				}
-				local[n] = c
-				out[j] = c
-			}
-			return out, nil
-		})
-		if err != nil {
-			return err
-		}
-		for i, cs := range results {
-			for j, n := range trees[g[i]] {
-				s.install(n, cs[j])
-			}
-		}
-	}
-	return nil
-}
-
-// singleFanoutRoot resolves the tree root inherited through a node's sole
-// consumer. Nodes whose consumer lies outside the output-reachable order
-// (so no root was recorded for it) start their own tree.
-func singleFanoutRoot(root map[*network.Node]*network.Node, n *network.Node) (*network.Node, bool) {
-	if len(n.Fanout) != 1 {
-		return nil, false
-	}
-	r, ok := root[n.Fanout[0]]
-	return r, ok
 }
 
 // install records a finished internal-node curve and feeds the audit hook.
@@ -479,12 +390,10 @@ func (s *state) install(n *network.Node, c *Curve) {
 	}
 }
 
-// curveAt builds one node's pruned curve. budget > 1 additionally fans the
-// match enumeration out (used when a level has fewer nodes than workers);
-// per-match candidate buffers are concatenated in match order. Each part
-// starts with an empty front, so it drops fewer dominated candidates than
-// the sequential walk, but prune keeps the same ones (DESIGN.md §4c).
-func (s *state) curveAt(ctx context.Context, n *network.Node, budget int, local map[*network.Node]*Curve) (*Curve, error) {
+// curveAt builds one node's pruned curve from all of its matches' candidates
+// in one set, reading only installed input curves, so concurrent calls on
+// nodes of one level are safe.
+func (s *state) curveAt(n *network.Node) (*Curve, error) {
 	cs := getCandidateSet()
 	defer cs.release()
 	matches := s.matcher.matchesAt(n, &cs.match)
@@ -492,28 +401,8 @@ func (s *state) curveAt(ctx context.Context, n *network.Node, budget int, local 
 		return nil, fmt.Errorf("mapper: no library match at node %s", n.Name)
 	}
 	s.obs.matchesPerNode.Observe(float64(len(matches)))
-	if budget > 1 && len(matches) > 1 {
-		parts, err := exec.Map(ctx, budget, len(matches), func(_ context.Context, j int) (*candidateSet, error) {
-			part := getCandidateSet()
-			s.matchCandidates(part, n, int32(j), matches[j], local)
-			return part, nil
-		})
-		if err != nil {
-			return nil, err
-		}
-		for _, part := range parts {
-			off := int32(len(cs.choices))
-			for _, r := range part.recs {
-				r.choice += off
-				cs.recs = append(cs.recs, r)
-			}
-			cs.choices = append(cs.choices, part.choices...)
-			part.release()
-		}
-	} else {
-		for j, m := range matches {
-			s.matchCandidates(cs, n, int32(j), m, local)
-		}
+	for j, m := range matches {
+		s.matchCandidates(cs, n, int32(j), m)
 	}
 	generated := len(cs.recs)
 	// The curve stashes len(matches), read at extract for the map.site
@@ -528,15 +417,6 @@ func (s *state) curveAt(ctx context.Context, n *network.Node, budget int, local 
 	s.obs.pointsPruned.Add(int64(generated - len(curve.Points)))
 	s.obs.curveSize.Observe(float64(len(curve.Points)))
 	return curve, nil
-}
-
-// curveOf resolves a node's curve through the task-local overlay used by
-// the per-tree schedule; outside a tree task it reads the shared map.
-func (s *state) curveOf(n *network.Node, local map[*network.Node]*Curve) *Curve {
-	if c, ok := local[n]; ok {
-		return c
-	}
-	return s.curves[n]
 }
 
 // inputCtx is one input of a match during the merge: its curve, the pin's
@@ -611,9 +491,9 @@ func (ic *inputCtx) seek(t float64) int {
 // Prune would never keep those: a dominator appended earlier sorts before
 // the candidate, and prune keeps a candidate only if it is cheaper than
 // every kept one before it (DESIGN.md §4c). matchCandidates only reads
-// input curves (through the optional task-local overlay) and writes cs,
-// so concurrent calls on disjoint sets are safe.
-func (s *state) matchCandidates(cs *candidateSet, n *network.Node, mi int32, m Match, local map[*network.Node]*Curve) {
+// input curves and writes cs, so concurrent calls on disjoint sets are
+// safe.
+func (s *state) matchCandidates(cs *candidateSet, n *network.Node, mi int32, m Match) {
 	gateCost := 0.0
 	if s.opt.Objective == AreaDelay {
 		gateCost = m.Cell.Area
@@ -629,7 +509,7 @@ func (s *state) matchCandidates(cs *candidateSet, n *network.Node, mi int32, m M
 	for pin, node := range m.Inputs {
 		p := m.Cell.Pins[pin]
 		ic := inputCtx{
-			curve: s.curveOf(node, local),
+			curve: s.curves[node],
 			delay: p.Block + p.Drive*s.cdef,
 			div:   s.fanoutDiv(node),
 			at:    -1,
@@ -727,9 +607,9 @@ func (s *state) matchCandidates(cs *candidateSet, n *network.Node, mi int32, m M
 
 // fanoutDiv implements the Section 3.3 heuristic: the accumulated cost of a
 // multi-fanout input is divided by its fanout count, favoring solutions
-// that preserve (share) multi-fanout nodes.
+// that preserve (share) multi-fanout nodes. The tree backend divides by 1.
 func (s *state) fanoutDiv(n *network.Node) float64 {
-	if s.opt.TreeMode || n.Kind != network.Internal {
+	if s.opt.Backend == BackendTree || n.Kind != network.Internal {
 		return 1
 	}
 	if f := len(n.Fanout); f > 1 {

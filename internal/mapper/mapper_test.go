@@ -15,6 +15,7 @@ import (
 	"powermap/internal/genlib"
 	"powermap/internal/huffman"
 	"powermap/internal/network"
+	"powermap/internal/obs"
 	"powermap/internal/prob"
 	"powermap/internal/sop"
 )
@@ -136,10 +137,10 @@ func TestRequiredTimesTradeCost(t *testing.T) {
 	}
 }
 
-func TestTreeModeWorks(t *testing.T) {
-	nl := mapSmall(t, Options{Objective: PowerDelay, TreeMode: true})
+func TestTreeBackendWorks(t *testing.T) {
+	nl := mapSmall(t, Options{Objective: PowerDelay, Backend: BackendTree})
 	if len(nl.Gates) == 0 {
-		t.Fatal("tree mode mapped nothing")
+		t.Fatal("tree backend mapped nothing")
 	}
 }
 
@@ -420,12 +421,46 @@ func TestMapRejectsBadEpsilonAndRelax(t *testing.T) {
 	}
 }
 
-// TestCurvesIdenticalAcrossWorkers: every installed curve, down to the
-// input points each curve point chose, is the same whether a node's
-// matches run in one task or fan out across workers. Levels and trees
-// narrower than the pool give a node a budget above one, which builds
-// one candidate buffer per match and concatenates them, offsetting the
-// choice indices; each buffer starts with an empty dominance front.
+// TestParseBackendRoundTrip: every backend parses back from its -mapper
+// spelling, an empty name defaults by LUT arity, and LUT mode is refused
+// outside the cuts backend and outside 2..6.
+func TestParseBackendRoundTrip(t *testing.T) {
+	for _, b := range []Backend{BackendStructural, BackendTree, BackendCuts} {
+		if got, err := ParseBackend(b.String(), 0); err != nil || got != b {
+			t.Errorf("ParseBackend(%q, 0) = %v, %v; want %v", b.String(), got, err, b)
+		}
+	}
+	cases := []struct {
+		name string
+		lut  int
+		want Backend
+		ok   bool
+	}{
+		{"", 0, BackendStructural, true},
+		{"", 4, BackendCuts, true},
+		{"cuts", 4, BackendCuts, true},
+		{"tree", 4, 0, false},
+		{"dag", 4, 0, false},
+		{"cuts", 7, 0, false},
+		{"structural", 0, 0, false},
+	}
+	for _, tc := range cases {
+		got, err := ParseBackend(tc.name, tc.lut)
+		if tc.ok && (err != nil || got != tc.want) {
+			t.Errorf("ParseBackend(%q, %d) = %v, %v; want %v", tc.name, tc.lut, got, err, tc.want)
+		}
+		if !tc.ok && err == nil {
+			t.Errorf("ParseBackend(%q, %d) = %v, want an error", tc.name, tc.lut, got)
+		}
+	}
+}
+
+// TestCurvesIdenticalAcrossWorkers: on every backend, every installed
+// curve, down to the input points each curve point chose, is the same at
+// two and eight workers as in the sequential walk, and so are the curve
+// counters. Each node builds all its candidates in one set whatever the
+// pool size, so the candidates generated, kept and pruned, the nodes
+// covered and the matches observed per node must match exactly too.
 func TestCurvesIdenticalAcrossWorkers(t *testing.T) {
 	sub, model := subject(t, smallBlif)
 	nets := []subjectNet{{"small", sub, model}}
@@ -437,29 +472,46 @@ func TestCurvesIdenticalAcrossWorkers(t *testing.T) {
 		sub, model := decomposed(t, b.Build(), decomp.MinPower)
 		nets = append(nets, subjectNet{name, sub, model})
 	}
+	type run struct {
+		curves   map[*network.Node][]Point
+		counters map[string]int64
+	}
 	for _, nt := range nets {
 		for _, obj := range []Objective{AreaDelay, PowerDelay} {
-			for _, tree := range []bool{false, true} {
-				curves := func(workers int) map[*network.Node][]Point {
-					got := map[*network.Node][]Point{}
+			for _, backend := range []Backend{BackendStructural, BackendTree, BackendCuts} {
+				mapWith := func(workers int) run {
+					r := run{curves: map[*network.Node][]Point{}}
+					sc := obs.New(obs.Config{})
 					_, err := Map(context.Background(), nt.sub, nt.model, Options{
 						Objective: obj,
 						Library:   genlib.Lib2(),
-						TreeMode:  tree,
+						Backend:   backend,
 						Workers:   workers,
+						Obs:       sc,
 						CurveAudit: func(n *network.Node, c *Curve) {
-							got[n] = slices.Clone(c.Points)
+							r.curves[n] = slices.Clone(c.Points)
 						},
 					})
 					if err != nil {
 						t.Fatal(err)
 					}
-					return got
+					snap := sc.Snapshot()
+					r.counters = map[string]int64{
+						"matches_per_node count": snap.Histograms["mapper.matches_per_node"].Count,
+					}
+					for _, name := range []string{"curve_points_generated", "curve_points_kept", "curve_points_pruned", "nodes_covered"} {
+						r.counters[name] = snap.Counters["mapper."+name]
+					}
+					return r
 				}
-				want := curves(1)
+				want := mapWith(1)
 				for _, w := range []int{2, 8} {
-					if got := curves(w); !reflect.DeepEqual(got, want) {
-						t.Errorf("%s %v tree=%v workers=%d: curves differ from the sequential run", nt.name, obj, tree, w)
+					got := mapWith(w)
+					if !reflect.DeepEqual(got.curves, want.curves) {
+						t.Errorf("%s %v %v workers=%d: curves differ from the sequential run", nt.name, obj, backend, w)
+					}
+					if !reflect.DeepEqual(got.counters, want.counters) {
+						t.Errorf("%s %v %v workers=%d: counters %v, sequential run %v", nt.name, obj, backend, w, got.counters, want.counters)
 					}
 				}
 			}

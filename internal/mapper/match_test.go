@@ -29,12 +29,12 @@ func and2Subject() (*network.Network, *network.Node) {
 	return nw, y
 }
 
-// TestTreeModeExcludesMultiFanoutInterior is the tree/DAG covering
+// TestTreeMatcherExcludesMultiFanoutInterior is the tree/DAG covering
 // contract: a match that hides a multi-fanout node inside its cover is
 // rejected in tree mode (the DAGON partition never crosses a fanout
 // point) and accepted in DAG mode (Section 3.3's fanout-division
 // heuristic prices the duplication instead of forbidding it).
-func TestTreeModeExcludesMultiFanoutInterior(t *testing.T) {
+func TestTreeMatcherExcludesMultiFanoutInterior(t *testing.T) {
 	lib := genlib.Lib2()
 	_, y := and2Subject()
 

@@ -39,7 +39,6 @@ type Node struct {
 	// structural meaning and are recomputed by the passes that need them.
 	Prob1    float64 // probability of the signal being 1
 	Activity float64 // switching activity under the selected design style
-	Arrival  float64 // unit-delay arrival time
 	flag     int     // scratch mark for traversals
 }
 
@@ -411,7 +410,6 @@ func (nw *Network) Duplicate() *Network {
 func copyAnnotations(dst, src *Node) {
 	dst.Prob1 = src.Prob1
 	dst.Activity = src.Activity
-	dst.Arrival = src.Arrival
 }
 
 // Eval computes the value of every reachable node under a full PI

@@ -95,7 +95,6 @@ type resolved struct {
 	method   core.Method
 	style    huffman.Style
 	backend  mapper.Backend
-	treeMode bool
 	lut      int
 	piProb   float64
 	bddLimit int
@@ -124,7 +123,7 @@ func (o Options) resolve() (resolved, error) {
 	if r.style, err = huffman.ParseStyle(o.Style); err != nil {
 		return r, err
 	}
-	if r.backend, r.treeMode, err = mapper.ParseBackend(o.Mapper, o.LUT); err != nil {
+	if r.backend, err = mapper.ParseBackend(o.Mapper, o.LUT); err != nil {
 		return r, err
 	}
 	if o.PIProb == 0 {

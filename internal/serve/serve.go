@@ -329,15 +329,14 @@ func (s *Server) synthesize(ctx context.Context, nw *network.Network, req Reques
 		probs[name] = rv.piProb
 	}
 	res, err := core.SynthesizeContext(ctx, nw, core.Options{
-		Method:   rv.method,
-		Style:    rv.style,
-		PIProb:   probs,
-		Mapper:   rv.backend,
-		LUT:      rv.lut,
-		TreeMode: rv.treeMode,
-		Workers:  s.cfg.Workers,
-		Obs:      s.cfg.Scope,
-		BDD:      bdd.Config{NodeLimit: s.bddLimit(rv), Reorder: rv.reorder},
+		Method:  rv.method,
+		Style:   rv.style,
+		PIProb:  probs,
+		Mapper:  rv.backend,
+		LUT:     rv.lut,
+		Workers: s.cfg.Workers,
+		Obs:     s.cfg.Scope,
+		BDD:     bdd.Config{NodeLimit: s.bddLimit(rv), Reorder: rv.reorder},
 	})
 	if err != nil {
 		return nil, err

@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"powermap/internal/mapper"
 	"powermap/internal/network"
 	"powermap/internal/obs"
 )
@@ -455,6 +456,30 @@ func TestCanonicalKey(t *testing.T) {
 	}
 	if cacheKey("", ".model m\n.end\n", Options{}) == cacheKey("", ".model n\n.end\n", Options{}) {
 		t.Error("different BLIF bodies hash identically")
+	}
+}
+
+// TestResolveMapper: a request's "mapper" field selects the backend
+// through mapper.ParseBackend, and tree and dag hash to different keys.
+func TestResolveMapper(t *testing.T) {
+	resolve := func(body string) resolved {
+		t.Helper()
+		var o Options
+		if err := json.Unmarshal([]byte(body), &o); err != nil {
+			t.Fatal(err)
+		}
+		r, err := o.resolve()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r
+	}
+	tree := resolve(`{"mapper": "tree"}`)
+	if tree.backend != mapper.BackendTree {
+		t.Errorf(`{"mapper": "tree"} resolved to %v`, tree.backend)
+	}
+	if dag := resolve(`{}`); cacheKey("cm42a", "", tree) == cacheKey("cm42a", "", dag) {
+		t.Error("tree and dag requests hash identically")
 	}
 }
 

@@ -41,6 +41,10 @@ func TestSynthesizePropertyFuzz(t *testing.T) {
 		}
 		src := RandomNetwork("fuzz", cfg)
 		tree := seed%2 == 1
+		backend := mapper.BackendStructural
+		if tree {
+			backend = mapper.BackendTree
+		}
 		workers := 1
 		if seed%4 >= 2 {
 			workers = 8
@@ -61,7 +65,7 @@ func TestSynthesizePropertyFuzz(t *testing.T) {
 			Exact:      exact,
 			Strash:     strash,
 			PIProb:     piProb,
-			TreeMode:   tree,
+			Mapper:     backend,
 			Workers:    workers,
 			CurveAudit: audit.Hook(),
 		})

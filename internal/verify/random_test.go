@@ -7,6 +7,7 @@ import (
 
 	"powermap/internal/bdd"
 	"powermap/internal/blif"
+	"powermap/internal/network"
 	"powermap/internal/verify/equiv"
 )
 
@@ -77,14 +78,15 @@ func TestRandomNetworkRealizesDepth(t *testing.T) {
 	// requested depth.
 	nw := RandomNetwork("deep", RandConfig{Seed: 7, PIs: 4, Nodes: 6, Depth: 6, Outputs: 1})
 	depth := 0
+	level := map[*network.Node]int{}
 	for _, n := range nw.TopoOrder() {
 		d := 0
 		for _, f := range n.Fanin {
-			if fd := int(f.Arrival) + 1; fd > d {
+			if fd := level[f] + 1; fd > d {
 				d = fd
 			}
 		}
-		n.Arrival = float64(d) // reuse the annotation as a level scratch
+		level[n] = d
 		if d > depth {
 			depth = d
 		}

@@ -69,8 +69,9 @@ type (
 	Strategy = decomp.Strategy
 	// Objective selects the mapping cost (area-delay or power-delay).
 	Objective = mapper.Objective
-	// MapperBackend selects the mapper's match enumerator (structural
-	// pattern matching or cut-based NPN Boolean matching).
+	// MapperBackend selects the mapper: structural pattern matching with
+	// fanout division, cut-based NPN Boolean matching, or structural
+	// matching on the strict tree partition.
 	MapperBackend = mapper.Backend
 	// Benchmark is one entry of the built-in benchmark suite.
 	Benchmark = circuits.Benchmark
@@ -106,13 +107,15 @@ const (
 	PowerDelay = mapper.PowerDelay
 )
 
-// Mapper backends: the paper's structural pattern matcher (the default)
-// and the cut-based NPN Boolean matcher over a structurally hashed AIG.
-// Select with Options.Mapper; Options.LUT switches the cuts backend to a
-// generic k-LUT workload.
+// Mapper backends: the paper's structural pattern matcher with fanout
+// division (the default), the cut-based NPN Boolean matcher over a
+// structurally hashed AIG, and the structural matcher on the DAGON-style
+// tree partition (an ablation). Select with Options.Mapper; Options.LUT
+// switches the cuts backend to a generic k-LUT workload.
 const (
 	BackendStructural = mapper.BackendStructural
 	BackendCuts       = mapper.BackendCuts
+	BackendTree       = mapper.BackendTree
 )
 
 // Observability re-exports (see internal/obs): set Options.Obs to a
