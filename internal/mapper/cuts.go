@@ -3,7 +3,9 @@ package mapper
 import (
 	"context"
 	"fmt"
-	"strings"
+	"slices"
+	"sync"
+	"sync/atomic"
 
 	"powermap/internal/aig"
 	"powermap/internal/decomp"
@@ -35,10 +37,110 @@ type cellSig struct {
 	tc   npn.Transform
 }
 
-// classInfo is the NPN match cache entry for one canonical class.
+// classInfo is one NPN class that holds library cells.
 type classInfo struct {
-	sigs []cellSig       // library cells in this class (genlib mode)
+	key  string          // classKey: Match.Class and the journal's npn_class
+	sigs []cellSig       // library cells in this class, in library order
 	auts []npn.Transform // automorphism group of the representative
+}
+
+// rawKey names an n-input truth table.
+type rawKey struct {
+	n  uint8
+	tt uint64
+}
+
+// config is one NPN configuration of a cell class: an n-input table that
+// some library cell computes up to input permutation, input negation and
+// output negation. tf is npn.Canonical's transform of the table onto the
+// class representative, computed on first sight under once, so Map calls
+// running concurrently share it.
+type config struct {
+	class *classInfo
+	once  sync.Once
+	tf    npn.Transform
+}
+
+// transform returns npn.Canonical's transform of tt, c's table, and
+// whether this call ran npn.Canonical.
+func (c *config) transform(tt uint64, n int) (tf npn.Transform, canonicalized bool) {
+	c.once.Do(func() {
+		_, c.tf = npn.Canonical(tt, n)
+		canonicalized = true
+	})
+	return c.tf, canonicalized
+}
+
+// cellTable is the cut backend's view of one library: the NPN classes of
+// its cells and every configuration of those classes. A support-reduced
+// cut function matches some cell exactly when it is a configuration, so
+// every other function is rejected without canonicalizing it. The table is
+// built once per library and shared by every Map call; the configurations'
+// transforms are its only state that changes, and they are bounded by the
+// configuration set.
+type cellTable struct {
+	lib     *genlib.Library
+	configs map[rawKey]*config
+}
+
+// lastTable holds the cell table of the library mapped most recently. One
+// entry pins at most one library; mapping with another rebuilds it.
+var lastTable atomic.Pointer[cellTable]
+
+// cellTableFor returns lib's cell table, building it on first use. Calls
+// that race to build it all return the first table stored, so they share
+// one memo. The table is never rebuilt for the same library, so a library
+// must not change once the cuts backend has mapped with it.
+func cellTableFor(lib *genlib.Library) *cellTable {
+	old := lastTable.Load()
+	if old != nil && old.lib == lib {
+		return old
+	}
+	t := newCellTable(lib)
+	if !lastTable.CompareAndSwap(old, t) {
+		if cur := lastTable.Load(); cur != nil && cur.lib == lib {
+			return cur
+		}
+	}
+	return t
+}
+
+// newCellTable groups lib's cells by NPN class and enumerates every
+// configuration of each class. Cells with vacuous pins (function
+// independent of some pin) are skipped: their support does not cover
+// their pin list, so no cut function can bind every pin meaningfully.
+// Each distinct cell table is canonicalized once, through the memo.
+func newCellTable(lib *genlib.Library) *cellTable {
+	t := &cellTable{lib: lib, configs: make(map[rawKey]*config)}
+	for _, cell := range lib.Cells {
+		ni := cell.NumInputs()
+		if ni == 0 || ni > maxCutInputs {
+			continue
+		}
+		tt, ok := cell.TruthTable()
+		if !ok || len(npn.Support(tt, ni)) != ni {
+			continue
+		}
+		c := t.configs[rawKey{uint8(ni), tt}]
+		if c == nil {
+			rep, tf := npn.Canonical(tt, ni)
+			info := &classInfo{
+				key:  classKey(ni, rep),
+				auts: npn.Automorphisms(rep, ni, maxAutomorphisms),
+			}
+			orbit := npn.Orbit(rep, ni)
+			cs := make([]config, len(orbit))
+			for i, g := range orbit {
+				cs[i].class = info
+				t.configs[rawKey{uint8(ni), g}] = &cs[i]
+			}
+			c = t.configs[rawKey{uint8(ni), tt}]
+			c.once.Do(func() { c.tf = tf })
+		}
+		tc, _ := c.transform(tt, ni)
+		c.class.sigs = append(c.class.sigs, cellSig{cell: cell, tc: tc})
+	}
+	return t
 }
 
 // cutMatcher is the cut-based Boolean matching backend. All tables are
@@ -58,20 +160,26 @@ func (c *cutMatcher) matchesAt(n *network.Node, _ *matchScratch) []Match { retur
 // so levels must be derived from these sets rather than n.Fanin.
 func (c *cutMatcher) depsOf(n *network.Node) []*network.Node { return c.deps[n] }
 
-// classKey formats the NPN match-cache key: input count and canonical
-// representative, e.g. "3:0x96".
+// classKey formats an NPN class key, Match.Class: input count and
+// canonical representative, e.g. "3:0x96".
 func classKey(n int, rep uint64) string { return fmt.Sprintf("%d:%#x", n, rep) }
 
 // lutName derives the deterministic synthetic-cell name for a LUT match.
 func lutName(n int, tt uint64) string { return fmt.Sprintf("lut%d_%x", n, tt) }
 
+// matchKey identifies a match by its cell and bound nodes, for dedupe.
+type matchKey struct {
+	cell string
+	in   [maxCutInputs]*network.Node
+}
+
 // newCutMatcher builds the AIG, enumerates priority cuts, and precomputes
 // every node's Boolean matches. In genlib mode cut functions match library
-// cells through NPN class signatures; with opt.LUT > 0 every cut maps to a
-// synthetic LUT cell keyed by its (phase-adjusted, support-reduced) truth
-// table. Matches never need an output inversion — a match is only emitted
-// when every cell pin can be wired to an existing, topologically earlier
-// network signal of the exact phase the transform demands — so
+// cells through the library's cell table; with opt.LUT > 0 every cut maps
+// to a synthetic LUT cell keyed by its (phase-adjusted, support-reduced)
+// truth table. Matches never need an output inversion — a match is only
+// emitted when every cell pin can be wired to an existing, topologically
+// earlier network signal of the exact phase the transform demands — so
 // Netlist.Verify's per-gate BDD identity holds by construction.
 func newCutMatcher(ctx context.Context, sub *network.Network, opt Options) (*cutMatcher, error) {
 	lib := opt.Library
@@ -80,56 +188,18 @@ func newCutMatcher(ctx context.Context, sub *network.Network, opt Options) (*cut
 		return nil, fmt.Errorf("mapper: %w", err)
 	}
 	k := opt.LUT
+	var table *cellTable
 	if k == 0 {
 		if k = lib.MaxInputs(); k > maxCutInputs {
 			k = maxCutInputs
 		}
+		table = cellTableFor(lib)
 	}
 	cuts := subject.G.EnumerateCuts(k, cutLimit)
 
-	// NPN signatures of the library cells, grouped by canonical class.
-	// Cells with vacuous pins (function independent of some pin) are
-	// skipped: their support does not cover their pin list, so no cut
-	// function can bind every pin meaningfully.
-	sigsByKey := make(map[string][]cellSig)
-	if opt.LUT == 0 {
-		for _, cell := range lib.Cells {
-			ni := cell.NumInputs()
-			if ni == 0 || ni > maxCutInputs {
-				continue
-			}
-			tt, ok := cell.TruthTable()
-			if !ok {
-				continue
-			}
-			if len(npn.Support(tt, ni)) != ni {
-				continue
-			}
-			rep, tc := npn.Canonical(tt, ni)
-			key := classKey(ni, rep)
-			sigsByKey[key] = append(sigsByKey[key], cellSig{cell: cell, tc: tc})
-		}
-	}
-
-	type canonResult struct {
-		rep uint64
-		tf  npn.Transform
-	}
-	type rawKey struct {
-		n  uint8
-		tt uint64
-	}
-	canonCache := make(map[rawKey]canonResult)
-	canonical := func(tt uint64, n int) (uint64, npn.Transform) {
-		ck := rawKey{uint8(n), tt}
-		if r, ok := canonCache[ck]; ok {
-			return r.rep, r.tf
-		}
-		rep, tf := npn.Canonical(tt, n)
-		canonCache[ck] = canonResult{rep, tf}
-		return rep, tf
-	}
-	classes := make(map[string]*classInfo)
+	// LUT mode names every cut's class, so it canonicalizes each distinct
+	// function once per call.
+	lutClass := make(map[rawKey]string)
 	lutCells := make(map[rawKey]*genlib.Cell)
 	var protoPin genlib.Pin
 	if nand := lib.Nand2(); nand != nil {
@@ -140,22 +210,7 @@ func newCutMatcher(ctx context.Context, sub *network.Network, opt Options) (*cut
 	classGauge := opt.Obs.Gauge("mapper.npn_classes")
 	cutsCtr := opt.Obs.Counter("mapper.cuts_enumerated")
 	obsAIG(opt.Obs, subject.G)
-
-	// classAt resolves the match-cache entry for a canonical class,
-	// counting hits and misses.
-	classAt := func(key string, rep uint64, m int) *classInfo {
-		if info, ok := classes[key]; ok {
-			hits.Inc()
-			return info
-		}
-		misses.Inc()
-		info := &classInfo{sigs: sigsByKey[key]}
-		if len(info.sigs) > 0 {
-			info.auts = npn.Automorphisms(rep, m, maxAutomorphisms)
-		}
-		classes[key] = info
-		return info
-	}
+	classes := make(map[string]bool) // classes the run's cut functions matched
 
 	// localMatch covers a node whose global function strash-folded to a
 	// constant with its literal local gate: the library inverter/NAND in
@@ -198,6 +253,7 @@ func newCutMatcher(ctx context.Context, sub *network.Network, opt Options) (*cut
 		matches: make(map[*network.Node][]Match),
 		deps:    make(map[*network.Node][]*network.Node),
 	}
+	seen := make(map[matchKey]bool)
 	for _, n := range sub.TopoOrder() {
 		if n.IsSource() {
 			continue
@@ -222,18 +278,14 @@ func newCutMatcher(ctx context.Context, sub *network.Network, opt Options) (*cut
 			continue
 		}
 		nodeTopo := subject.Topo[n]
-		seen := make(map[string]bool)
+		clear(seen)
 		var out []Match
-		add := func(m Match) {
-			var b strings.Builder
-			b.WriteString(m.Cell.Name)
-			for _, in := range m.Inputs {
-				b.WriteByte('|')
-				b.WriteString(in.Name)
-			}
-			if key := b.String(); !seen[key] {
+		add := func(cell *genlib.Cell, pins []*network.Node, class string) {
+			key := matchKey{cell: cell.Name}
+			copy(key.in[:], pins)
+			if !seen[key] {
 				seen[key] = true
-				out = append(out, m)
+				out = append(out, Match{Cell: cell, Inputs: slices.Clone(pins), Class: class})
 			}
 		}
 
@@ -246,12 +298,12 @@ func newCutMatcher(ctx context.Context, sub *network.Network, opt Options) (*cut
 			if ln.Neg() {
 				tt = ^tt & npn.Mask(nl)
 			}
+			var pins [maxCutInputs]*network.Node
 			if opt.LUT > 0 {
 				// LUT mode: pick, per leaf, whichever phase has a network
 				// signal (every AND node's negative phase does — the NAND2
 				// that created it), fold the chosen phases into the truth
 				// table, reduce, and key a synthetic cell by the raw table.
-				inputs := make([]*network.Node, nl)
 				var flips uint8
 				for i, leaf := range leaves {
 					r := subject.Reps[aig.MakeLit(leaf, false)]
@@ -262,7 +314,7 @@ func newCutMatcher(ctx context.Context, sub *network.Network, opt Options) (*cut
 						}
 						flips |= 1 << uint(i)
 					}
-					inputs[i] = r
+					pins[i] = r
 				}
 				tt = npn.FlipInputs(tt, nl, flips)
 				rtt, sup := npn.Reduce(tt, nl)
@@ -270,10 +322,17 @@ func newCutMatcher(ctx context.Context, sub *network.Network, opt Options) (*cut
 				if m == 0 {
 					return nil
 				}
-				rep, _ := canonical(rtt, m)
-				key := classKey(m, rep)
-				classAt(key, rep, m)
 				ck := rawKey{uint8(m), rtt}
+				key, ok := lutClass[ck]
+				if ok {
+					hits.Inc()
+				} else {
+					misses.Inc()
+					rep, _ := npn.Canonical(rtt, m)
+					key = classKey(m, rep)
+					lutClass[ck] = key
+				}
+				classes[key] = true
 				cell := lutCells[ck]
 				if cell == nil {
 					cell, err = genlib.NewLUTCell(lutName(m, rtt), m, rtt, float64(int(1)<<uint(m))/2, protoPin)
@@ -282,11 +341,10 @@ func newCutMatcher(ctx context.Context, sub *network.Network, opt Options) (*cut
 					}
 					lutCells[ck] = cell
 				}
-				pins := make([]*network.Node, m)
 				for i, s := range sup {
-					pins[i] = inputs[s]
+					pins[i] = pins[s]
 				}
-				add(Match{Cell: cell, Inputs: pins, Class: key})
+				add(cell, pins[:m], key)
 				return nil
 			}
 			rtt, sup := npn.Reduce(tt, nl)
@@ -294,12 +352,20 @@ func newCutMatcher(ctx context.Context, sub *network.Network, opt Options) (*cut
 			if m == 0 {
 				return nil
 			}
-			rep, tf := canonical(rtt, m)
-			key := classKey(m, rep)
-			info := classAt(key, rep, m)
-			if len(info.sigs) == 0 {
+			c := table.configs[rawKey{uint8(m), rtt}]
+			if c == nil {
+				// No library cell is NPN-equivalent to the cut function.
+				hits.Inc()
 				return nil
 			}
+			tf, canonicalized := c.transform(rtt, m)
+			if canonicalized {
+				misses.Inc()
+			} else {
+				hits.Inc()
+			}
+			info := c.class
+			classes[info.key] = true
 			invTf := tf.Invert()
 			for _, sig := range info.sigs {
 				for _, aut := range info.auts {
@@ -313,7 +379,6 @@ func newCutMatcher(ctx context.Context, sub *network.Network, opt Options) (*cut
 						// an output inversion cannot be absorbed.
 						continue
 					}
-					inputs := make([]*network.Node, m)
 					ok := true
 					for j := 0; j < m; j++ {
 						leaf := leaves[sup[u.Perm[j]]]
@@ -323,12 +388,11 @@ func newCutMatcher(ctx context.Context, sub *network.Network, opt Options) (*cut
 							ok = false
 							break
 						}
-						inputs[j] = r
+						pins[j] = r
 					}
-					if !ok {
-						continue
+					if ok {
+						add(sig.cell, pins[:m], info.key)
 					}
-					add(Match{Cell: sig.cell, Inputs: inputs, Class: key})
 				}
 			}
 			return nil

@@ -55,15 +55,18 @@ const (
 	BackendTree
 )
 
-// String returns the backend's -mapper spelling.
+// String returns the backend's -mapper spelling, or Backend(n) for a
+// value that names no backend.
 func (b Backend) String() string {
 	switch b {
+	case BackendStructural:
+		return "dag"
 	case BackendCuts:
 		return "cuts"
 	case BackendTree:
 		return "tree"
 	}
-	return "dag"
+	return fmt.Sprintf("Backend(%d)", int(b))
 }
 
 // ParseBackend resolves a -mapper name and a generic-LUT arity into a
@@ -252,6 +255,11 @@ func Map(ctx context.Context, sub *network.Network, model *prob.Model, opt Optio
 func newState(ctx context.Context, sub *network.Network, model *prob.Model, opt Options) (*state, error) {
 	if opt.Library == nil {
 		return nil, fmt.Errorf("mapper: no library given")
+	}
+	switch opt.Backend {
+	case BackendStructural, BackendCuts, BackendTree:
+	default:
+		return nil, fmt.Errorf("mapper: unknown backend %v (want dag, tree or cuts)", opt.Backend)
 	}
 	if math.IsNaN(opt.Epsilon) || math.IsInf(opt.Epsilon, 0) {
 		return nil, fmt.Errorf("mapper: epsilon %v is not a finite width", opt.Epsilon)

@@ -218,29 +218,48 @@ func TestMatcherFindsComplexGates(t *testing.T) {
 	}
 }
 
+// TestXorLeafDagMatch: the structural matcher binds xor2 where the subject
+// graph has lib2's xor2 pattern shape, n(n(i(p0),p1),n(i(p1),p0)), and the
+// cut matcher finds xor2 over the two inputs of the 4-NAND XOR, a shape no
+// xor2 pattern has.
 func TestXorLeafDagMatch(t *testing.T) {
-	// Build the canonical NAND-tree for XOR with shared leaves:
-	// x = !(a·b); y = !(a·x); z = !(b·x); out = !(y·z) = a XOR b.
-	nw := network.New("xor")
+	lib := genlib.Lib2()
+	xor2 := lib.CellByName("xor2")
+	offers := func(ms []Match, want func([]*network.Node) bool) bool {
+		return slices.ContainsFunc(ms, func(m Match) bool { return m.Cell == xor2 && want(m.Inputs) })
+	}
+
+	// out = !(!(!a·b)·!(!b·a)) = a XOR b.
+	nw := network.New("xor-pattern")
 	a, b := nw.AddPI("a"), nw.AddPI("b")
-	x := nw.AddNode("x", []*network.Node{a, b}, decomp.Nand2Cover())
-	y := nw.AddNode("y", []*network.Node{a, x}, decomp.Nand2Cover())
-	z := nw.AddNode("z", []*network.Node{b, x}, decomp.Nand2Cover())
-	out := nw.AddNode("out", []*network.Node{y, z}, decomp.Nand2Cover())
+	ia := nw.AddNode("ia", []*network.Node{a}, decomp.InvCover())
+	ib := nw.AddNode("ib", []*network.Node{b}, decomp.InvCover())
+	x := nw.AddNode("x", []*network.Node{ia, b}, decomp.Nand2Cover())
+	y := nw.AddNode("y", []*network.Node{ib, a}, decomp.Nand2Cover())
+	out := nw.AddNode("out", []*network.Node{x, y}, decomp.Nand2Cover())
 	nw.MarkOutput("o", out)
-	if _, err := prob.Compute(nw, nil, huffman.Static); err != nil {
+	if !offers(newMatcher(lib, false).matchesAt(out, new(matchScratch)), func(in []*network.Node) bool {
+		return slices.Equal(in, []*network.Node{a, b})
+	}) {
+		t.Error("structural matcher does not bind xor2 to [a b] at the xor2 pattern's root")
+	}
+
+	// x = !(a·b); y = !(a·x); z = !(b·x); out = !(y·z) = a XOR b.
+	nw = network.New("xor-nand4")
+	a, b = nw.AddPI("a"), nw.AddPI("b")
+	x = nw.AddNode("x", []*network.Node{a, b}, decomp.Nand2Cover())
+	y = nw.AddNode("y", []*network.Node{a, x}, decomp.Nand2Cover())
+	z := nw.AddNode("z", []*network.Node{b, x}, decomp.Nand2Cover())
+	out = nw.AddNode("out", []*network.Node{y, z}, decomp.Nand2Cover())
+	nw.MarkOutput("o", out)
+	cm, err := newCutMatcher(context.Background(), nw, Options{Library: lib, Backend: BackendCuts})
+	if err != nil {
 		t.Fatal(err)
 	}
-	lib := genlib.Lib2()
-	m := newMatcher(lib, false)
-	found := false
-	for _, match := range m.matchesAt(out, new(matchScratch)) {
-		if match.Cell.Name == "xor2" {
-			found = true
-		}
-	}
-	if !found {
-		t.Skip("xor2 pattern is not a leaf-DAG shape reachable by tree matching on this structure")
+	if !offers(cm.matchesAt(out, nil), func(in []*network.Node) bool {
+		return len(in) == 2 && slices.Contains(in, a) && slices.Contains(in, b)
+	}) {
+		t.Errorf("cut matcher offers %s at the 4-NAND XOR, want xor2 over {a, b}", matchNames(cm.matchesAt(out, nil)))
 	}
 }
 
@@ -417,6 +436,21 @@ func TestMapRejectsBadEpsilonAndRelax(t *testing.T) {
 			t.Errorf("%s: %v", tc.name, err)
 		case tc.want != "" && (err == nil || !strings.Contains(err.Error(), tc.want)):
 			t.Errorf("%s: err = %v, want an error naming %s", tc.name, err, tc.want)
+		}
+	}
+}
+
+// TestMapRejectsUnknownBackend: a Backend value that names no backend is
+// an error naming it, not a silent structural run.
+func TestMapRejectsUnknownBackend(t *testing.T) {
+	if got := Backend(7).String(); got != "Backend(7)" {
+		t.Errorf("Backend(7).String() = %q, want Backend(7)", got)
+	}
+	sub, model := subject(t, smallBlif)
+	for _, b := range []Backend{-1, 3, 7} {
+		nl, err := Map(context.Background(), sub, model, Options{Library: genlib.Lib2(), Backend: b})
+		if err == nil || !strings.Contains(err.Error(), b.String()) {
+			t.Errorf("Map with %s: netlist %v, err %v; want an error naming the backend", b, nl != nil, err)
 		}
 	}
 }

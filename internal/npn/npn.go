@@ -177,6 +177,34 @@ func swapInputs(g uint64, i, j int) uint64 {
 	return g ^ t ^ t<<d
 }
 
+// Orbit returns every table NPN-equivalent to the n-input table f, f
+// first, in breadth-first order. Adjacent input swaps, a flip of input 0
+// and output negation generate the whole NPN group: the swaps generate
+// every permutation, and conjugating the flip by them flips any input.
+func Orbit(f uint64, n int) []uint64 {
+	mask := Mask(n)
+	f &= mask
+	out := []uint64{f}
+	seen := map[uint64]bool{f: true}
+	visit := func(g uint64) {
+		if !seen[g] {
+			seen[g] = true
+			out = append(out, g)
+		}
+	}
+	for k := 0; k < len(out); k++ {
+		g := out[k]
+		for i := 0; i+1 < n; i++ {
+			visit(swapInputs(g, i, i+1))
+		}
+		if n > 0 {
+			visit(flipInput(g, 0))
+		}
+		visit(^g & mask)
+	}
+	return out
+}
+
 // permute returns f with inputs rewired by perm alone (no flips, no output
 // negation): g(x) = f(y), y_j = x_{perm[j]}, i.e. input j of f moves to
 // position perm[j]. Placing the inputs one by one, each with one input

@@ -249,6 +249,70 @@ func TestCanonicalOrbitN4(t *testing.T) {
 	}
 }
 
+// TestOrbit checks Orbit against brute force: for every n-input function
+// with n <= 3, and for sampled functions of 4 to 6 inputs, the orbit holds
+// each table once, f first, and its members (up to 64 evenly spaced ones)
+// canonicalize to f's representative. For n <= 4 the orbit must be
+// exactly the set of every transform's image of f; above, it must hold
+// the images of random transforms.
+func TestOrbit(t *testing.T) {
+	r := rand.New(rand.NewSource(11))
+	for n := 0; n <= Max; n++ {
+		var fs []uint64
+		if n <= 3 {
+			for f := uint64(0); f <= Mask(n); f++ {
+				fs = append(fs, f)
+			}
+		} else {
+			for i := 0; i < 4; i++ {
+				fs = append(fs, r.Uint64()&Mask(n))
+			}
+			fs = append(fs, Var(0, n)&Var(n-1, n), Var(0, n)^Var(1, n))
+		}
+		for _, f := range fs {
+			orbit := Orbit(f, n)
+			if orbit[0] != f {
+				t.Fatalf("n=%d f=%#x: orbit starts at %#x", n, f, orbit[0])
+			}
+			in := make(map[uint64]bool, len(orbit))
+			rep, _ := Canonical(f, n)
+			stride := max(1, len(orbit)/64)
+			for k, g := range orbit {
+				if in[g] {
+					t.Fatalf("n=%d f=%#x: %#x listed twice", n, f, g)
+				}
+				in[g] = true
+				if k%stride != 0 {
+					continue
+				}
+				if rg, _ := Canonical(g, n); rg != rep {
+					t.Fatalf("n=%d f=%#x: orbit member %#x has representative %#x, want %#x", n, f, g, rg, rep)
+				}
+			}
+			if n <= 4 {
+				images := make(map[uint64]bool)
+				for _, u := range allTransforms(n) {
+					images[u.Apply(f, n)] = true
+				}
+				if len(images) != len(in) {
+					t.Fatalf("n=%d f=%#x: orbit has %d tables, transforms reach %d", n, f, len(in), len(images))
+				}
+				for g := range images {
+					if !in[g] {
+						t.Fatalf("n=%d f=%#x: transform image %#x missing from the orbit", n, f, g)
+					}
+				}
+			} else {
+				for _, u := range []Transform{randTransform(r, n), randTransform(r, n), randTransform(r, n)} {
+					if g := u.Apply(f, n); !in[g] {
+						t.Fatalf("n=%d f=%#x: transform image %#x missing from the orbit", n, f, g)
+					}
+				}
+			}
+		}
+	}
+}
+
 // TestTransformAlgebra proves Invert and Compose against Apply on random
 // functions for every n: round-trips restore f, and composition equals
 // sequential application.
@@ -446,6 +510,23 @@ func BenchmarkCanonical(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				Canonical(fs[i%len(fs)], n)
+			}
+		})
+	}
+}
+
+// BenchmarkOrbit enumerates the configurations of canonical
+// representatives, as the mapper's cell table does once per library.
+func BenchmarkOrbit(b *testing.B) {
+	for n := 4; n <= Max; n++ {
+		fs := benchTables(n)
+		for i, f := range fs {
+			fs[i], _ = Canonical(f, n)
+		}
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				Orbit(fs[i%len(fs)], n)
 			}
 		})
 	}

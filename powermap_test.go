@@ -127,6 +127,19 @@ func TestFacadeLibraryAndBenchmarks(t *testing.T) {
 	}
 }
 
+// TestFacadeRejectsUnknownBackend: a MapperBackend value that names no
+// backend fails the run instead of mapping with the structural matcher.
+func TestFacadeRejectsUnknownBackend(t *testing.T) {
+	b, err := BenchmarkByName("cm42a")
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := SynthesizeContext(context.Background(), b.Build(), Options{Method: MethodVI, Mapper: MapperBackend(7)})
+	if err == nil || !strings.Contains(err.Error(), "Backend(7)") {
+		t.Fatalf("SynthesizeContext with MapperBackend(7): result %v, err %v; want an error naming Backend(7)", res != nil, err)
+	}
+}
+
 func TestFacadeFigure1AndEstimation(t *testing.T) {
 	nw, probs := Figure1()
 	model, err := EstimateActivities(nw, probs, DominoP)
