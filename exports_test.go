@@ -25,7 +25,6 @@ var testOracles = map[string]string{
 	"sop.ParseCover":              "reads Cover.String back; the round-trip and FuzzParseCover oracle",
 	"npn.Transform.Apply":         "the NPN transform algebra the npn tests and FuzzCanonical check against",
 	"equiv.MismatchError.Witness": "facade users read the counterexample of a failed Verify",
-	"bdd.Root.Release":            "half of the Protect/Release root contract; ROADMAP item 4 gives it a caller",
 	"obs.WritePrometheus":         "benchmark/serve_test.go parses its exposition; benchmark/ changes only with the benchmark",
 }
 

@@ -9,10 +9,12 @@
 // The kernel is production-grade: every constructive operation returns an
 // error instead of panicking (a too-wide function yields a wrapped
 // ErrNodeLimit), node storage is garbage-collected by mark-and-sweep from
-// external root handles (Protect/Release), the computed table is size
-// bounded and cleared on GC, and the variable order can be improved at run
-// time by Rudell-style sifting (Reorder), either explicitly or
-// automatically on live-node growth via Maintain.
+// external root handles (Protect/Release), neither table is a Go map (each
+// variable's unique table chains its nodes through the node store, and the
+// computed table is a size-bounded, direct-mapped array cleared on GC), and
+// the variable order can be improved at run time by Rudell-style sifting
+// (Reorder), either explicitly or automatically on live-node growth via
+// Maintain.
 //
 // A Ref identifies a function, not a storage slot: garbage collection and
 // reordering both preserve the Ref → function mapping of every live
@@ -22,7 +24,11 @@
 // The manager is not safe for concurrent use.
 package bdd
 
-import "powermap/internal/sop"
+import (
+	"math/bits"
+
+	"powermap/internal/sop"
+)
 
 // Ref identifies a BDD node within a Manager. The constants False and True
 // are valid in every manager.
@@ -38,24 +44,42 @@ const (
 // tested by the node (not its level: levels move under reordering);
 // terminals use the sentinel m.termVar and free slots use varFree. rc
 // counts references from parent nodes only — external references are
-// tracked separately in the root table.
+// tracked separately in the root table. next links the node into its
+// variable's unique-table chain; Ref 0 (False) ends a chain, since
+// terminals are never in a table.
 type node struct {
 	varID  int32
 	lo, hi Ref
 	rc     int32
+	next   Ref
 }
 
 // varFree marks a reclaimed slot on the free list.
 const varFree = int32(-1)
 
-type pair struct {
-	lo, hi Ref
+// subtable is one variable's unique table: a power-of-two bucket array of
+// chain heads, the chains running through the nodes' next fields.
+type subtable struct {
+	buckets []Ref
+	shift   uint32 // 32 - log2(len(buckets))
+	count   int    // nodes in the table
 }
 
-type cacheKey struct {
+// entry is one computed-table slot. op holds the operator code plus one,
+// so the zero entry marks an empty slot; the binary operators leave h 0.
+type entry struct {
 	op      int32
 	f, g, h Ref
+	r       Ref
 }
+
+// Initial table sizes: every subtable starts at minBuckets chain heads and
+// the computed table at min(minCache, its bound) slots; both double as
+// the nodes they serve outgrow them.
+const (
+	minBuckets = 8
+	minCache   = 256
+)
 
 const (
 	opAnd = iota
@@ -78,9 +102,10 @@ type Config struct {
 	// NodeLimit caps live internal nodes; operations that would exceed it
 	// return a wrapped ErrNodeLimit. 0 selects DefaultNodeLimit.
 	NodeLimit int
-	// CacheLimit bounds the computed-table entry count; when full the
-	// table is cleared (counted in Stats.CacheResets). 0 selects
-	// DefaultCacheLimit; negative leaves the table unbounded.
+	// CacheLimit bounds the computed-table occupancy: the table never
+	// grows past the largest power of two at or below it, and a new entry
+	// overwrites whatever its slot held. 0 selects DefaultCacheLimit;
+	// negative leaves the table free to grow with the live nodes.
 	CacheLimit int
 	// GCThreshold is the live-node count at which Maintain first runs a
 	// mark-and-sweep; after each GC the trigger doubles from the surviving
@@ -139,8 +164,9 @@ type Stats struct {
 	// swaps they performed.
 	ReorderRuns  int64
 	ReorderSwaps int64
-	// CacheResets counts computed-table clears (size bound or GC);
-	// CacheEntries is the current occupancy.
+	// CacheResets counts whole computed-table clears, which only GC (and
+	// with it Reorder) makes; CacheEntries is the current occupancy, the
+	// number of filled slots.
 	CacheResets  int64
 	CacheEntries int64
 }
@@ -148,11 +174,15 @@ type Stats struct {
 // Manager owns a forest of ROBDD nodes over a dynamic variable order.
 // Variable v initially has level v; Reorder may move it.
 type Manager struct {
-	nodes    []node
-	free     []Ref
-	unique   []map[pair]Ref // per-variable unique tables
-	computed map[cacheKey]Ref
-	roots    map[Ref]int
+	nodes  []node
+	free   []Ref
+	unique []subtable // per-variable unique tables
+	roots  map[Ref]int
+
+	cache      []entry // computed table, a power of two long
+	cacheShift uint32  // 32 - log2(len(cache))
+	cacheUsed  int     // filled slots
+	cacheCap   int     // the table's size bound, a power of two (2^31 when unbounded)
 
 	var2level []int32 // variable -> level; entry numVars is the terminal level
 	level2var []int32 // level -> variable
@@ -161,14 +191,15 @@ type Manager struct {
 	termVar int32
 	live    int // live internal nodes (terminals excluded)
 
-	limit      int
-	cacheLimit int
+	limit int
 
 	gcThreshold      int
 	gcAt             int
 	autoReorder      bool
 	reorderThreshold int
 	reorderAt        int
+
+	affected []Ref // swapAdjacent's work list, reused across swaps
 
 	stats Stats
 }
@@ -177,12 +208,11 @@ type Manager struct {
 func NewWith(numVars int, cfg Config) *Manager {
 	cfg = cfg.withDefaults()
 	m := &Manager{
-		computed:         make(map[cacheKey]Ref),
 		roots:            make(map[Ref]int),
 		numVars:          numVars,
 		termVar:          int32(numVars),
 		limit:            cfg.NodeLimit,
-		cacheLimit:       cfg.CacheLimit,
+		cacheCap:         1 << 31,
 		gcThreshold:      cfg.GCThreshold,
 		gcAt:             cfg.GCThreshold,
 		autoReorder:      cfg.Reorder,
@@ -193,10 +223,16 @@ func NewWith(numVars int, cfg Config) *Manager {
 		node{varID: m.termVar}, // False
 		node{varID: m.termVar}, // True
 	)
-	m.unique = make([]map[pair]Ref, numVars)
+	m.unique = make([]subtable, numVars)
 	for v := range m.unique {
-		m.unique[v] = make(map[pair]Ref)
+		m.unique[v] = subtable{buckets: make([]Ref, minBuckets), shift: 32 - log2(minBuckets)}
 	}
+	if cfg.CacheLimit > 0 {
+		m.cacheCap = 1 << log2(cfg.CacheLimit)
+	}
+	size := min(minCache, m.cacheCap)
+	m.cache = make([]entry, size)
+	m.cacheShift = 32 - log2(size)
 	m.var2level = make([]int32, numVars+1)
 	m.level2var = make([]int32, numVars)
 	for v := 0; v <= numVars; v++ {
@@ -212,8 +248,17 @@ func NewWith(numVars int, cfg Config) *Manager {
 func (m *Manager) Stats() Stats {
 	st := m.stats
 	st.Live = int64(m.live)
-	st.CacheEntries = int64(len(m.computed))
+	st.CacheEntries = int64(m.cacheUsed)
 	return st
+}
+
+// log2 returns the floor of log2(n) for n ≥ 1.
+func log2(n int) uint32 { return uint32(bits.Len(uint(n)) - 1) }
+
+// pairSlot hashes a (lo, hi) pair into a table of 1<<(32-shift) slots,
+// taking the top bits of a multiplicative hash.
+func pairSlot(lo, hi Ref, shift uint32) uint32 {
+	return ((uint32(lo)*0x9E3779B1 + uint32(hi)) * 0x85EBCA77) >> shift
 }
 
 // level returns the order position of r's test variable; terminals sit
@@ -231,25 +276,36 @@ func (m *Manager) Var(v int) (Ref, error) {
 // mk returns the canonical node (v, lo, hi), reusing the unique table and
 // applying the lo==hi reduction rule.
 func (m *Manager) mk(v int32, lo, hi Ref) (Ref, error) {
-	if lo == hi {
-		m.stats.UniqueHits++
-		return lo, nil
-	}
-	key := pair{lo, hi}
-	if r, ok := m.unique[v][key]; ok {
-		m.stats.UniqueHits++
+	if r, ok := m.lookup(v, lo, hi); ok {
 		return r, nil
 	}
-	return m.alloc(v, lo, hi)
-}
-
-// alloc creates a fresh node, preferring recycled free-list slots. The
-// internal reference counts of both children are bumped; the new node
-// starts with rc 0 (nothing points at it yet).
-func (m *Manager) alloc(v int32, lo, hi Ref) (Ref, error) {
 	if m.live >= m.limit {
 		return False, &NodeLimitError{Live: m.live, Limit: m.limit}
 	}
+	return m.alloc(v, lo, hi), nil
+}
+
+// lookup answers mk from the reduction rule or v's unique table.
+func (m *Manager) lookup(v int32, lo, hi Ref) (Ref, bool) {
+	if lo == hi {
+		m.stats.UniqueHits++
+		return lo, true
+	}
+	t := &m.unique[v]
+	for r := t.buckets[pairSlot(lo, hi, t.shift)]; r != False; r = m.nodes[r].next {
+		if n := &m.nodes[r]; n.lo == lo && n.hi == hi {
+			m.stats.UniqueHits++
+			return r, true
+		}
+	}
+	return False, false
+}
+
+// alloc creates the node (v, lo, hi), preferring recycled free-list slots,
+// and links it into v's unique table. The internal reference counts of
+// both children are bumped; the new node starts with rc 0 (nothing points
+// at it yet). The caller has checked the node limit.
+func (m *Manager) alloc(v int32, lo, hi Ref) Ref {
 	var r Ref
 	if n := len(m.free); n > 0 {
 		r = m.free[n-1]
@@ -261,24 +317,114 @@ func (m *Manager) alloc(v int32, lo, hi Ref) (Ref, error) {
 	}
 	m.nodes[lo].rc++
 	m.nodes[hi].rc++
-	m.unique[v][pair{lo, hi}] = r
+	m.link(r)
 	m.live++
 	if int64(m.live) > m.stats.PeakLive {
 		m.stats.PeakLive = int64(m.live)
 	}
 	m.stats.Allocs++
-	return r, nil
+	if m.live > len(m.cache) && len(m.cache) < m.cacheCap {
+		m.growCache()
+	}
+	return r
 }
 
-// cachePut inserts into the computed table, clearing it first when the
-// size bound is reached (cheap amortized eviction; correctness is
-// unaffected because entries are pure memoization).
-func (m *Manager) cachePut(k cacheKey, r Ref) {
-	if m.cacheLimit > 0 && len(m.computed) >= m.cacheLimit {
-		m.computed = make(map[cacheKey]Ref)
+// link adds node r to its variable's unique table, doubling the table
+// once it holds more nodes than buckets.
+func (m *Manager) link(r Ref) {
+	t := &m.unique[m.nodes[r].varID]
+	if t.count >= len(t.buckets) {
+		m.growSubtable(t)
+	}
+	m.push(t, r)
+	t.count++
+}
+
+// push puts node r at the head of its chain in t.
+func (m *Manager) push(t *subtable, r Ref) {
+	n := &m.nodes[r]
+	b := &t.buckets[pairSlot(n.lo, n.hi, t.shift)]
+	n.next = *b
+	*b = r
+}
+
+// unlink removes node r from its variable's unique table.
+func (m *Manager) unlink(r Ref) {
+	n := &m.nodes[r]
+	t := &m.unique[n.varID]
+	p := &t.buckets[pairSlot(n.lo, n.hi, t.shift)]
+	for *p != r {
+		p = &m.nodes[*p].next
+	}
+	*p = n.next
+	t.count--
+}
+
+// growSubtable doubles t's bucket array and rehashes its chains.
+func (m *Manager) growSubtable(t *subtable) {
+	old := t.buckets
+	t.buckets = make([]Ref, 2*len(old))
+	t.shift--
+	for _, r := range old {
+		for r != False {
+			next := m.nodes[r].next
+			m.push(t, r)
+			r = next
+		}
+	}
+}
+
+// cacheSlot hashes a computed-table key into m.cache.
+func (m *Manager) cacheSlot(op int32, f, g, h Ref) *entry {
+	x := uint32(f)*0x9E3779B1 + uint32(g)
+	x = x*0x85EBCA77 + uint32(h)
+	x = (x*0xC2B2AE3D + uint32(op)) * 0x27D4EB2F
+	return &m.cache[x>>m.cacheShift]
+}
+
+// cacheGet looks a result up in the computed table.
+func (m *Manager) cacheGet(op int32, f, g, h Ref) (Ref, bool) {
+	if e := m.cacheSlot(op, f, g, h); e.op == op+1 && e.f == f && e.g == g && e.h == h {
+		m.stats.CacheHits++
+		return e.r, true
+	}
+	m.stats.CacheMisses++
+	return False, false
+}
+
+// cachePut stores a result in its computed-table slot, overwriting
+// whatever the slot held. Losing an entry is safe: it only skips a
+// recomputation, which finds every node it needs still in the unique
+// tables (nothing is freed between two clears), so it allocates nothing.
+func (m *Manager) cachePut(op int32, f, g, h, r Ref) {
+	e := m.cacheSlot(op, f, g, h)
+	if e.op == 0 {
+		m.cacheUsed++
+	}
+	*e = entry{op: op + 1, f: f, g: g, h: h, r: r}
+}
+
+// growCache doubles the computed table and rehashes its entries.
+func (m *Manager) growCache() {
+	old := m.cache
+	m.cache = make([]entry, 2*len(old))
+	m.cacheShift--
+	m.cacheUsed = 0
+	for _, e := range old {
+		if e.op != 0 {
+			m.cachePut(e.op-1, e.f, e.g, e.h, e.r)
+		}
+	}
+}
+
+// clearCache empties the computed table, which GC must do before it frees
+// a node an entry may name.
+func (m *Manager) clearCache() {
+	if m.cacheUsed > 0 {
+		clear(m.cache)
+		m.cacheUsed = 0
 		m.stats.CacheResets++
 	}
-	m.computed[k] = r
 }
 
 // Not returns the complement of f.
@@ -340,12 +486,9 @@ func (m *Manager) apply(op int32, f, g Ref) (Ref, error) {
 	if a > b {
 		a, b = b, a
 	}
-	key := cacheKey{op: op, f: a, g: b}
-	if r, ok := m.computed[key]; ok {
-		m.stats.CacheHits++
+	if r, ok := m.cacheGet(op, a, b, False); ok {
 		return r, nil
 	}
-	m.stats.CacheMisses++
 	top := m.level(a)
 	if l := m.level(b); l < top {
 		top = l
@@ -365,7 +508,7 @@ func (m *Manager) apply(op int32, f, g Ref) (Ref, error) {
 	if err != nil {
 		return False, err
 	}
-	m.cachePut(key, r)
+	m.cachePut(op, a, b, False, r)
 	return r, nil
 }
 
@@ -390,12 +533,9 @@ func (m *Manager) Ite(f, g, h Ref) (Ref, error) {
 	case g == True && h == False:
 		return f, nil
 	}
-	key := cacheKey{op: opIte, f: f, g: g, h: h}
-	if r, ok := m.computed[key]; ok {
-		m.stats.CacheHits++
+	if r, ok := m.cacheGet(opIte, f, g, h); ok {
 		return r, nil
 	}
-	m.stats.CacheMisses++
 	top := m.level(f)
 	if l := m.level(g); l < top {
 		top = l
@@ -419,7 +559,7 @@ func (m *Manager) Ite(f, g, h Ref) (Ref, error) {
 	if err != nil {
 		return False, err
 	}
-	m.cachePut(key, r)
+	m.cachePut(opIte, f, g, h, r)
 	return r, nil
 }
 

@@ -413,19 +413,48 @@ func TestRootRefcounting(t *testing.T) {
 	}
 }
 
+// TestCacheBound: the computed table is a hard bound on occupancy and a
+// pure memo. Under CacheLimit 16 it never holds more than 16 entries,
+// evicting as it goes, yet every result equals the Ref an unbounded
+// manager computes for the same operations; a GC clears it whole and
+// counts in CacheResets.
 func TestCacheBound(t *testing.T) {
-	m := wrap(t, NewWith(10, Config{CacheLimit: 16}))
-	_ = xorChain(m, 10)
-	for i := 0; i < 9; i++ {
-		_ = m.And(m.Var(i), m.Var(i+1))
-		_ = m.Or(m.Var(i), m.Var(i+1))
+	bounded := wrap(t, NewWith(10, Config{CacheLimit: 16}))
+	free := wrap(t, NewWith(10, Config{CacheLimit: -1}))
+	r := rand.New(rand.NewSource(3))
+	fs, gs := []Ref{False, True}, []Ref{False, True}
+	for i := 0; i < 10; i++ {
+		fs, gs = append(fs, bounded.Var(i)), append(gs, free.Var(i))
 	}
-	st := m.m.Stats()
-	if st.CacheResets == 0 {
-		t.Error("expected cache resets with a 16-entry bound")
+	for step := 0; step < 400; step++ {
+		a, b, c := r.Intn(len(fs)), r.Intn(len(fs)), r.Intn(len(fs))
+		var f, g Ref
+		switch step % 3 {
+		case 0:
+			f, g = bounded.Xor(fs[a], fs[b]), free.Xor(gs[a], gs[b])
+		case 1:
+			f, g = bounded.Or(bounded.And(fs[a], fs[b]), fs[c]), free.Or(free.And(gs[a], gs[b]), gs[c])
+		default:
+			f, g = bounded.Ite(fs[a], fs[b], fs[c]), free.Ite(gs[a], gs[b], gs[c])
+		}
+		if f != g {
+			t.Fatalf("step %d: bounded manager returned %d, unbounded %d", step, f, g)
+		}
+		if n := bounded.m.Stats().CacheEntries; n > 16 {
+			t.Fatalf("step %d: cache occupancy %d exceeds bound 16", step, n)
+		}
+		fs, gs = append(fs, f), append(gs, g)
 	}
-	if st.CacheEntries > 16 {
-		t.Errorf("cache occupancy %d exceeds bound 16", st.CacheEntries)
+	st, fst := bounded.m.Stats(), free.m.Stats()
+	if st.CacheMisses <= fst.CacheMisses {
+		t.Errorf("the bound evicted nothing: %d misses bounded, %d unbounded", st.CacheMisses, fst.CacheMisses)
+	}
+	if st.CacheResets != 0 {
+		t.Errorf("%d cache resets before any GC", st.CacheResets)
+	}
+	bounded.m.GC()
+	if st := bounded.m.Stats(); st.CacheResets != 1 || st.CacheEntries != 0 {
+		t.Errorf("after GC: %d resets, %d entries; want 1 and 0", st.CacheResets, st.CacheEntries)
 	}
 }
 

@@ -30,9 +30,10 @@ func (rt *Root) Release() {
 }
 
 // GC reclaims every node unreachable from the root set by mark-and-sweep,
-// clears the computed table (its entries may name dead nodes), and rebuilds
-// internal reference counts for the survivors. Refs of unrooted functions
-// are invalidated; rooted Refs survive unchanged.
+// clears the computed table (its entries may name dead nodes), rebuilds
+// internal reference counts for the survivors and relinks them into fresh
+// unique-table chains. Refs of unrooted functions are invalidated; rooted
+// Refs survive unchanged.
 func (m *Manager) GC() {
 	marked := make([]bool, len(m.nodes))
 	marked[False], marked[True] = true, true
@@ -55,6 +56,11 @@ func (m *Manager) GC() {
 			stack = append(stack, n.hi)
 		}
 	}
+	m.clearCache()
+	for v := range m.unique {
+		clear(m.unique[v].buckets)
+		m.unique[v].count = 0
+	}
 	freed := int64(0)
 	for i := range m.nodes {
 		m.nodes[i].rc = 0
@@ -66,7 +72,6 @@ func (m *Manager) GC() {
 			continue
 		}
 		if !marked[r] {
-			delete(m.unique[n.varID], pair{n.lo, n.hi})
 			m.nodes[r] = node{varID: varFree}
 			m.free = append(m.free, r)
 			m.live--
@@ -75,10 +80,7 @@ func (m *Manager) GC() {
 		}
 		m.nodes[n.lo].rc++
 		m.nodes[n.hi].rc++
-	}
-	if len(m.computed) > 0 {
-		m.computed = make(map[cacheKey]Ref)
-		m.stats.CacheResets++
+		m.link(r)
 	}
 	m.stats.GCRuns++
 	m.stats.NodesFreed += freed

@@ -1,6 +1,9 @@
 package bdd
 
-import "sort"
+import (
+	"slices"
+	"sort"
+)
 
 // Reorder improves the variable order by Rudell-style sifting: each
 // variable (largest unique table first) is moved through every order
@@ -10,9 +13,10 @@ import "sort"
 // nodes' internal structure change.
 //
 // A GC runs first so dead nodes do not distort size decisions, which
-// invalidates unrooted Refs exactly as GC does; the computed table is
-// cleared (cached results remain function-correct across reorders, but the
-// tidy cache keeps peak memory honest after a large structural change).
+// invalidates unrooted Refs exactly as GC does. It also clears the
+// computed table, and the swaps add nothing to it, so the table is empty
+// afterwards: sifting frees and reuses slots, so an entry from before it
+// could name a different node.
 func (m *Manager) Reorder() {
 	if m.numVars < 2 {
 		return
@@ -26,7 +30,7 @@ func (m *Manager) Reorder() {
 		vars[i] = int32(i)
 	}
 	sort.Slice(vars, func(i, j int) bool {
-		si, sj := len(m.unique[vars[i]]), len(m.unique[vars[j]])
+		si, sj := m.unique[vars[i]].count, m.unique[vars[j]].count
 		if si != sj {
 			return si > sj
 		}
@@ -120,22 +124,25 @@ func (m *Manager) swapAdjacent(l int) bool {
 	v := m.level2var[l+1]
 
 	// Collect the u-nodes that must be rewritten, in deterministic order
-	// (map iteration is randomized; Ref order is allocation order).
-	affected := make([]Ref, 0, len(m.unique[u]))
-	for _, r := range m.unique[u] {
-		n := m.nodes[r]
-		if m.nodes[n.lo].varID == v || m.nodes[n.hi].varID == v {
-			affected = append(affected, r)
+	// (chain order depends on hashing; Ref order is allocation order).
+	affected := m.affected[:0]
+	for _, r := range m.unique[u].buckets {
+		for ; r != False; r = m.nodes[r].next {
+			n := m.nodes[r]
+			if m.nodes[n.lo].varID == v || m.nodes[n.hi].varID == v {
+				affected = append(affected, r)
+			}
 		}
 	}
+	m.affected = affected
 	// Worst case each rewrite allocates two fresh u-nodes.
 	if m.live+2*len(affected) > m.limit {
 		return false
 	}
-	sort.Slice(affected, func(i, j int) bool { return affected[i] < affected[j] })
+	slices.Sort(affected)
 
 	for _, r := range affected {
-		delete(m.unique[u], pair{m.nodes[r].lo, m.nodes[r].hi})
+		m.unlink(r)
 	}
 	for _, r := range affected {
 		n := m.nodes[r]
@@ -158,7 +165,7 @@ func (m *Manager) swapAdjacent(l int) bool {
 		m.nodes[r] = node{varID: v, lo: a, hi: b, rc: m.nodes[r].rc}
 		m.nodes[a].rc++
 		m.nodes[b].rc++
-		m.unique[v][pair{a, b}] = r
+		m.link(r)
 		m.stats.ReorderSwaps++
 	}
 	m.level2var[l], m.level2var[l+1] = v, u
@@ -170,32 +177,10 @@ func (m *Manager) swapAdjacent(l int) bool {
 // swapAdjacent guarantees allocation cannot fail, and the free list
 // (refilled by deref) absorbs most of the transient growth.
 func (m *Manager) mkSwap(v int32, lo, hi Ref) Ref {
-	if lo == hi {
-		m.stats.UniqueHits++
-		return lo
-	}
-	if r, ok := m.unique[v][pair{lo, hi}]; ok {
-		m.stats.UniqueHits++
+	if r, ok := m.lookup(v, lo, hi); ok {
 		return r
 	}
-	var r Ref
-	if n := len(m.free); n > 0 {
-		r = m.free[n-1]
-		m.free = m.free[:n-1]
-		m.nodes[r] = node{varID: v, lo: lo, hi: hi}
-	} else {
-		r = Ref(len(m.nodes))
-		m.nodes = append(m.nodes, node{varID: v, lo: lo, hi: hi})
-	}
-	m.nodes[lo].rc++
-	m.nodes[hi].rc++
-	m.unique[v][pair{lo, hi}] = r
-	m.live++
-	if int64(m.live) > m.stats.PeakLive {
-		m.stats.PeakLive = int64(m.live)
-	}
-	m.stats.Allocs++
-	return r
+	return m.alloc(v, lo, hi)
 }
 
 // deref drops one internal reference from r and eagerly reclaims it (and
@@ -210,8 +195,8 @@ func (m *Manager) deref(r Ref) {
 	if m.nodes[r].rc > 0 || m.roots[r] > 0 {
 		return
 	}
+	m.unlink(r)
 	n := m.nodes[r]
-	delete(m.unique[n.varID], pair{n.lo, n.hi})
 	m.nodes[r] = node{varID: varFree}
 	m.free = append(m.free, r)
 	m.live--

@@ -54,6 +54,8 @@ type Cell struct {
 	Expr     *Expr
 	Pins     []Pin
 	Patterns []*Pattern
+
+	cover *sop.Cover // Expr as a minimized SOP, set by the library's finalize
 }
 
 // PinIndex returns the index of the named pin, or -1.
@@ -112,6 +114,7 @@ func (l *Library) finalize() error {
 		if err := c.compilePatterns(); err != nil {
 			return fmt.Errorf("genlib: cell %s: %w", c.Name, err)
 		}
+		c.cover = c.exprSOP()
 		if c.NumInputs() > l.maxInputs {
 			l.maxInputs = c.NumInputs()
 		}
@@ -370,8 +373,18 @@ func resolvePins(c *Cell, pending map[*Cell][]rawPin) error {
 }
 
 // Cover returns the cell function as a sum-of-products over the pin order,
-// used when reconstructing a Boolean network from a mapped netlist.
+// used when reconstructing a Boolean network from a mapped netlist. The
+// caller owns the result: a library cell hands out a copy of the cover its
+// library computed once, and a cell built outside a library computes it.
 func (c *Cell) Cover() *sop.Cover {
+	if c.cover != nil {
+		return c.cover.Clone()
+	}
+	return c.exprSOP()
+}
+
+// exprSOP derives the minimized SOP of the cell's expression.
+func (c *Cell) exprSOP() *sop.Cover {
 	pinIdx := make(map[string]int, len(c.Pins))
 	for i := range c.Pins {
 		pinIdx[c.Pins[i].Name] = i

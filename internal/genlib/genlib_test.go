@@ -299,3 +299,30 @@ func TestExprString(t *testing.T) {
 		}
 	}
 }
+
+// TestCellCoverComputedOnce: every lib2 cell's Cover equals the SOP a
+// fresh derivation from its expression gives, and a returned cover is the
+// caller's own: mutating it leaves the next call's result unchanged.
+func TestCellCoverComputedOnce(t *testing.T) {
+	for _, c := range Lib2().Cells {
+		pinIdx := make(map[string]int, len(c.Pins))
+		for i := range c.Pins {
+			pinIdx[c.Pins[i].Name] = i
+		}
+		want := exprCover(c.Expr, pinIdx, len(c.Pins))
+		want.Minimize()
+		got := c.Cover()
+		if !got.Equal(want) || got.String() != want.String() {
+			t.Fatalf("%s: Cover %v, fresh derivation %v", c.Name, got, want)
+		}
+		got.Cubes[0][0] = (got.Cubes[0][0] + 1) % 3
+		got.AddCube(got.Cubes[0].Clone())
+		if again := c.Cover(); again.String() != want.String() {
+			t.Fatalf("%s: mutating a returned cover changed the next one to %v", c.Name, again)
+		}
+	}
+	hand := &Cell{Name: "hand", Expr: &Expr{Op: OpNot, Kids: []*Expr{{Op: OpVar, Var: "a"}}}, Pins: []Pin{{Name: "a"}}}
+	if got := hand.Cover().String(); got != Lib2().Inverter().Cover().String() {
+		t.Errorf("a cell built outside a library covers as %q, lib2's inverter as %q", got, Lib2().Inverter().Cover().String())
+	}
+}

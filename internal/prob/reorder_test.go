@@ -97,3 +97,29 @@ func TestWideWorkload(t *testing.T) {
 		t.Errorf("sifted build never triggered reordering: %+v", sifted)
 	}
 }
+
+// BenchmarkCompute times the BDD kernel on s344's global build: once in
+// the fixed DFS order and once with sifting, both under TestWideWorkload's
+// 256-node GC and reorder thresholds, so collection and reordering run.
+func BenchmarkCompute(b *testing.B) {
+	bench, err := circuits.ByName("s344")
+	if err != nil {
+		b.Fatal(err)
+	}
+	nw := bench.Build()
+	for _, c := range []struct {
+		name string
+		cfg  bdd.Config
+	}{{"fixed", bdd.Config{GCThreshold: 256}}, {"sifted", reorderCfg}} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				model, err := prob.ComputeWith(context.Background(), nw, nil, huffman.Static, c.cfg)
+				if err != nil {
+					b.Fatal(err)
+				}
+				b.ReportMetric(float64(model.Manager().Stats().PeakLive), "peak-nodes")
+			}
+		})
+	}
+}

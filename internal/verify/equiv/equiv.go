@@ -52,95 +52,142 @@ func (e *MismatchError) Witness() map[string]bool {
 }
 
 // Equivalent proves that ref and impl compute identical output functions
-// over the same primary inputs, by building global ROBDDs for both networks
-// in one shared manager whose variable order is ref's PI declaration order.
-// Outputs are matched by name. On a disproof the returned error is a
-// *MismatchError carrying a counterexample cube extracted from the XOR of
-// the two output functions; structural problems (PI/output mismatches)
-// yield ordinary errors. A nil return is a proof of equivalence.
+// over the same primary inputs: it is one Check of a fresh Oracle over
+// ref. On a disproof the returned error is a *MismatchError; structural
+// problems (PI/output mismatches) yield ordinary errors. A nil return is a
+// proof of equivalence.
 //
 // cfg configures the manager (node limit, GC, reordering); the zero value
 // keeps the kernel defaults. An over-wide pair of networks surfaces as a
 // wrapped bdd.ErrNodeLimit, never a panic.
 func Equivalent(ctx context.Context, ref, impl *network.Network, cfg bdd.Config) error {
-	if len(ref.PIs) != len(impl.PIs) {
-		return fmt.Errorf("verify: PI count mismatch: %d vs %d", len(ref.PIs), len(impl.PIs))
-	}
+	return NewOracle(ref, cfg).Check(ctx, impl)
+}
+
+// Oracle checks implementations one at a time against one reference
+// network. It builds global ROBDDs in its own manager whose variable order
+// is the reference's PI declaration order: the reference's outputs once,
+// on the first Check, and each implementation's on its own Check. Before
+// building the next implementation it releases the previous one's roots
+// and collects them, so each check peaks at no more live nodes than a
+// fresh manager holding the reference and that one implementation. An
+// Oracle is not safe for concurrent use.
+type Oracle struct {
+	ref     *network.Network
+	piNames []string
+	index   map[string]int
+	mgr     *bdd.Manager
+
+	refOuts map[string]bdd.Ref // nil until a Check has built the reference
+	held    []*bdd.Root        // the last implementation's roots
+}
+
+// NewOracle returns an oracle over ref whose manager is configured by cfg.
+func NewOracle(ref *network.Network, cfg bdd.Config) *Oracle {
 	piNames := ref.PINames()
 	index := make(map[string]int, len(piNames))
 	for i, name := range piNames {
 		index[name] = i
 	}
-	mgr := bdd.NewWith(len(piNames), cfg)
-	build := func(nw *network.Network) (map[string]bdd.Ref, error) {
-		global := make(map[*network.Node]bdd.Ref)
-		for _, n := range nw.TopoOrder() {
-			if err := ctx.Err(); err != nil {
-				return nil, fmt.Errorf("verify: %w", err)
-			}
-			var r bdd.Ref
-			var err error
-			if n.Kind == network.PI {
-				i, ok := index[n.Name]
-				if !ok {
-					return nil, fmt.Errorf("verify: PI %s missing from reference network", n.Name)
-				}
-				r, err = mgr.Var(i)
-			} else {
-				inputs := make([]bdd.Ref, len(n.Fanin))
-				for i, f := range n.Fanin {
-					inputs[i] = global[f]
-				}
-				r, err = mgr.FromCover(n.Func, inputs)
-			}
-			if err != nil {
-				if bdd.IsNodeLimit(err) {
-					return nil, fmt.Errorf("verify: building BDD of %s: %w (networks too wide for the equivalence oracle; raise the node limit)", n.Name, err)
-				}
-				return nil, fmt.Errorf("verify: building BDD of %s: %w", n.Name, err)
-			}
-			global[n] = r
-			mgr.Protect(r)
-			mgr.Maintain()
-		}
-		outs := make(map[string]bdd.Ref, len(nw.Outputs))
-		for _, o := range nw.Outputs {
-			outs[o.Name] = global[o.Driver]
-		}
-		return outs, nil
+	return &Oracle{ref: ref, piNames: piNames, index: index, mgr: bdd.NewWith(len(piNames), cfg)}
+}
+
+// Check proves that impl computes the reference's output functions over
+// the same primary inputs, matching outputs by name. On a disproof the
+// returned error is a *MismatchError carrying a counterexample cube
+// extracted from the XOR of the two output functions, for the first
+// differing output in the reference's declaration order.
+func (o *Oracle) Check(ctx context.Context, impl *network.Network) error {
+	if len(o.ref.PIs) != len(impl.PIs) {
+		return fmt.Errorf("verify: PI count mismatch: %d vs %d", len(o.ref.PIs), len(impl.PIs))
 	}
-	refOuts, err := build(ref)
+	if o.refOuts == nil {
+		outs, err := o.build(ctx, o.ref, nil)
+		if err != nil {
+			return err
+		}
+		o.refOuts = outs
+	}
+	if len(o.held) > 0 {
+		for _, rt := range o.held {
+			rt.Release()
+		}
+		o.held = o.held[:0]
+		o.mgr.GC()
+	}
+	implOuts, err := o.build(ctx, impl, &o.held)
 	if err != nil {
 		return err
 	}
-	implOuts, err := build(impl)
-	if err != nil {
-		return err
-	}
-	if len(refOuts) != len(implOuts) {
-		return fmt.Errorf("verify: output count mismatch: %d vs %d", len(refOuts), len(implOuts))
+	if len(o.refOuts) != len(implOuts) {
+		return fmt.Errorf("verify: output count mismatch: %d vs %d", len(o.refOuts), len(implOuts))
 	}
 	// Walk ref's outputs in declaration order so the first mismatch
 	// reported is deterministic.
-	for _, o := range ref.Outputs {
-		ra := refOuts[o.Name]
-		rb, ok := implOuts[o.Name]
+	for _, out := range o.ref.Outputs {
+		ra := o.refOuts[out.Name]
+		rb, ok := implOuts[out.Name]
 		if !ok {
-			return fmt.Errorf("verify: output %s missing from implementation", o.Name)
+			return fmt.Errorf("verify: output %s missing from implementation", out.Name)
 		}
 		if ra == rb {
 			continue
 		}
-		diff, err := mgr.Xor(ra, rb)
+		diff, err := o.mgr.Xor(ra, rb)
 		if err != nil {
-			return fmt.Errorf("verify: extracting counterexample for %s: %w", o.Name, err)
+			return fmt.Errorf("verify: extracting counterexample for %s: %w", out.Name, err)
 		}
-		cube, ok := mgr.AnySat(diff)
+		cube, ok := o.mgr.AnySat(diff)
 		if !ok {
 			// Distinct refs always differ somewhere (ROBDD canonicity).
-			return fmt.Errorf("verify: output %s differs but no counterexample found", o.Name)
+			return fmt.Errorf("verify: output %s differs but no counterexample found", out.Name)
 		}
-		return &MismatchError{Output: o.Name, PINames: piNames, Cube: cube}
+		return &MismatchError{Output: out.Name, PINames: o.piNames, Cube: cube}
 	}
 	return nil
+}
+
+// build constructs and roots the global BDD of every node of nw in
+// topological order and returns the output functions by name. When held
+// is non-nil the root handles are appended to it, so the caller can
+// release them; the reference's roots are kept for the oracle's lifetime.
+func (o *Oracle) build(ctx context.Context, nw *network.Network, held *[]*bdd.Root) (map[string]bdd.Ref, error) {
+	global := make(map[*network.Node]bdd.Ref, len(nw.Nodes)+len(nw.PIs))
+	for _, n := range nw.TopoOrder() {
+		if err := ctx.Err(); err != nil {
+			return nil, fmt.Errorf("verify: %w", err)
+		}
+		var r bdd.Ref
+		var err error
+		if n.Kind == network.PI {
+			i, ok := o.index[n.Name]
+			if !ok {
+				return nil, fmt.Errorf("verify: PI %s missing from reference network", n.Name)
+			}
+			r, err = o.mgr.Var(i)
+		} else {
+			inputs := make([]bdd.Ref, len(n.Fanin))
+			for i, f := range n.Fanin {
+				inputs[i] = global[f]
+			}
+			r, err = o.mgr.FromCover(n.Func, inputs)
+		}
+		if err != nil {
+			if bdd.IsNodeLimit(err) {
+				return nil, fmt.Errorf("verify: building BDD of %s: %w (networks too wide for the equivalence oracle; raise the node limit)", n.Name, err)
+			}
+			return nil, fmt.Errorf("verify: building BDD of %s: %w", n.Name, err)
+		}
+		global[n] = r
+		rt := o.mgr.Protect(r)
+		if held != nil {
+			*held = append(*held, rt)
+		}
+		o.mgr.Maintain()
+	}
+	outs := make(map[string]bdd.Ref, len(nw.Outputs))
+	for _, out := range nw.Outputs {
+		outs[out.Name] = global[out.Driver]
+	}
+	return outs, nil
 }

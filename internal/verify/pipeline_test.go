@@ -192,3 +192,25 @@ func TestCorruptedNetlistRejected(t *testing.T) {
 	}
 	t.Fatal("no cell substitution produced a detectable corruption")
 }
+
+// BenchmarkCheckResult times the end-to-end proof of one synthesis run:
+// s344 under Method VI, synthesized once, verified once per op.
+func BenchmarkCheckResult(b *testing.B) {
+	ctx := context.Background()
+	bench, err := circuits.ByName("s344")
+	if err != nil {
+		b.Fatal(err)
+	}
+	src := bench.Build()
+	res, err := core.SynthesizeContext(ctx, src, core.Options{Method: core.MethodVI})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := CheckResult(ctx, src, res); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -7,12 +7,13 @@
 // self-consistency).
 //
 // The equivalence oracle is independent of the flow under test: it
-// rebuilds global ROBDDs for both networks from scratch in a fresh manager
-// ordered by the reference network's PI declaration order, so a bug in the
-// pipeline's own probability model cannot mask itself. A disproof comes
-// back as an *equiv.MismatchError carrying a satisfying cube of the XOR of
-// the two output functions — a concrete input on which the circuits
-// disagree.
+// rebuilds global ROBDDs from scratch in its own manager, separate from the
+// run's and ordered by the source network's PI declaration order, so a bug
+// in the pipeline's own probability model cannot mask itself. CheckResult
+// makes one such manager per run: it builds the source once and checks the
+// three derived networks against it in turn. A disproof comes back as an
+// *equiv.MismatchError carrying a satisfying cube of the XOR of the two
+// output functions — a concrete input on which the circuits disagree.
 //
 // CheckResult chains the checks every synthesis run must pass and is wired
 // into eval.RunSuite (making benchmark runs self-verifying) and the pcheck
@@ -36,14 +37,16 @@ import (
 // stage that broke; equivalence failures are *equiv.MismatchError values
 // with a counterexample cube.
 //
-// The oracle's managers take the run's own BDD budget, res.Options.BDD, so
-// a node limit binds verification exactly as it bound synthesis.
+// The three equivalence checks share one equiv.Oracle, which builds the
+// source once; its manager takes the run's own BDD budget,
+// res.Options.BDD, so a node limit binds verification exactly as it bound
+// synthesis.
 func CheckResult(ctx context.Context, src *network.Network, res *core.Result) error {
-	cfg := res.Options.BDD
-	if err := equiv.Equivalent(ctx, src, res.Optimized, cfg); err != nil {
+	oracle := equiv.NewOracle(src, res.Options.BDD)
+	if err := oracle.Check(ctx, res.Optimized); err != nil {
 		return fmt.Errorf("optimized network: %w", err)
 	}
-	if err := equiv.Equivalent(ctx, src, res.Decomp.Network, cfg); err != nil {
+	if err := oracle.Check(ctx, res.Decomp.Network); err != nil {
 		return fmt.Errorf("decomposed subject graph: %w", err)
 	}
 	mapped, err := res.Netlist.ToNetwork()
@@ -53,7 +56,7 @@ func CheckResult(ctx context.Context, src *network.Network, res *core.Result) er
 	if err := mapped.Check(); err != nil {
 		return fmt.Errorf("reconstructed mapped netlist: %w", err)
 	}
-	if err := equiv.Equivalent(ctx, src, mapped, cfg); err != nil {
+	if err := oracle.Check(ctx, mapped); err != nil {
 		return fmt.Errorf("mapped netlist: %w", err)
 	}
 	if err := CheckNetlist(res.Netlist); err != nil {
